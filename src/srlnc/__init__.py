@@ -7,6 +7,7 @@ block plan that trades latency for decoding rate when no precoder can.
 
 from .fields import Fe, FieldMismatch, FieldSpec, is_prime, smallest_prime_greater_than
 from .linalg import (
+    ContractViolation,
     Mat,
     Singular,
     Subspace,
@@ -84,8 +85,9 @@ from .advisor import (
 
 __all__ = [
     "Fe", "FieldMismatch", "FieldSpec", "is_prime", "smallest_prime_greater_than",
-    "Mat", "Singular", "Subspace", "br_factorize", "change_basis_to_targets",
-    "complete_basis", "invert", "k_degree_br_factorize", "kernel_columns",
+    "ContractViolation", "Mat", "Singular", "Subspace", "br_factorize",
+    "change_basis_to_targets", "complete_basis", "invert", "k_degree_br_factorize",
+    "kernel_columns",
     "rank", "rank_of_vectors", "row_times", "solve_columns",
     "subspace_intersect", "subspace_sum", "times_col",
     "CycleDetected", "FlowResult", "Network", "max_flow", "topo_order",
@@ -104,4 +106,4 @@ __all__ = [
     "field_bits", "rate_ratio_curve", "rate_ratio_verdict",
 ]
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .linalg import (
+    ContractViolation,
     Mat,
     Subspace,
     complete_basis,
@@ -134,7 +135,8 @@ def _sink_block_plan(field, V: List[Vec], blocks: Sequence[Tuple[int, ...]],
         decoded.extend(bi * r + pos for pos, _ in members)
     D_hat = _block_diag(field, d_blocks)
     R_hat = Mat.from_cols(field, r_cols, nrows=l * r)
-    assert P_hat @ lift_block(B, l) @ D_hat == R_hat, "block decoding contract violated"
+    if P_hat @ lift_block(B, l) @ D_hat != R_hat:
+        raise ContractViolation("block decoding contract violated")
     return BlockSinkPlan(D_hat=D_hat, R_hat=R_hat, decoded_indices=tuple(decoded),
                          rate=Fraction(len(decoded), l))
 
@@ -148,7 +150,8 @@ def block_decoder_for(plan: BlockPlan, index: int, B: Mat) -> BlockSinkPlan:
     V = [tuple(v) for v in plan.design.spanner]
     got = _sink_block_plan(B.field, V, plan.design.blocks, plan.P_hat, B, plan.l)
     entry = plan.sinks[index]
-    assert got.decoded_indices == entry.decoded_indices
+    if got.decoded_indices != entry.decoded_indices:
+        raise ContractViolation("same-span matrix decodes different block coordinates")
     return got
 
 
@@ -214,5 +217,6 @@ def optimize_block_plan(gems: GemSet, l_max: int, max_designs: int = 200_000) ->
             score = Fraction(min(totals), l)
             if best is None or score > best[0]:
                 best = (score, l, tuple(subsets[si] for si in design))
-    assert best is not None
+    if best is None:
+        raise ContractViolation("no block design scored, though l_max >= 1")
     return build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=best[2]))

@@ -22,7 +22,7 @@ from .blockcode import (
     optimize_block_plan,
 )
 from .fields import FieldSpec
-from .linalg import Mat, row_times
+from .linalg import ContractViolation, Mat, row_times
 from .multicast import (
     FieldTooSmall,
     Gem,
@@ -532,7 +532,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, ConstructionFailed) as exc:
+    except (ContractViolation, ConstructionFailed) as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 4
 

@@ -16,6 +16,14 @@ class Singular(ValueError):
     """The matrix has no inverse."""
 
 
+class ContractViolation(RuntimeError):
+    """An internal algebraic contract failed; this is a bug, not bad input.
+
+    Raised explicitly rather than by `assert`, so the checks also run
+    under `python -O`.
+    """
+
+
 Vec = Tuple[int, ...]
 
 

@@ -8,12 +8,11 @@ rank.  Sub-rate sinks participate with target rank h_t.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from .linalg import Mat, rank_of_vectors, invert, row_times
+from .linalg import ContractViolation, Mat, rank_of_vectors, invert, row_times
 from .netgraph import Network, max_flow, topo_order
 
 Node = Hashable
@@ -57,13 +56,37 @@ def _unit(r: int, j: int) -> Vec:
     return tuple(1 if i == j else 0 for i in range(r))
 
 
+def _shuffled_vectors(rng: random.Random, p: int, k: int) -> Iterator[Vec]:
+    """All p^k vectors of GF(p)^k, k >= 1, each once, in a seeded order.
+
+    Index i of the walk is (a*i + b) mod p^k written in base p, with a
+    prime to p, so the map is a bijection and the first vector (index b)
+    is uniform.  Vectors are made one at a time: O(k) memory.
+    """
+    n = p ** k
+    a = p * rng.randrange(n // p) + rng.randrange(1, p)
+    b = rng.randrange(n)
+    for i in range(n):
+        x = (a * i + b) % n
+        digits = []
+        for _ in range(k):
+            x, d = divmod(x, p)
+            digits.append(d)
+        yield tuple(digits)
+
+
 def build_multicast(net: Network, sinks: Sequence[Node], seed: int = 0) -> LinearCode:
     """Greedy deterministic multicast over the designated sinks.
 
-    Requires |F| > number of designated sinks with max-flow >= rate.  The
-    seed permutes the order in which candidate coefficient vectors are
-    tried, selecting among the valid codes; results are reproducible for
-    a fixed (net, sinks, seed).
+    Requires |F| > number of designated sinks with max-flow >= rate.  For
+    every coded edge, the local coefficient vectors over its predecessor
+    edges are walked in an order drawn from the seed (`_shuffled_vectors`),
+    and the first one that keeps every user sink's frontier at full rank
+    is taken.  The candidates that break one sink path form a proper
+    subspace, so the first, uniform candidate fails with probability at
+    most |users|/p and the walk almost always stops there.  The walk is
+    complete, so FieldTooSmall means no candidate exists.  Results are
+    reproducible for a fixed (net, sinks, seed).
     """
     field = net.field
     p = field.p
@@ -101,10 +124,8 @@ def build_multicast(net: Network, sinks: Sequence[Node], seed: int = 0) -> Linea
             coeffs[e] = {}
             continue
         preds = sorted({paths[t][i][pos - 1] for (t, i, pos) in users})
-        candidates = list(itertools.product(range(p), repeat=len(preds)))
-        rng.shuffle(candidates)
         chosen = None
-        for cand in candidates:
+        for cand in _shuffled_vectors(rng, p, len(preds)):
             f_e = tuple(sum(c * gek[d][j] for c, d in zip(cand, preds)) % p for j in range(r))
             ok = True
             for (t, i, pos) in users:
@@ -133,11 +154,11 @@ def build_multicast(net: Network, sinks: Sequence[Node], seed: int = 0) -> Linea
         lek[x] = Mat(field, k, cols=len(outs))
 
     code = LinearCode(rate=r, gek=gek, lek=lek)
-    _assert_consistent(net, code)
+    _check_consistent(net, code)
     return code
 
 
-def _assert_consistent(net: Network, code: LinearCode) -> None:
+def _check_consistent(net: Network, code: LinearCode) -> None:
     p = net.field.p
     r = code.rate
     for x in net.nodes:
@@ -149,7 +170,8 @@ def _assert_consistent(net: Network, code: LinearCode) -> None:
                 sum(k.data[ji][jc] * code.gek[d][row] for ji, d in enumerate(ins)) % p
                 for row in range(r)
             )
-            assert code.gek[e] == want, f"encoding kernels inconsistent at edge {e}"
+            if code.gek[e] != want:
+                raise ContractViolation(f"encoding kernels inconsistent at edge {e}")
 
 
 def extract_gem(code: LinearCode, net: Network, t: Node) -> Gem:
@@ -195,8 +217,8 @@ def simulate(net: Network, code: LinearCode, P: Optional[Mat], v: Sequence[int])
         k = code.lek[node]
         for jc, e in enumerate(outs):
             s = sum(k.data[ji][jc] * sym[d] for ji, d in enumerate(ins)) % p
-            assert s == sum(a * b for a, b in zip(x, code.gek[e])) % p, \
-                f"edge {e} symbol disagrees with its global kernel"
+            if s != sum(a * b for a, b in zip(x, code.gek[e])) % p:
+                raise ContractViolation(f"edge {e} symbol disagrees with its global kernel")
             sym[e] = s
     outputs = {t: tuple(sym[d] for d in sorted(net.in_edges[t])) for t in net.sinks}
     return SimTrace(input=v, edge_symbols=sym, sink_outputs=outputs)

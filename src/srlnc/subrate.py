@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .linalg import (
+    ContractViolation,
     Mat,
     Subspace,
     change_basis_to_targets,
@@ -267,7 +268,7 @@ def minimal_exact_spanner(gems: GemSet, cap: int = 10_000) -> List[Vec]:
         found = dfs([])
         if found is not None:
             return found
-    raise AssertionError("unreachable: the union of member bases is an exact spanner")
+    raise ContractViolation("unreachable: the union of member bases is an exact spanner")
 
 
 @dataclass(frozen=True)
@@ -370,14 +371,17 @@ def build_precoder(gems: GemSet, full_rate: Sequence[Mat] = (),
             if span.contains(v) and rank_of_vectors(field, vecs + [v]) > len(vecs):
                 positions.append(j)
                 vecs.append(v)
-        assert len(positions) == B.cols, "exact spanner must cover every member"
+        if len(positions) != B.cols:
+            raise ContractViolation("exact spanner must cover every member")
         targets = Mat.from_cols(field, vecs, nrows=r)
         D = change_basis_to_targets(B, targets)
         R = Mat.from_cols(field, [eye.col(j) for j in positions], nrows=r)
-        assert P @ B @ D == R, "precoding contract violated"
+        if P @ B @ D != R:
+            raise ContractViolation("precoding contract violated")
         plans.append(SinkPlan(D=D, R=R, decoded_indices=tuple(positions)))
     for FB in full_rate:
-        assert rank(P @ FB) == r, "full-rate matrix lost rank under P"
+        if rank(P @ FB) != r:
+            raise ContractViolation("full-rate matrix lost rank under P")
     return SubRatePlan(P=P, sinks=tuple(plans), spanner=tuple(V), i_bar=i_bar)
 
 
@@ -392,5 +396,6 @@ def decoder_for(plan: SubRatePlan, index: int, B: Mat) -> SinkPlan:
     Pinv = invert(plan.P)
     targets = Mat.from_cols(field, [Pinv.col(j) for j in entry.decoded_indices], nrows=B.rows)
     D = change_basis_to_targets(B, targets)
-    assert plan.P @ B @ D == entry.R
+    if plan.P @ B @ D != entry.R:
+        raise ContractViolation("precoding contract violated for a same-span matrix")
     return SinkPlan(D=D, R=entry.R, decoded_indices=entry.decoded_indices)

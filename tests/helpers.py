@@ -46,6 +46,29 @@ def butterfly(field: FieldSpec = GF3, weak_sink: bool = False) -> Network:
     return Network(nodes=nodes, edges=edges, source=1, sinks=sinks, rate=2, field=field)
 
 
+def generalized_butterfly(field: FieldSpec, r: int, n_weak: int = 0) -> Network:
+    """r relays a_i feed a bottleneck B->C; sink s_j hears C and every a_i
+    except a_j; weak sink w_k hears C and relay a_(k mod r).
+
+    The same family as the benchmark's generator.  The bottleneck edge has
+    r predecessor edges on sink paths, so a construction that lists every
+    candidate there pays p^r.  `net.sinks` holds the r full-rate sinks
+    first, then the weak ones (max-flow 2).
+    """
+    relays = list(range(1, r + 1))
+    b, c = r + 1, r + 2
+    sinks = list(range(r + 3, 2 * r + 3))
+    weak = list(range(2 * r + 3, 2 * r + 3 + n_weak))
+    edges = [(0, a) for a in relays] + [(a, b) for a in relays] + [(b, c)]
+    for j, s in enumerate(sinks):
+        edges.append((c, s))
+        edges += [(a, s) for i, a in enumerate(relays) if i != j]
+    for k, w in enumerate(weak):
+        edges += [(c, w), (relays[k % r], w)]
+    return Network(nodes=list(range(2 * r + 3 + n_weak)), edges=edges, source=0,
+                   sinks=sinks + weak, rate=r, field=field)
+
+
 def classic_butterfly_code(net: Network):
     """The XOR relay code over GF(2): node 4 adds its two inputs.
 

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from srlnc.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 BUTTERFLY = {
     "field": 3,
@@ -240,7 +246,8 @@ def test_simulate_counts_failures_of_a_corrupted_plan(tmp_path):
     assert rows["6"]["failures"] == 0
 
 
-def test_simulate_exits_4_on_an_inconsistent_code(tmp_path, capsys):
+def _inconsistent_code(tmp_path):
+    """Butterfly network and code files whose edge-6 kernel is off by one."""
     net = write(tmp_path, "net.json", BUTTERFLY)
     code = str(tmp_path / "code.json")
     assert main(["code", net, "--out", code]) == 0
@@ -248,8 +255,36 @@ def test_simulate_exits_4_on_an_inconsistent_code(tmp_path, capsys):
     vec = cobj["gek"]["6"]
     vec[0] = (vec[0] + 1) % 3
     (tmp_path / "code.json").write_text(json.dumps(cobj))
+    return net, code
+
+
+def test_simulate_exits_4_on_an_inconsistent_code(tmp_path, capsys):
+    net, code = _inconsistent_code(tmp_path)
     assert main(["simulate", net, code, "--trials", "50"]) == 4
     assert "contract violation" in capsys.readouterr().err
+
+
+def test_contract_checks_survive_python_O(tmp_path):
+    net, code = _inconsistent_code(tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-m", "srlnc.cli", "simulate", net, code,
+                           "--trials", "5"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 4
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("contract violation: ")
+
+
+def test_large_prime_fields(tmp_path, capsys):
+    big = dict(BUTTERFLY, field=2**61 - 1)
+    code = str(tmp_path / "code.json")
+    assert main(["code", write(tmp_path, "big.json", big), "--out", code]) == 0
+    assert read(code)["p"] == 2**61 - 1
+    huge = dict(BUTTERFLY, field=2**89 - 1)  # prime, above the decidable bound
+    assert main(["code", write(tmp_path, "huge.json", huge)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_block_pipeline(tmp_path):

@@ -1,9 +1,15 @@
+import itertools
 import random
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srlnc import (
     CodeInvalidForSink,
+    FieldSpec,
     FieldTooSmall,
     LinearCode,
     Mat,
@@ -16,7 +22,9 @@ from srlnc import (
     simulate,
 )
 
-from helpers import GF2, GF3, GF5, butterfly, classic_butterfly_code
+from srlnc.multicast import _shuffled_vectors
+
+from helpers import GF2, GF3, GF5, butterfly, classic_butterfly_code, generalized_butterfly
 
 
 def recheck_consistency(net, code):
@@ -130,6 +138,43 @@ def test_any_seed_yields_a_valid_code(seed):
     for t in (6, 7):
         assert rank(extract_gem(code, net, t).matrix) == 2
     assert extract_gem(code, net, 8).matrix.cols == 1
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.integers())
+@settings(max_examples=100, deadline=None)
+def test_candidate_walk_is_complete_and_seeded(p, k, seed):
+    walk = list(_shuffled_vectors(random.Random(seed), p, k))
+    assert len(walk) == p ** k
+    assert set(walk) == set(itertools.product(range(p), repeat=k))
+    assert list(_shuffled_vectors(random.Random(seed), p, k)) == walk
+
+
+def test_candidate_walk_is_lazy():
+    # 101^6 is about 10^12 vectors: only a lazy walk can answer at once
+    t0 = time.perf_counter()
+    first = next(_shuffled_vectors(random.Random(0), 101, 6))
+    assert time.perf_counter() - t0 < 0.5
+    assert len(first) == 6 and all(0 <= x < 101 for x in first)
+
+
+@pytest.mark.parametrize("p, r", [(31, 4), (101, 3)])
+def test_bottleneck_coefficients_cost_no_exponential_search(p, r):
+    # listing all p^r candidates at the bottleneck peaked at about 70 MiB
+    # and, traced like this, took about 6 s for each case
+    net = generalized_butterfly(FieldSpec(p), r, n_weak=1)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code = build_multicast(net, list(net.sinks))
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    recheck_consistency(net, code)
+    for t in net.sinks[:r]:
+        assert rank(extract_gem(code, net, t).matrix) == r
+    assert elapsed < 2.0
+    assert peak < 1 << 20
 
 
 # ------------------------------------------------- the hand-written code
