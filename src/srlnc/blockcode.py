@@ -198,11 +198,8 @@ def optimize_block_plan(gems: GemSet, l_max: int, max_designs: int = 200_000) ->
         for c in itertools.combinations(range(len(V)), size):
             if rank_of_vectors(field, [V[j] for j in c]) == size:
                 subsets.append(c)
-    counts = []
-    for c in subsets:
-        counts.append(tuple(
-            sum(1 for j in c if gems.spans[i].contains(V[j])) for i in range(gems.k)
-        ))
+    holds = [[span.contains(v) for span in gems.spans] for v in V]
+    counts = [tuple(sum(holds[j][i] for j in c) for i in range(gems.k)) for c in subsets]
     best: Optional[Tuple[Fraction, int, Tuple[Tuple[int, ...], ...]]] = None
     examined = 0
     for l in range(1, l_max + 1):

@@ -63,13 +63,20 @@ def _check_keys(obj, required: Sequence[str], optional: Sequence[str], what: str
         raise ValueError(f"{what} is missing keys: {', '.join(missing)}")
 
 
+def _integer(path: str, field: str, value) -> int:
+    """A JSON integer; floats, booleans and strings are rejected, not cast."""
+    if type(value) is not int:
+        raise ValueError(f"{path}: {field} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def load_network(path: str) -> Tuple[Network, List, List]:
     """Parse a network file; returns (net, full-rate sinks, sub-rate sinks)."""
     obj = _load_json(path)
     _check_keys(obj, ["field", "rate", "nodes", "edges", "source", "sinks"],
                 ["subrate_sinks"], "network file")
-    field = FieldSpec(int(obj["field"]))
-    rate = int(obj["rate"])
+    field = FieldSpec(_integer(path, "field", obj["field"]))
+    rate = _integer(path, "rate", obj["rate"])
     edges = []
     for e in obj["edges"]:
         if not isinstance(e, list) or len(e) != 2:
@@ -134,13 +141,13 @@ def load_code(path: str, net: Network) -> LinearCode:
 def load_gems(path: str) -> Tuple[GemSet, Optional[List[Tuple[int, ...]]]]:
     obj = _load_json(path)
     _check_keys(obj, ["p", "rate", "mats"], ["spanner"], "gems file")
-    field = FieldSpec(int(obj["p"]))
-    rate = int(obj["rate"])
+    field = FieldSpec(_integer(path, "p", obj["p"]))
+    rate = _integer(path, "rate", obj["rate"])
     mats = [Mat(field, grid) for grid in obj["mats"]]
     gems = GemSet(mats, rate)
     spanner = None
     if "spanner" in obj:
-        spanner = [tuple(int(x) for x in v) for v in obj["spanner"]]
+        spanner = [tuple(_integer(path, "spanner", x) for x in v) for v in obj["spanner"]]
     return gems, spanner
 
 
@@ -269,6 +276,8 @@ def cmd_code(args) -> int:
 
 
 def cmd_precode(args) -> int:
+    if args.block is not None and args.block < 1:
+        raise ValueError(f"--block must be at least 1, got {args.block}")
     if args.gems is not None:
         gems, spanner = load_gems(args.gems)
         p = gems.field.p
@@ -346,6 +355,8 @@ def _load_plan(path: str, net: Network) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be at least 0, got {args.trials}")
     net, sinks, subrate_sinks = load_network(args.file)
     code = load_code(args.code, net)
     field = net.field
@@ -398,7 +409,7 @@ def cmd_simulate(args) -> int:
                 if row_times(y, D) != tuple(v[j] for j in idxs):
                     failures[t] += 1
     else:
-        l = int(plan["l"])
+        l = _integer(args.plan, "l", plan["l"])
         if l < 1:
             raise ValueError("block plan needs l >= 1")
         P_hat = Mat(field, plan["P_hat"])

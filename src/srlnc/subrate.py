@@ -217,58 +217,99 @@ def comss_exhaustive(gems: GemSet, cap: int = 10_000) -> int:
 def minimal_exact_spanner(gems: GemSet, cap: int = 10_000) -> List[Vec]:
     """A minimum-cardinality exact spanner.
 
-    Candidates can be restricted to projective representatives inside the
-    member spans: a vector outside every span can never sit in a spanning
-    subset, and scaling changes neither membership nor rank.  Depth-first
-    search branches on rank-raising candidates for the first deficient
-    member, deepening from the dimension lower bound.
+    Candidates are the projective lines of the member spans: a vector
+    outside every span can never sit in a spanning subset, and scaling
+    changes neither membership nor rank.  Membership is read once from
+    those line lists, so `inside[v]` names the members whose span holds v.
+
+    The search is iterative deepening: at each depth, a depth-first search
+    branches, in sorted order, on the lines of the first deficient member
+    that raise its rank, and remembers the sets that failed at this depth.
+    Each member keeps a stack of echelon rows for the vectors chosen so
+    far that it contains; pushing v reduces it against the stacks of the
+    members in `inside[v]` only, and popping undoes that.  A member's rank
+    is its stack's length, so the deficit sum(h_i - rank_i) is known at
+    every node.  One more vector raises the rank of at most `maxdeg`
+    deficient members, the most of them that any line lies in, and the
+    deficient members only dwindle; so a node is cut when even that many
+    per vector could not clear the deficit within the depth, and deepening
+    starts at the larger of dim(total span) and ceil(sum(h) / maxdeg) over
+    all members.  Both cuts drop only subtrees without a solution at that
+    depth, so the first spanner found, and its order, is that of the plain
+    search.
     """
-    field = gems.field
-    if field.p ** gems.rate > cap:
-        raise SearchSpaceTooLarge(f"{field.p}^{gems.rate} candidate vectors exceed cap {cap}")
+    p = gems.field.p
+    if p ** gems.rate > cap:
+        raise SearchSpaceTooLarge(f"{p}^{gems.rate} candidate vectors exceed cap {cap}")
     lines = [subspace_lines(s) for s in gems.spans]
     targets = [gems.h(i) for i in range(gems.k)]
-    lower = gems.total_span().dim
-    upper = sum(targets)
+    inside: Dict[Vec, List[int]] = {}
+    for i, member_lines in enumerate(lines):
+        for v in member_lines:
+            inside.setdefault(v, []).append(i)
+    masks = {sum(1 << i for i in held) for held in inside.values()}
+    degree: Dict[int, int] = {}
+    need = sum(targets)
+    stacks: List[List[Tuple[int, List[int]]]] = [[] for _ in targets]
+    V: List[Vec] = []
 
-    def deficiency(V: List[Vec]) -> Optional[int]:
-        for i, span in enumerate(gems.spans):
-            inside = [v for v in V if span.contains(v)]
-            if rank_of_vectors(field, inside) < targets[i]:
-                return i
+    def maxdeg(short: int) -> int:
+        """The most members of the bit mask `short` that one line lies in."""
+        got = degree.get(short)
+        if got is None:
+            got = degree[short] = max((m & short).bit_count() for m in masks)
+        return got
+
+    def dfs(deficit: int, depth: int, seen: set) -> Optional[List[Vec]]:
+        if not deficit:
+            return list(V)
+        short = sum(1 << j for j, rows in enumerate(stacks) if len(rows) < targets[j])
+        if len(V) + -(-deficit // maxdeg(short)) > depth:
+            return None
+        key = frozenset(V)
+        if key in seen:
+            return None
+        seen.add(key)
+        i = (short & -short).bit_length() - 1
+        for v in lines[i]:
+            if _reduce(v, stacks[i], p) is None:
+                continue
+            pushed = []
+            for j in inside[v]:
+                row = _reduce(v, stacks[j], p)
+                if row is not None:
+                    stacks[j].append(row)
+                    pushed.append(j)
+            V.append(v)
+            got = dfs(deficit - len(pushed), depth, seen)
+            V.pop()
+            for j in pushed:
+                stacks[j].pop()
+            if got is not None:
+                return got
         return None
 
-    for depth in range(lower, upper + 1):
-        seen: set = set()
-
-        def dfs(V: List[Vec]) -> Optional[List[Vec]]:
-            i = deficiency(V)
-            if i is None:
-                return list(V)
-            if len(V) >= depth:
-                return None
-            key = frozenset(V)
-            if key in seen:
-                return None
-            seen.add(key)
-            span = gems.spans[i]
-            inside = [v for v in V if span.contains(v)]
-            base = rank_of_vectors(field, inside)
-            for v in lines[i]:
-                if v in V:
-                    continue
-                if rank_of_vectors(field, inside + [v]) > base:
-                    V.append(v)
-                    got = dfs(V)
-                    V.pop()
-                    if got is not None:
-                        return got
-            return None
-
-        found = dfs([])
+    lower = -(-need // maxdeg((1 << gems.k) - 1))
+    for depth in range(max(gems.total_span().dim, lower), need + 1):
+        found = dfs(need, depth, set())
         if found is not None:
             return found
     raise ContractViolation("unreachable: the union of member bases is an exact spanner")
+
+
+def _reduce(v: Vec, rows: List[Tuple[int, List[int]]], p: int) -> Optional[Tuple[int, List[int]]]:
+    """v reduced against echelon rows (pivot, row with a unit pivot), as a
+    new such row; None when v lies in their span."""
+    w = list(v)
+    for piv, row in rows:
+        c = w[piv]
+        if c:
+            w = [(a - c * b) % p for a, b in zip(w, row)]
+    for piv, x in enumerate(w):
+        if x:
+            f = pow(x, p - 2, p)
+            return piv, [(f * y) % p for y in w]
+    return None
 
 
 @dataclass(frozen=True)
@@ -355,6 +396,11 @@ def build_precoder(gems: GemSet, full_rate: Sequence[Mat] = (),
             V = list(build_spanner(gems, i_bar).spanner)
         except ConstructionFailed:
             V = minimal_exact_spanner(gems)
+            # The r columns of an inverse precoder would themselves be an
+            # exact spanner, so a larger minimum rules a precoder out.
+            if len(V) > r:
+                raise NotFullyDecodable(f"the minimal exact spanner has {len(V)} vectors, "
+                                        f"more than the rate {r}")
     pad = complete_basis(Subspace.from_columns(field, r, V))
     cols = V + pad.columns()
     B_bar = Mat.from_cols(field, cols, nrows=r)

@@ -336,6 +336,75 @@ def brute_min_spanner_size(gems: GemSet) -> int:
     raise AssertionError("the union of member bases always spans exactly")
 
 
+def reference_minimal_exact_spanner(gems: GemSet,
+                                    max_nodes: Optional[int] = None) -> Optional[List[Vec]]:
+    """The plain iterative-deepening search that `minimal_exact_spanner`
+    must reproduce list for list: from dim(total span) up, a DFS branches
+    on the sorted lines of the first deficient member that raise its rank,
+    recomputing every membership and rank from scratch at every node, with
+    a per-depth memo of failed sets.
+
+    Its cost is exponential (over a minute on some r=4, p=5 sets), so
+    `max_nodes` caps the nodes it visits, summed over all depths; past
+    the cap it returns None.
+    """
+    from srlnc import subspace_lines
+
+    field = gems.field
+    lines = [subspace_lines(s) for s in gems.spans]
+    targets = [gems.h(i) for i in range(gems.k)]
+    nodes = 0
+
+    class OutOfNodes(Exception):
+        pass
+
+    def deficiency(V: List[Vec]) -> Optional[int]:
+        for i, span in enumerate(gems.spans):
+            inside = [v for v in V if span.contains(v)]
+            if rank_of_vectors(field, inside) < targets[i]:
+                return i
+        return None
+
+    for depth in range(gems.total_span().dim, sum(targets) + 1):
+        seen: set = set()
+
+        def dfs(V: List[Vec]) -> Optional[List[Vec]]:
+            nonlocal nodes
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                raise OutOfNodes
+            i = deficiency(V)
+            if i is None:
+                return list(V)
+            if len(V) >= depth:
+                return None
+            key = frozenset(V)
+            if key in seen:
+                return None
+            seen.add(key)
+            span = gems.spans[i]
+            inside = [v for v in V if span.contains(v)]
+            base = rank_of_vectors(field, inside)
+            for v in lines[i]:
+                if v in V:
+                    continue
+                if rank_of_vectors(field, inside + [v]) > base:
+                    V.append(v)
+                    got = dfs(V)
+                    V.pop()
+                    if got is not None:
+                        return got
+            return None
+
+        try:
+            found = dfs([])
+        except OutOfNodes:
+            return None
+        if found is not None:
+            return found
+    raise AssertionError("the union of member bases always spans exactly")
+
+
 def sympy_dm(A: Mat) -> DomainMatrix:
     dom = _sympy_GF(A.field.p)
     return DomainMatrix([[dom(x) for x in row] for row in A.data], (A.rows, A.cols), dom)

@@ -4,6 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from srlnc import FieldSpec, Mat, lift_block
 from srlnc.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -37,6 +40,19 @@ SHARED_AXIS_GEMS = {
         [[1, 0], [0, 0], [0, 1]],
         [[0, 0], [1, 0], [0, 1]],
         [[1, 0], [1, 0], [0, 1]],
+    ],
+}
+
+# fsrd_check passes and build_spanner fails; the minimal exact spanner has
+# 5 vectors at rate 4, so no single-use precoder exists
+FIVE_VECTOR_GEMS = {
+    "p": 3,
+    "rate": 4,
+    "mats": [
+        [[2, 1, 2], [0, 2, 0], [2, 2, 2], [1, 1, 2]],
+        [[2, 1], [0, 0], [1, 1], [0, 1]],
+        [[0, 0], [2, 0], [0, 2], [1, 1]],
+        [[0], [2], [2], [2]],
     ],
 }
 
@@ -173,6 +189,27 @@ def test_precode_gems_with_block_fallback(tmp_path):
     assert obj["l"] == 3
     assert [m["rate"] for m in obj["members"]] == ["5/3"] * 3
     assert all(len(m["decoded_indices"]) == 5 for m in obj["members"])
+
+
+def test_precode_gems_with_a_spanner_longer_than_the_rate(tmp_path, capsys):
+    gems = write(tmp_path, "gems.json", FIVE_VECTOR_GEMS)
+    assert main(["precode", "--gems", gems]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("infeasible: ")
+    out = str(tmp_path / "plan.json")
+    assert main(["precode", "--gems", gems, "--block", "2", "--out", out]) == 0
+    obj = read(out)
+    assert obj["kind"] == "block"
+    field = FieldSpec(3)
+    l = obj["l"]
+    P_hat = Mat(field, obj["P_hat"])
+    assert len(obj["members"]) == len(FIVE_VECTOR_GEMS["mats"])
+    for grid, member in zip(FIVE_VECTOR_GEMS["mats"], obj["members"]):
+        h = len(grid[0])
+        lifted = lift_block(Mat(field, grid), l)
+        D_hat = Mat(field, member["D_hat"], cols=l * h)
+        R_hat = Mat(field, member["R_hat"], cols=l * h)
+        assert P_hat @ lifted @ D_hat == R_hat
 
 
 def test_precode_needs_a_network_or_gems(tmp_path, capsys):
@@ -321,6 +358,40 @@ def test_rate_ratio_csv(tmp_path):
     assert lines[3] == "3,1,1"
     assert lines[6] == "6,3,4"
     assert len(lines) == 7
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("net", "rate", 2.7), ("net", "rate", True), ("net", "field", "3"),
+    ("gems", "p", 3.0), ("gems", "rate", "3"),
+    ("gems", "spanner", [[True, 1, 1], [1, 1, 0], [1, 1, 1]]),
+])
+def test_non_integer_scalars_exit_2(tmp_path, capsys, kind, key, value):
+    if kind == "net":
+        argv = ["code", write(tmp_path, "bad.json", dict(BUTTERFLY, **{key: value}))]
+    else:
+        argv = ["precode", "--gems", write(tmp_path, "bad.json",
+                                           dict(THREE_PLANES_GEMS, **{key: value}))]
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "bad.json" in lines[0] and f"{key} must be an integer" in lines[0]
+
+
+@pytest.mark.parametrize("option", ["--trials", "--block"])
+def test_bad_counts_exit_2(tmp_path, capsys, option):
+    if option == "--trials":
+        net = write(tmp_path, "net.json", BUTTERFLY)
+        code = str(tmp_path / "code.json")
+        assert main(["code", net, "--out", code]) == 0
+        argv = ["simulate", net, code, "--trials", "-3"]
+    else:
+        argv = ["precode", "--gems", write(tmp_path, "g.json", THREE_PLANES_GEMS), "--block", "0"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {option} must be at least")
+    assert captured.out == ""
 
 
 def test_rate_ratio_rejects_zero(capsys):

@@ -1,10 +1,14 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from srlnc import (
     ConstructionFailed,
+    FieldSpec,
     GemSet,
     Mat,
     NotFullyDecodable,
@@ -42,6 +46,7 @@ from helpers import (
     gems_three_planes,
     mat_cols,
     random_gemset,
+    reference_minimal_exact_spanner,
 )
 
 
@@ -188,6 +193,44 @@ def test_minimal_spanner_matches_brute_force():
         V = minimal_exact_spanner(g)
         assert is_exact_spanner(V, g)
         assert len(V) == brute_min_spanner_size(g)
+
+
+@given(st.sampled_from([2, 3, 5]), st.sampled_from([3, 4]), st.integers(2, 5), st.integers())
+@settings(max_examples=150, deadline=None)
+def test_minimal_spanner_matches_the_reference_search(p, r, k_max, seed):
+    g = random_gemset(random.Random(seed), FieldSpec(p), r, k_max)
+    # The reference search is exponential: a few r=4, p=5 sets take it
+    # minutes.  Those past its node cap (about 0.4 s) are skipped here;
+    # the pinned set below is one of them.
+    want = reference_minimal_exact_spanner(g, max_nodes=3000)
+    assume(want is not None)
+    assert minimal_exact_spanner(g) == want
+
+
+def test_minimal_spanner_is_fast_where_the_plain_search_took_a_minute():
+    mats = [[[0, 2, 4], [0, 3, 3], [3, 2, 2], [1, 3, 4]],
+            [[2, 4, 3], [4, 3, 3], [0, 0, 2], [1, 4, 0]],
+            [[4], [0], [3], [0]],
+            [[1, 1, 3], [1, 3, 1], [1, 0, 2], [4, 3, 0]]]
+    g = GemSet([Mat(GF5, m) for m in mats], rate=4)
+    assert [g.h(i) for i in range(g.k)] == [3, 3, 1, 3]
+    assert fsrd_check(g) is None
+    t0 = time.perf_counter()
+    V = minimal_exact_spanner(g)
+    assert time.perf_counter() - t0 < 5.0
+    assert V == [(0, 1, 1, 3), (1, 0, 1, 0), (1, 0, 3, 4), (1, 0, 3, 3), (1, 0, 2, 0)]
+
+
+def test_precoder_refused_when_the_minimal_spanner_exceeds_the_rate():
+    mats = [[[2, 1, 2], [0, 2, 0], [2, 2, 2], [1, 1, 2]],
+            [[2, 1], [0, 0], [1, 1], [0, 1]],
+            [[0, 0], [2, 0], [0, 2], [1, 1]],
+            [[0], [2], [2], [2]]]
+    g = GemSet([Mat(GF3, m) for m in mats], rate=4)
+    assert fsrd_check(g) is not None
+    assert len(minimal_exact_spanner(g)) == 5
+    with pytest.raises(NotFullyDecodable, match="5 vectors, more than the rate 4"):
+        build_precoder(g)
 
 
 def test_minimal_spanner_respects_cap():
