@@ -70,6 +70,24 @@ def _integer(path: str, field: str, value) -> int:
     return value
 
 
+def _integers(path: str, field: str, values) -> list:
+    """A JSON list of integers, each checked as `_integer` checks a scalar."""
+    if not isinstance(values, list):
+        raise ValueError(f"{path}: {field} must be a list, got {json.dumps(values)}")
+    for x in values:
+        _integer(path, field, x)
+    return values
+
+
+def _matrix(path: str, field: str, grid) -> list:
+    """A JSON list of rows of integers."""
+    if not isinstance(grid, list):
+        raise ValueError(f"{path}: {field} must be a list of rows, got {json.dumps(grid)}")
+    for row in grid:
+        _integers(path, field, row)
+    return grid
+
+
 def load_network(path: str) -> Tuple[Network, List, List]:
     """Parse a network file; returns (net, full-rate sinks, sub-rate sinks)."""
     obj = _load_json(path)
@@ -113,17 +131,20 @@ def load_code(path: str, net: Network) -> LinearCode:
     _check_keys(obj, ["p", "rate", "gek", "lek"], [], "code file")
     p = net.field.p
     r = net.rate
-    if obj["p"] != p or obj["rate"] != r:
+    if _integer(path, "p", obj["p"]) != p or _integer(path, "rate", obj["rate"]) != r:
         raise ValueError(f"code is for GF({obj['p']}) rate {obj['rate']}, "
                          f"network wants GF({p}) rate {r}")
+    for table in ("gek", "lek"):
+        if not isinstance(obj[table], dict):
+            raise ValueError(f"{path}: {table} must be a JSON object")
+    edge_ids = {str(e): e for e in range(-r, len(net.edges))}
+    if set(obj["gek"]) != set(edge_ids):
+        raise ValueError(f"{path}: gek keys are not exactly the network's edge ids")
     gek: Dict[int, Tuple[int, ...]] = {}
     for key, vec in obj["gek"].items():
-        if len(vec) != r:
+        if len(_integers(path, f"gek.{key}", vec)) != r:
             raise ValueError(f"kernel for edge {key} has length {len(vec)}, want {r}")
-        gek[int(key)] = tuple(int(x) % p for x in vec)
-    want_ids = set(range(-r, len(net.edges)))
-    if set(gek) != want_ids:
-        raise ValueError("code kernels do not cover exactly the network's edge ids")
+        gek[edge_ids[key]] = tuple(x % p for x in vec)
     lek: Dict = {}
     for n in net.nodes:
         entry = obj["lek"].get(str(n))
@@ -134,7 +155,7 @@ def load_code(path: str, net: Network) -> LinearCode:
         outs = sorted(net.out_edges[n])
         if entry["in"] != ins or entry["out"] != outs:
             raise ValueError(f"local kernel of {n!r} lists different edges than the network")
-        lek[n] = Mat(net.field, entry["k"], cols=len(outs))
+        lek[n] = Mat(net.field, _matrix(path, f"lek.{n}.k", entry["k"]), cols=len(outs))
     return LinearCode(rate=r, gek=gek, lek=lek)
 
 
@@ -143,7 +164,7 @@ def load_gems(path: str) -> Tuple[GemSet, Optional[List[Tuple[int, ...]]]]:
     _check_keys(obj, ["p", "rate", "mats"], ["spanner"], "gems file")
     field = FieldSpec(_integer(path, "p", obj["p"]))
     rate = _integer(path, "rate", obj["rate"])
-    mats = [Mat(field, grid) for grid in obj["mats"]]
+    mats = [Mat(field, _matrix(path, f"mats[{i}]", grid)) for i, grid in enumerate(obj["mats"])]
     gems = GemSet(mats, rate)
     spanner = None
     if "spanner" in obj:
@@ -337,20 +358,39 @@ def cmd_precode(args) -> int:
 
 
 def _load_plan(path: str, net: Network) -> dict:
+    """A plan file whose matrices and per-sink decoded indices are checked;
+    the indices must be distinct message coordinates, of which a subrate
+    plan has rate and a block plan l * rate."""
     obj = _load_json(path)
     if not isinstance(obj, dict) or obj.get("kind") not in ("subrate", "block"):
         raise ValueError('plan file must have "kind": "subrate" or "block"')
     if obj["kind"] == "subrate":
         _check_keys(obj, ["kind", "p", "rate", "P", "i_bar", "spanner", "members"],
                     ["sinks"], "plan file")
+        precoder, decoders, width = "P", ["D"], net.rate
     else:
         _check_keys(obj, ["kind", "p", "rate", "l", "P_hat", "spanner", "blocks",
                           "members"], ["sinks"], "plan file")
-    if obj["p"] != net.field.p or obj["rate"] != net.rate:
+        if _integer(path, "l", obj["l"]) < 1:
+            raise ValueError("block plan needs l >= 1")
+        precoder, decoders, width = "P_hat", ["D_hat", "R_hat"], obj["l"] * net.rate
+    if _integer(path, "p", obj["p"]) != net.field.p or _integer(path, "rate", obj["rate"]) != net.rate:
         raise ValueError(f"plan is for GF({obj['p']}) rate {obj['rate']}, "
                          f"network wants GF({net.field.p}) rate {net.rate}")
     if "sinks" not in obj:
         raise ValueError("plan lacks per-sink decoders; build it from a network file")
+    _matrix(path, precoder, obj[precoder])
+    if not isinstance(obj["sinks"], dict):
+        raise ValueError(f"{path}: sinks must be a JSON object")
+    for t, entry in obj["sinks"].items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: sinks.{t} must be a JSON object")
+        for name in decoders:
+            _matrix(path, f"sinks.{t}.{name}", entry.get(name))
+        idxs = _integers(path, f"sinks.{t}.decoded_indices", entry.get("decoded_indices"))
+        if len(set(idxs)) != len(idxs) or not all(0 <= j < width for j in idxs):
+            raise ValueError(f"{path}: sinks.{t}.decoded_indices must be distinct "
+                             f"and in range({width}), got {json.dumps(idxs)}")
     return obj
 
 
@@ -409,9 +449,7 @@ def cmd_simulate(args) -> int:
                 if row_times(y, D) != tuple(v[j] for j in idxs):
                     failures[t] += 1
     else:
-        l = _integer(args.plan, "l", plan["l"])
-        if l < 1:
-            raise ValueError("block plan needs l >= 1")
+        l = plan["l"]
         P_hat = Mat(field, plan["P_hat"])
         p_blocks = [_diag_block(P_hat, field, bi, r) for bi in range(l)]
         dec_mats = {}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import (
     ContractViolation,
@@ -54,8 +54,37 @@ def projective_rep(field: FieldSpec, v: Sequence[int]) -> Vec:
 
 def subspace_lines(S: Subspace) -> List[Vec]:
     """Projective representatives of the nonzero vectors of S, sorted."""
-    reps = {projective_rep(S.field, v) for v in S.vectors()}
-    return sorted(reps)
+    return list(_lines(S))
+
+
+def _lines(S: Subspace, top: Optional[int] = None) -> Iterator[Vec]:
+    """The projective representatives of S's lines, in sorted order, from
+    the leading basis index `top` (default: the last) down.
+
+    The basis b_0..b_{d-1} is reduced column echelon with ascending pivot
+    rows, so a line's first nonzero coordinate sits at the pivot of the
+    first basis vector it uses.  Its representative is b_j plus a
+    combination of b_{j+1}..b_{d-1}, whose coefficients are read off at
+    those pivots.  A later leading index j therefore gives smaller
+    vectors, and within one j the vectors sort as their coefficients do
+    in lex order.
+    """
+    cols = S.basis.columns()
+    p = S.field.p
+    for j in range(len(cols) - 1 if top is None else top, -1, -1):
+        yield from _lex_sums(cols[j], cols[j + 1:], p)
+
+
+def _lex_sums(head: Vec, tail: Sequence[Vec], p: int) -> Iterator[Vec]:
+    """head + sum(c_i * tail[i]) for every coefficient tuple c, in lex order."""
+    if not tail:
+        yield head
+        return
+    b, rest = tail[0], tail[1:]
+    for c in range(p):
+        if c:
+            head = tuple((x + y) % p for x, y in zip(head, b))
+        yield from _lex_sums(head, rest, p)
 
 
 class GemSet:
@@ -321,7 +350,15 @@ class SpannerCertificate:
 
 def build_spanner(gems: GemSet, i_bar: Sequence[int]) -> SpannerCertificate:
     """Collect i_bar[c] independent vectors of commonality degree c, walking
-    c downward and the c-member intersections in complement-ascending order."""
+    c downward, the c-member intersections in complement-ascending order
+    and the lines of each in sorted order.
+
+    The chosen vectors V are kept as echelon rows.  A line that is in
+    span(V) is never taken, so the walk of an intersection starts at the
+    last basis vector b_j outside span(V): every line of a later leading
+    index lies in span(b_{j+1}, ...) and inside span(V).  The walk stops
+    once V spans the whole intersection, and skips it if V already does.
+    """
     k = gems.k
     if len(i_bar) != k:
         raise ValueError("i_bar length must equal the number of members")
@@ -329,7 +366,9 @@ def build_spanner(gems: GemSet, i_bar: Sequence[int]) -> SpannerCertificate:
     for c in range(1, k + 1):
         if i_bar[c - 1] > caps[c - 1]:
             raise ValueError(f"i_bar[{c}]={i_bar[c - 1]} exceeds level size {caps[c - 1]}")
+    p = gems.field.p
     V: List[Vec] = []
+    rows: List[Tuple[int, List[int]]] = []
     for c in range(k, 0, -1):
         need = i_bar[c - 1]
         if need == 0:
@@ -338,15 +377,19 @@ def build_spanner(gems: GemSet, i_bar: Sequence[int]) -> SpannerCertificate:
         for removed in itertools.combinations(range(k), k - c):
             comp = frozenset(i for i in range(k) if i not in removed)
             inter = gems.intersection(comp)
-            for v in subspace_lines(inter):
-                if got == need:
-                    break
-                if comd(v, gems) != c or v in V:
-                    continue
-                if rank_of_vectors(gems.field, V + [v]) == len(V):
+            basis = inter.basis.columns()
+            outside = [j for j, b in enumerate(basis) if _reduce(b, rows, p) is not None]
+            if not outside:
+                continue
+            for v in _lines(inter, outside[-1]):
+                row = _reduce(v, rows, p)
+                if row is None or comd(v, gems) != c:
                     continue
                 V.append(v)
+                rows.append(row)
                 got += 1
+                if got == need or all(_reduce(b, rows, p) is None for b in basis):
+                    break
             if got == need:
                 break
         if got < need:

@@ -160,6 +160,30 @@ def random_gemset(rng, field: FieldSpec, r: int, k_max: int) -> GemSet:
     return GemSet(mats, rate=r)
 
 
+def feasible_gemset(rng, field: FieldSpec, r: int, k_max: int) -> GemSet:
+    """Members spanned by distinct proper subsets of one random basis of
+    F^r, each given in a random basis of its span; the shared basis is an
+    exact spanner of r vectors, so the set is fully decodable."""
+    basis: List[Vec] = []
+    while len(basis) < r:
+        v = tuple(rng.randrange(field.p) for _ in range(r))
+        if rank_of_vectors(field, basis + [v]) > len(basis):
+            basis.append(v)
+    subsets = {tuple(sorted(rng.sample(range(r), rng.randint(1, r - 1))))
+               for _ in range(rng.randint(1, k_max))}
+    mats = []
+    for sub in sorted(subsets):
+        cols: List[Vec] = []
+        while len(cols) < len(sub):
+            mix = [rng.randrange(field.p) for _ in sub]
+            v = tuple(sum(m * basis[j][i] for m, j in zip(mix, sub)) % field.p
+                      for i in range(r))
+            if rank_of_vectors(field, cols + [v]) > len(cols):
+                cols.append(v)
+        mats.append(Mat.from_cols(field, cols))
+    return GemSet(mats, rate=r)
+
+
 # ---------------------------------------------------------------- table of profiles
 
 def profile_rows() -> List[dict]:
@@ -403,6 +427,49 @@ def reference_minimal_exact_spanner(gems: GemSet,
         if found is not None:
             return found
     raise AssertionError("the union of member bases always spans exactly")
+
+
+def reference_subspace_lines(S: Subspace) -> List[Vec]:
+    """Every vector of S listed, scaled to its projective representative,
+    deduplicated and sorted."""
+    from srlnc import projective_rep
+
+    return sorted({projective_rep(S.field, v) for v in S.vectors()})
+
+
+def reference_build_spanner(gems: GemSet, i_bar: Sequence[int]) -> List[Vec]:
+    """The guideline construction that `build_spanner` must reproduce: for
+    c from k down, walk the c-member intersections in complement-ascending
+    order and all of their sorted lines, taking a line of degree c that
+    raises the rank of the vectors taken so far.  Raises
+    ConstructionFailed as `build_spanner` does."""
+    from srlnc import ConstructionFailed, comd, is_exact_spanner
+
+    k = gems.k
+    V: List[Vec] = []
+    for c in range(k, 0, -1):
+        need = i_bar[c - 1]
+        if need == 0:
+            continue
+        got = 0
+        for removed in itertools.combinations(range(k), k - c):
+            comp = frozenset(i for i in range(k) if i not in removed)
+            for v in reference_subspace_lines(gems.intersection(comp)):
+                if got == need:
+                    break
+                if comd(v, gems) != c or v in V:
+                    continue
+                if rank_of_vectors(gems.field, V + [v]) == len(V):
+                    continue
+                V.append(v)
+                got += 1
+            if got == need:
+                break
+        if got < need:
+            raise ConstructionFailed(f"could not collect {need} degree-{c} vectors")
+    if not is_exact_spanner(V, gems):
+        raise ConstructionFailed("collected vectors do not form an exact spanner")
+    return V
 
 
 def sympy_dm(A: Mat) -> DomainMatrix:

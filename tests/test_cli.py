@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -397,3 +398,129 @@ def test_bad_counts_exit_2(tmp_path, capsys, option):
 def test_rate_ratio_rejects_zero(capsys):
     assert main(["rate-ratio", "--max-sinks", "0"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _pipeline_files(tmp_path, block):
+    """Network, code and plan files: the butterfly with a subrate plan, or
+    the fan network with a block plan."""
+    if block:
+        net = write(tmp_path, "net.json", FAN)
+        code = write(tmp_path, "code.json", FAN_CODE)
+        argv = ["precode", net, code, "--block", "3"]
+    else:
+        net = write(tmp_path, "net.json", BUTTERFLY)
+        code = str(tmp_path / "code.json")
+        assert main(["code", net, "--out", code]) == 0
+        argv = ["precode", net, code]
+    plan = str(tmp_path / "plan.json")
+    assert main(argv + ["--out", plan]) == 0
+    return net, code, plan
+
+
+def _edit(path, change):
+    obj = read(path)
+    change(obj)
+    Path(path).write_text(json.dumps(obj))
+
+
+def _one_error_line(capsys, *fragments):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    for fragment in fragments:
+        assert fragment in lines[0], lines[0]
+
+
+@pytest.mark.parametrize("value", [1.5, "a", True])
+def test_non_integer_gems_entries_exit_2(tmp_path, capsys, value):
+    mats = json.loads(json.dumps(THREE_PLANES_GEMS["mats"]))
+    mats[1][2][0] = value
+    gems = write(tmp_path, "bad.json", dict(THREE_PLANES_GEMS, mats=mats))
+    assert main(["precode", "--gems", gems]) == 2
+    _one_error_line(capsys, "bad.json", "mats[1] must be an integer")
+
+
+@pytest.mark.parametrize("where, value", [
+    ("gek", 1.5), ("gek", True), ("gek", "1"), ("lek", 1.5), ("lek", "a"),
+])
+def test_non_integer_code_entries_exit_2(tmp_path, capsys, where, value):
+    net, code, plan = _pipeline_files(tmp_path, block=False)
+
+    def change(obj):
+        if where == "gek":
+            obj["gek"]["6"][0] = value
+        else:
+            obj["lek"]["5"]["k"][0][0] = value
+
+    _edit(code, change)
+    capsys.readouterr()
+    assert main(["simulate", net, code, plan, "--trials", "3"]) == 2
+    field = "gek.6" if where == "gek" else "lek.5.k"
+    _one_error_line(capsys, "code.json", f"{field} must be an integer")
+
+
+@pytest.mark.parametrize("table, value", [("gek", [1]), ("lek", [1]), ("gek", "x")])
+def test_malformed_code_tables_exit_2(tmp_path, capsys, table, value):
+    net, code, plan = _pipeline_files(tmp_path, block=False)
+
+    def change(obj):
+        if value == "x":
+            obj["gek"]["x"] = obj["gek"].pop("6")
+        else:
+            obj[table] = value
+
+    _edit(code, change)
+    capsys.readouterr()
+    assert main(["simulate", net, code, plan, "--trials", "3"]) == 2
+    _one_error_line(capsys, "code.json", table)
+
+
+@pytest.mark.parametrize("block, name", [
+    (False, "P"), (False, "D"), (True, "P_hat"), (True, "D_hat"), (True, "R_hat"),
+])
+@pytest.mark.parametrize("value", [1.5, "a", True])
+def test_non_integer_plan_entries_exit_2(tmp_path, capsys, block, name, value):
+    net, code, plan = _pipeline_files(tmp_path, block)
+    sink = "11" if block else "8"
+
+    def change(obj):
+        grid = obj[name] if name.startswith("P") else obj["sinks"][sink][name]
+        grid[0][0] = value
+
+    _edit(plan, change)
+    capsys.readouterr()
+    assert main(["simulate", net, code, plan, "--trials", "3"]) == 2
+    field = name if name.startswith("P") else f"sinks.{sink}.{name}"
+    _one_error_line(capsys, "plan.json", f"{field} must be an integer")
+
+
+@pytest.mark.parametrize("block, indices", [
+    (False, [2]), (False, [-1]), (False, [0, 0]), (False, [0.0]),
+    (True, [0, 1, 2, 3, 9]), (True, [-1, 0, 1, 2, 3]), (True, [0, 0, 1, 2, 3]),
+])
+def test_bad_decoded_indices_exit_2(tmp_path, capsys, block, indices):
+    net, code, plan = _pipeline_files(tmp_path, block)
+    sink = "11" if block else "8"
+    _edit(plan, lambda obj: obj["sinks"][sink].update(decoded_indices=indices))
+    capsys.readouterr()
+    assert main(["simulate", net, code, plan, "--trials", "3"]) == 2
+    _one_error_line(capsys, "plan.json", f"sinks.{sink}.decoded_indices")
+
+
+@pytest.mark.parametrize("p, r, omit, spanner", [
+    (31, 5, (0, 1), [[0, 0, 0, 0, 1], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0],
+                     [1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]),
+    (101, 6, (0, 3), [[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0], [0, 0, 1, 0, 0, 0],
+                      [0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]]),
+])
+def test_precode_coordinate_hyperplanes_over_large_fields(tmp_path, p, r, omit, spanner):
+    # the pairwise intersection has p^(r-2) vectors; listing them took 22 s
+    # for the GF(31)^5 pair, while the lines the construction uses are few
+    mats = [[[int(a == j) for j in range(r) if j != i] for a in range(r)] for i in omit]
+    gems = write(tmp_path, "gems.json", {"p": p, "rate": r, "mats": mats})
+    out = str(tmp_path / "plan.json")
+    t0 = time.perf_counter()
+    assert main(["precode", "--gems", gems, "--out", out]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    obj = read(out)
+    assert obj["spanner"] == spanner
+    assert obj["i_bar"] == [2, r - 2]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -40,13 +41,16 @@ from helpers import (
     GF5,
     brute_is_exact_spanner,
     brute_min_spanner_size,
+    feasible_gemset,
     gems_four_planes,
     gems_hyperplanes,
     gems_shared_axis,
     gems_three_planes,
     mat_cols,
     random_gemset,
+    reference_build_spanner,
     reference_minimal_exact_spanner,
+    reference_subspace_lines,
 )
 
 
@@ -100,6 +104,16 @@ def test_subspace_lines():
     assert len(lines) == 4  # (9 - 1) / (3 - 1)
     assert all(plane.contains(v) for v in lines)
     assert lines == sorted(lines)
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 5), st.integers(0, 6), st.integers())
+@settings(max_examples=200, deadline=None)
+def test_subspace_lines_match_the_sorted_listing(p, n, m, seed):
+    rng = random.Random(seed)
+    field = FieldSpec(p)
+    S = Subspace.from_columns(field, n, [tuple(rng.randrange(p) for _ in range(n))
+                                         for _ in range(m)])
+    assert subspace_lines(S) == reference_subspace_lines(S)
 
 
 def test_comd_examples():
@@ -270,6 +284,27 @@ def test_build_spanner_reports_impossible_collection():
     # caps allow (3, 0, 1) but only two independent degree-1 lines exist
     with pytest.raises(ConstructionFailed):
         build_spanner(gems_shared_axis(), (3, 0, 1))
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 5), st.integers(1, 5),
+       st.booleans(), st.integers())
+@settings(max_examples=200, deadline=None)
+def test_build_spanner_matches_the_reference_construction(p, r, k_max, feasible, seed):
+    rng = random.Random(seed)
+    make = feasible_gemset if feasible else random_gemset
+    g = make(rng, FieldSpec(p), min(r, 4) if p > 3 else r, k_max)
+    caps = [comss_c(g, c) for c in range(1, g.k + 1)]
+    # the feasible profile, if any, and a random one within the level sizes
+    for i_bar in (fsrd_check(g), tuple(rng.randint(0, cap) for cap in caps)):
+        if i_bar is None:
+            continue
+        try:
+            want = reference_build_spanner(g, i_bar)
+        except ConstructionFailed as exc:
+            with pytest.raises(ConstructionFailed, match=f"^{re.escape(str(exc))}$"):
+                build_spanner(g, i_bar)
+        else:
+            assert list(build_spanner(g, i_bar).spanner) == want
 
 
 # ---------------------------------------------------------------- feasibility
