@@ -5,17 +5,15 @@ that lets every sub-rate sink decode a fixed share of the messages, or a
 block plan that trades latency for decoding rate when no precoder can.
 """
 
-from .fields import Fe, FieldMismatch, FieldSpec, is_prime, smallest_prime_greater_than
+from .fields import FieldSpec, is_prime, smallest_prime_greater_than
 from .linalg import (
     ContractViolation,
     Mat,
     Singular,
     Subspace,
-    br_factorize,
     change_basis_to_targets,
     complete_basis,
     invert,
-    k_degree_br_factorize,
     kernel_columns,
     rank,
     rank_of_vectors,
@@ -49,8 +47,6 @@ from .subrate import (
     build_precoder,
     build_spanner,
     comd,
-    comd_set,
-    comdim,
     compol,
     comss_c,
     comss_exhaustive,
@@ -69,7 +65,6 @@ from .blockcode import (
     block_decoder_for,
     build_block_plan,
     build_partial_general,
-    is_partial_exact_spanner,
     lift_block,
     optimize_block_plan,
 )
@@ -84,10 +79,9 @@ from .advisor import (
 )
 
 __all__ = [
-    "Fe", "FieldMismatch", "FieldSpec", "is_prime", "smallest_prime_greater_than",
-    "ContractViolation", "Mat", "Singular", "Subspace", "br_factorize",
-    "change_basis_to_targets", "complete_basis", "invert", "k_degree_br_factorize",
-    "kernel_columns",
+    "FieldSpec", "is_prime", "smallest_prime_greater_than",
+    "ContractViolation", "Mat", "Singular", "Subspace",
+    "change_basis_to_targets", "complete_basis", "invert", "kernel_columns",
     "rank", "rank_of_vectors", "row_times", "solve_columns",
     "subspace_intersect", "subspace_sum", "times_col",
     "CycleDetected", "FlowResult", "Network", "max_flow", "topo_order",
@@ -96,12 +90,12 @@ __all__ = [
     "decode_full_rate", "extract_gem", "simulate",
     "ConstructionFailed", "GemSet", "NotFullyDecodable", "SearchSpaceTooLarge",
     "SinkPlan", "SpannerCertificate", "SubRatePlan", "build_precoder",
-    "build_spanner", "comd", "comd_set", "comdim", "compol", "comss_c",
+    "build_spanner", "comd", "compol", "comss_c",
     "comss_exhaustive", "decoder_for", "fsrd_check", "is_exact_spanner",
     "minimal_exact_spanner", "projective_rep", "subspace_lines",
     "BlockDesign", "BlockPlan", "BlockSinkPlan", "InfeasibleDesign",
     "block_decoder_for", "build_block_plan", "build_partial_general",
-    "is_partial_exact_spanner", "lift_block", "optimize_block_plan",
+    "lift_block", "optimize_block_plan",
     "PREFER_SINK", "PREFER_SUB_RATE", "SinkAdvice", "consequential_maxflow",
     "field_bits", "rate_ratio_curve", "rate_ratio_verdict",
 ]

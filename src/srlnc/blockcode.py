@@ -58,16 +58,6 @@ def _block_diag(field, mats: Sequence[Mat]) -> Mat:
     return Mat(field, out, cols=cols)
 
 
-def is_partial_exact_spanner(V: Sequence[Sequence[int]], gems: GemSet) -> Tuple[int, ...]:
-    """Per member, how many independent vectors of V lie inside its span."""
-    out = []
-    for i in range(gems.k):
-        span = gems.spans[i]
-        inside = [tuple(v) for v in V if span.contains(v)]
-        out.append(rank_of_vectors(gems.field, inside))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class BlockDesign:
     spanner: Tuple[Vec, ...]

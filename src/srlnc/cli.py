@@ -8,15 +8,18 @@ Exit codes: 0 ok, 2 bad input, 3 infeasible, 4 broken internal contract.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .advisor import rate_ratio_curve
 from .blockcode import (
     BlockPlan,
+    BlockSinkPlan,
     InfeasibleDesign,
     block_decoder_for,
     optimize_block_plan,
@@ -70,11 +73,16 @@ def _integer(path: str, field: str, value) -> int:
     return value
 
 
+def _list(path: str, field: str, value) -> list:
+    """A JSON list; an object, a string or a scalar is rejected, not iterated."""
+    if not isinstance(value, list):
+        raise ValueError(f"{path}: {field} must be a list, got {json.dumps(value)}")
+    return value
+
+
 def _integers(path: str, field: str, values) -> list:
     """A JSON list of integers, each checked as `_integer` checks a scalar."""
-    if not isinstance(values, list):
-        raise ValueError(f"{path}: {field} must be a list, got {json.dumps(values)}")
-    for x in values:
+    for x in _list(path, field, values):
         _integer(path, field, x)
     return values
 
@@ -95,18 +103,18 @@ def load_network(path: str) -> Tuple[Network, List, List]:
                 ["subrate_sinks"], "network file")
     field = FieldSpec(_integer(path, "field", obj["field"]))
     rate = _integer(path, "rate", obj["rate"])
+    nodes = _list(path, "nodes", obj["nodes"])
     edges = []
-    for e in obj["edges"]:
+    for e in _list(path, "edges", obj["edges"]):
         if not isinstance(e, list) or len(e) != 2:
             raise ValueError(f"edge must be a [tail, head] pair: {e!r}")
         edges.append((e[0], e[1]))
-    sinks = list(obj["sinks"])
-    subrate_sinks = list(obj.get("subrate_sinks", []))
+    sinks = _list(path, "sinks", obj["sinks"])
+    subrate_sinks = _list(path, "subrate_sinks", obj.get("subrate_sinks", []))
     both = [t for t in subrate_sinks if t in sinks]
     if both:
         raise ValueError(f"nodes listed as both sink and subrate sink: {both}")
-    net = Network(list(obj["nodes"]), edges, obj["source"],
-                  sinks + subrate_sinks, rate, field)
+    net = Network(nodes, edges, obj["source"], sinks + subrate_sinks, rate, field)
     return net, sinks, subrate_sinks
 
 
@@ -199,49 +207,26 @@ def _frac_str(f) -> str:
 
 # ---------------------------------------------------------------- plans
 
-def subrate_plan_to_obj(p: int, rate: int, plan: SubRatePlan,
-                        sink_entries: Optional[dict] = None) -> dict:
-    obj = {
-        "kind": "subrate",
-        "p": p,
-        "rate": rate,
-        "P": plan.P.to_lists(),
-        "i_bar": list(plan.i_bar),
-        "spanner": [list(v) for v in plan.spanner],
-        "members": [
-            {
-                "D": sp.D.to_lists(),
-                "R": sp.R.to_lists(),
-                "decoded_indices": list(sp.decoded_indices),
-            }
-            for sp in plan.sinks
-        ],
-    }
-    if sink_entries is not None:
-        obj["sinks"] = sink_entries
-    return obj
+def _sink_obj(sp) -> dict:
+    """One sink's decoders: D and R of a single-use plan, or D_hat, R_hat
+    and the rate of a block plan."""
+    if isinstance(sp, BlockSinkPlan):
+        return {"D_hat": sp.D_hat.to_lists(), "R_hat": sp.R_hat.to_lists(),
+                "decoded_indices": list(sp.decoded_indices), "rate": _frac_str(sp.rate)}
+    return {"D": sp.D.to_lists(), "R": sp.R.to_lists(),
+            "decoded_indices": list(sp.decoded_indices)}
 
 
-def block_plan_to_obj(p: int, rate: int, plan: BlockPlan,
-                      sink_entries: Optional[dict] = None) -> dict:
-    obj = {
-        "kind": "block",
-        "p": p,
-        "rate": rate,
-        "l": plan.l,
-        "P_hat": plan.P_hat.to_lists(),
-        "spanner": [list(v) for v in plan.design.spanner],
-        "blocks": [list(b) for b in plan.design.blocks],
-        "members": [
-            {
-                "D_hat": sp.D_hat.to_lists(),
-                "R_hat": sp.R_hat.to_lists(),
-                "decoded_indices": list(sp.decoded_indices),
-                "rate": _frac_str(sp.rate),
-            }
-            for sp in plan.sinks
-        ],
-    }
+def plan_to_obj(p: int, rate: int, plan: Union[SubRatePlan, BlockPlan],
+                sink_entries: Optional[dict] = None) -> dict:
+    if isinstance(plan, BlockPlan):
+        obj = {"kind": "block", "l": plan.l, "P_hat": plan.P_hat.to_lists(),
+               "spanner": [list(v) for v in plan.design.spanner],
+               "blocks": [list(b) for b in plan.design.blocks]}
+    else:
+        obj = {"kind": "subrate", "P": plan.P.to_lists(), "i_bar": list(plan.i_bar),
+               "spanner": [list(v) for v in plan.spanner]}
+    obj.update(p=p, rate=rate, members=[_sink_obj(sp) for sp in plan.sinks])
     if sink_entries is not None:
         obj["sinks"] = sink_entries
     return obj
@@ -319,26 +304,12 @@ def cmd_precode(args) -> int:
 
     try:
         plan = build_precoder(gems, full_rate=full_rate, spanner=spanner)
+        same_span_decoder = decoder_for
     except NotFullyDecodable:
         if args.block is None:
             raise
-        bplan = optimize_block_plan(gems, l_max=args.block)
-        entries = None
-        if sub_gems is not None:
-            entries = {}
-            for pos, g in enumerate(sub_gems):
-                m = gems.source_map[pos]
-                sp = (bplan.sinks[m] if g.matrix == gems.mats[m]
-                      else block_decoder_for(bplan, m, g.matrix))
-                entries[sink_ids[pos]] = {
-                    "member": m,
-                    "D_hat": sp.D_hat.to_lists(),
-                    "R_hat": sp.R_hat.to_lists(),
-                    "decoded_indices": list(sp.decoded_indices),
-                    "rate": _frac_str(sp.rate),
-                }
-        _emit(canonical_json(block_plan_to_obj(p, rate, bplan, entries)), args.out)
-        return 0
+        plan = optimize_block_plan(gems, l_max=args.block)
+        same_span_decoder = block_decoder_for
 
     entries = None
     if sub_gems is not None:
@@ -346,52 +317,56 @@ def cmd_precode(args) -> int:
         for pos, g in enumerate(sub_gems):
             m = gems.source_map[pos]
             sp = (plan.sinks[m] if g.matrix == gems.mats[m]
-                  else decoder_for(plan, m, g.matrix))
-            entries[sink_ids[pos]] = {
-                "member": m,
-                "D": sp.D.to_lists(),
-                "R": sp.R.to_lists(),
-                "decoded_indices": list(sp.decoded_indices),
-            }
-    _emit(canonical_json(subrate_plan_to_obj(p, rate, plan, entries)), args.out)
+                  else same_span_decoder(plan, m, g.matrix))
+            entries[sink_ids[pos]] = {"member": m, **_sink_obj(sp)}
+    _emit(canonical_json(plan_to_obj(p, rate, plan, entries)), args.out)
     return 0
 
 
-def _load_plan(path: str, net: Network) -> dict:
-    """A plan file whose matrices and per-sink decoded indices are checked;
-    the indices must be distinct message coordinates, of which a subrate
-    plan has rate and a block plan l * rate."""
+def _load_plan(path: str, net: Network) -> Tuple[int, list, dict]:
+    """A plan file read as the block plan over l uses that it is:
+    (l, P_hat, {sink: (D_hat, R_hat, decoded_indices)}).  A subrate plan is
+    the l = 1 case, its P, D and R read as P_hat, D_hat and R_hat.  P_hat
+    must be square of side l * rate, every matrix entry an integer, and the
+    decoded indices distinct coordinates of the l * rate block message."""
     obj = _load_json(path)
     if not isinstance(obj, dict) or obj.get("kind") not in ("subrate", "block"):
         raise ValueError('plan file must have "kind": "subrate" or "block"')
     if obj["kind"] == "subrate":
         _check_keys(obj, ["kind", "p", "rate", "P", "i_bar", "spanner", "members"],
                     ["sinks"], "plan file")
-        precoder, decoders, width = "P", ["D"], net.rate
+        l = 1
+        precoder, dec, ret = "P", "D", "R"
     else:
         _check_keys(obj, ["kind", "p", "rate", "l", "P_hat", "spanner", "blocks",
                           "members"], ["sinks"], "plan file")
-        if _integer(path, "l", obj["l"]) < 1:
+        l = _integer(path, "l", obj["l"])
+        precoder, dec, ret = "P_hat", "D_hat", "R_hat"
+        if l < 1:
             raise ValueError("block plan needs l >= 1")
-        precoder, decoders, width = "P_hat", ["D_hat", "R_hat"], obj["l"] * net.rate
     if _integer(path, "p", obj["p"]) != net.field.p or _integer(path, "rate", obj["rate"]) != net.rate:
         raise ValueError(f"plan is for GF({obj['p']}) rate {obj['rate']}, "
                          f"network wants GF({net.field.p}) rate {net.rate}")
     if "sinks" not in obj:
         raise ValueError("plan lacks per-sink decoders; build it from a network file")
-    _matrix(path, precoder, obj[precoder])
+    width = l * net.rate
+    P_hat = _matrix(path, precoder, obj[precoder])
+    if len(P_hat) != width or any(len(row) != width for row in P_hat):
+        raise ValueError(f"{path}: {precoder} must be {width} by {width}")
     if not isinstance(obj["sinks"], dict):
         raise ValueError(f"{path}: sinks must be a JSON object")
+    sinks = {}
     for t, entry in obj["sinks"].items():
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: sinks.{t} must be a JSON object")
-        for name in decoders:
-            _matrix(path, f"sinks.{t}.{name}", entry.get(name))
+        D_hat = _matrix(path, f"sinks.{t}.{dec}", entry.get(dec))
+        R_hat = _matrix(path, f"sinks.{t}.{ret}", entry.get(ret))
         idxs = _integers(path, f"sinks.{t}.decoded_indices", entry.get("decoded_indices"))
         if len(set(idxs)) != len(idxs) or not all(0 <= j < width for j in idxs):
             raise ValueError(f"{path}: sinks.{t}.decoded_indices must be distinct "
                              f"and in range({width}), got {json.dumps(idxs)}")
-    return obj
+        sinks[t] = (D_hat, R_hat, idxs)
+    return l, P_hat, sinks
 
 
 def cmd_simulate(args) -> int:
@@ -400,88 +375,47 @@ def cmd_simulate(args) -> int:
     net, sinks, subrate_sinks = load_network(args.file)
     code = load_code(args.code, net)
     field = net.field
-    p = field.p
     r = net.rate
-    plan = _load_plan(args.plan, net) if args.plan is not None else None
-    if plan is not None:
+    if args.plan is None:
+        # one use of the network, messages sent uncoded, no sub-rate decoders
+        l, p_blocks, entries = 1, [None], {}
+    else:
+        l, P_rows, entries = _load_plan(args.plan, net)
         for t in subrate_sinks:
-            if str(t) not in plan["sinks"]:
+            if str(t) not in entries:
                 raise ValueError(f"plan has no decoders for subrate sink {t!r}")
+        P_hat = Mat(field, P_rows)
+        p_blocks = [_diag_block(P_hat, field, bi, r) for bi in range(l)]
 
     full_gems = {t: extract_gem(code, net, t) for t in sinks}
     sub_gems = {t: extract_gem(code, net, t) for t in subrate_sinks}
     flows = {t: max_flow(net, t).value for t in sinks + subrate_sinks}
     failures = {t: 0 for t in sinks + subrate_sinks}
-    decodable: Dict = {}
-    rate_str: Dict = {}
-    for t in sinks:
-        decodable[t] = r
-        rate_str[t] = _frac_str_int(r)
+    decodable = {t: l * r if t in sinks else 0 for t in sinks + subrate_sinks}
+    decoders = {}
+    for t in subrate_sinks:
+        if str(t) in entries:
+            D_hat, R_hat, idxs = entries[str(t)]
+            cols = l * sub_gems[t].matrix.cols
+            decoders[t] = (Mat(field, D_hat, cols=cols), Mat(field, R_hat, cols=cols))
+            decodable[t] = len(idxs)
     rng = random.Random(args.seed)
-
-    if plan is None or plan["kind"] == "subrate":
-        P = Mat(field, plan["P"]) if plan is not None else None
-        dec_mats = {}
-        for t in subrate_sinks:
-            if plan is None:
-                decodable[t] = 0
-                rate_str[t] = "0/1"
-                continue
-            entry = plan["sinks"][str(t)]
-            h = sub_gems[t].matrix.cols
-            dec_mats[t] = (Mat(field, entry["D"], cols=h), entry["decoded_indices"])
-            decodable[t] = len(entry["decoded_indices"])
-            rate_str[t] = _frac_str_int(len(entry["decoded_indices"]))
-        for _ in range(args.trials):
-            v = tuple(rng.randrange(p) for _ in range(r))
+    for _ in range(args.trials):
+        x_hat = tuple(rng.randrange(field.p) for _ in range(l * r))
+        received = {t: [] for t in decoders}
+        for bi, P in enumerate(p_blocks):
+            v = x_hat[bi * r:(bi + 1) * r]
             trace = simulate(net, code, P, v)
             for t in sinks:
                 g = full_gems[t]
                 y = tuple(trace.edge_symbols[e] for e in g.used_edges)
                 if decode_full_rate(g, P, y) != v:
                     failures[t] += 1
-            for t in subrate_sinks:
-                if t not in dec_mats:
-                    continue
-                D, idxs = dec_mats[t]
-                g = sub_gems[t]
-                y = tuple(trace.edge_symbols[e] for e in g.used_edges)
-                if row_times(y, D) != tuple(v[j] for j in idxs):
-                    failures[t] += 1
-    else:
-        l = plan["l"]
-        P_hat = Mat(field, plan["P_hat"])
-        p_blocks = [_diag_block(P_hat, field, bi, r) for bi in range(l)]
-        dec_mats = {}
-        for t in subrate_sinks:
-            entry = plan["sinks"][str(t)]
-            h = sub_gems[t].matrix.cols
-            D_hat = Mat(field, entry["D_hat"], cols=l * h)
-            R_hat = Mat(field, entry["R_hat"], cols=l * h)
-            dec_mats[t] = (D_hat, R_hat)
-            decodable[t] = len(entry["decoded_indices"])
-            rate_str[t] = entry["rate"]
-        for t in sinks:
-            decodable[t] = l * r
-            rate_str[t] = _frac_str_int(r)
-        for _ in range(args.trials):
-            x_hat = tuple(rng.randrange(p) for _ in range(l * r))
-            received = {t: [] for t in subrate_sinks}
-            for bi in range(l):
-                v = x_hat[bi * r:(bi + 1) * r]
-                trace = simulate(net, code, p_blocks[bi], v)
-                for t in sinks:
-                    g = full_gems[t]
-                    y = tuple(trace.edge_symbols[e] for e in g.used_edges)
-                    if decode_full_rate(g, p_blocks[bi], y) != v:
-                        failures[t] += 1
-                for t in subrate_sinks:
-                    g = sub_gems[t]
-                    received[t].extend(trace.edge_symbols[e] for e in g.used_edges)
-            for t in subrate_sinks:
-                D_hat, R_hat = dec_mats[t]
-                if row_times(received[t], D_hat) != row_times(x_hat, R_hat):
-                    failures[t] += 1
+            for t in decoders:
+                received[t].extend(trace.edge_symbols[e] for e in sub_gems[t].used_edges)
+        for t, (D_hat, R_hat) in decoders.items():
+            if row_times(received[t], D_hat) != row_times(x_hat, R_hat):
+                failures[t] += 1
 
     report = {
         "command": "simulate",
@@ -498,7 +432,7 @@ def cmd_simulate(args) -> int:
                 "sink": str(t),
                 "h": flows[t],
                 "decodable": decodable[t],
-                "rate": rate_str[t],
+                "rate": _frac_str(Fraction(decodable[t], l)),
                 "failures": failures[t],
             }
             for t in sinks + subrate_sinks
@@ -506,10 +440,6 @@ def cmd_simulate(args) -> int:
     }
     _emit(canonical_json(report), args.out)
     return 0
-
-
-def _frac_str_int(n: int) -> str:
-    return f"{n}/1"
 
 
 def _diag_block(P_hat: Mat, field: FieldSpec, bi: int, r: int) -> Mat:
@@ -527,7 +457,9 @@ def cmd_rate_ratio(args) -> int:
 
 # ---------------------------------------------------------------- wiring
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """Built on the first `main` call and kept for the rest of the process."""
     ap = argparse.ArgumentParser(prog="srlnc",
                                  description="linear multicast codes with sub-rate precoding")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -572,8 +504,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
+    # looked up by name, so a command re-bound after the parser was built
+    # (as the benchmark tracer re-binds them) is the one that runs
+    func = globals()[args.func.__name__]
     try:
-        return args.func(args)
+        return func(args)
     except (FieldTooSmall, RateExceedsSourceDegree, NotFullyDecodable,
             SearchSpaceTooLarge, InfeasibleDesign) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

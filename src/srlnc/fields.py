@@ -1,10 +1,6 @@
-"""Exact arithmetic in prime fields GF(p)."""
+"""Prime fields GF(p): the field spec and an exact primality test."""
 
 from __future__ import annotations
-
-
-class FieldMismatch(ValueError):
-    """Raised when elements of two different fields are combined."""
 
 
 # Strong-probable-prime tests to the first 13 prime bases decide primality
@@ -57,9 +53,7 @@ class FieldSpec:
     """GF(p) for prime p; orders whose primality `is_prime` cannot decide
     are rejected with ValueError.
 
-    Arithmetic methods work on plain ints and reduce mod p, so matrix
-    code can stay allocation-light.  `fe` wraps a value into an `Fe`
-    carrying its field.
+    Elements are plain ints, reduced mod p by the code that uses them.
     """
 
     __slots__ = ("p",)
@@ -69,30 +63,6 @@ class FieldSpec:
             raise ValueError(f"field order must be prime, got {p}")
         self.p = p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        # Fermat; p is prime.
-        return pow(a, self.p - 2, self.p)
-
-    def fe(self, value: int) -> "Fe":
-        return Fe(value, self)
-
-    def elements(self) -> range:
-        return range(self.p)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldSpec) and other.p == self.p
 
@@ -101,66 +71,3 @@ class FieldSpec:
 
     def __repr__(self) -> str:
         return f"GF({self.p})"
-
-
-class Fe:
-    """A single field element bound to its FieldSpec."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: FieldSpec):
-        self.value = value % field.p
-        self.field = field
-
-    def _same(self, other: "Fe") -> None:
-        if not isinstance(other, Fe):
-            raise TypeError(f"expected Fe, got {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatch(f"{self.field} vs {other.field}")
-
-    def __add__(self, other: "Fe") -> "Fe":
-        self._same(other)
-        return Fe(self.value + other.value, self.field)
-
-    def __sub__(self, other: "Fe") -> "Fe":
-        self._same(other)
-        return Fe(self.value - other.value, self.field)
-
-    def __mul__(self, other: "Fe") -> "Fe":
-        self._same(other)
-        return Fe(self.value * other.value, self.field)
-
-    def __neg__(self) -> "Fe":
-        return Fe(-self.value, self.field)
-
-    def inv(self) -> "Fe":
-        return Fe(self.field.inv(self.value), self.field)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Fe)
-            and other.field == self.field
-            and other.value == self.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.field.p))
-
-    def __repr__(self) -> str:
-        return f"Fe({self.value}, {self.field!r})"
-
-
-def add(a: Fe, b: Fe) -> Fe:
-    return a + b
-
-
-def mul(a: Fe, b: Fe) -> Fe:
-    return a * b
-
-
-def neg(a: Fe) -> Fe:
-    return -a
-
-
-def inv(a: Fe) -> Fe:
-    return a.inv()

@@ -349,52 +349,6 @@ def complete_basis(V: Subspace) -> Mat:
     return Mat.from_cols(field, added, nrows=n)
 
 
-def br_factorize(A: Mat) -> Tuple[Mat, Mat]:
-    """A = B @ R with B invertible and R made of distinct identity columns.
-
-    Uses the append-a-complement recipe: B = (A | completion), R = the
-    first n columns of I_m.
-    """
-    m, n = A.rows, A.cols
-    if m < n:
-        raise ValueError("need rows >= cols")
-    if rank(A) != n:
-        raise ValueError("columns are linearly dependent")
-    comp = complete_basis(Subspace.span_of(A))
-    B = A.hstack(comp)
-    eye = Mat.identity(A.field, m)
-    R = Mat.from_cols(A.field, [eye.col(j) for j in range(n)], nrows=m)
-    return B, R
-
-
-def k_degree_br_factorize(A: Mat, k: int) -> Tuple[Mat, Mat]:
-    """A = B @ R with B invertible and R having k designated identity columns.
-
-    The first k linearly independent columns of A (scanning left to right)
-    become columns of B, which forces the matching columns of R = B^-1 A to
-    be identity columns; the rest of R is unconstrained.
-    """
-    m, n = A.rows, A.cols
-    if not (m >= n >= k >= 0):
-        raise ValueError(f"need rows >= cols >= k >= 0, got {m}, {n}, {k}")
-    if k == 0:
-        return Mat.identity(A.field, m), A
-    picked: List[Vec] = []
-    for j in range(n):
-        if len(picked) == k:
-            break
-        c = A.col(j)
-        if rank_of_vectors(A.field, picked + [c]) > len(picked):
-            picked.append(c)
-    if len(picked) < k:
-        raise ValueError(f"matrix has fewer than k={k} independent columns")
-    base = Mat.from_cols(A.field, picked)
-    comp = complete_basis(Subspace.span_of(base))
-    B = base.hstack(comp)
-    R = invert(B) @ A
-    return B, R
-
-
 def change_basis_to_targets(B_t: Mat, targets: Mat) -> Mat:
     """Square invertible D with B_t @ D = targets.
 

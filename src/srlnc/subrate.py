@@ -160,10 +160,6 @@ def comd(v: Sequence[int], gems: GemSet) -> int:
     return sum(1 for s in gems.spans if s.contains(v))
 
 
-def comd_set(V: Sequence[Sequence[int]], gems: GemSet) -> int:
-    return sum(comd(v, gems) for v in V)
-
-
 def is_exact_spanner(V: Sequence[Sequence[int]], gems: GemSet) -> bool:
     """For every member matrix, some h_i vectors of V span its column space.
 
@@ -202,22 +198,6 @@ def compol(gems: GemSet, i_bar: Sequence[int]) -> int:
     if len(i_bar) != gems.k:
         raise ValueError("i_bar length must equal the number of members")
     return sum((c + 1) * n for c, n in enumerate(i_bar))
-
-
-def comdim(gems: GemSet, t: int, c: int) -> int:
-    """dim(B_t^c) - dim(B_t^{c+1}), the part of B_t' shared by exactly c members."""
-    return _bt_level(gems, t, c).dim - _bt_level(gems, t, c + 1).dim
-
-
-def _bt_level(gems: GemSet, t: int, c: int) -> Subspace:
-    k = gems.k
-    if c > k:
-        return Subspace.zero(gems.field, gems.rate)
-    acc = Subspace.zero(gems.field, gems.rate)
-    for C in itertools.combinations(range(k), c):
-        if t in C:
-            acc = subspace_sum(acc, gems.intersection(frozenset(C)))
-    return acc
 
 
 def fsrd_check(gems: GemSet) -> Optional[Tuple[int, ...]]:

@@ -13,7 +13,6 @@ from srlnc import (
     build_block_plan,
     build_partial_general,
     build_precoder,
-    is_partial_exact_spanner,
     lift_block,
     optimize_block_plan,
     rank,
@@ -48,16 +47,6 @@ def test_lift_block_structure():
     assert lift_block(b, 1) == b
     with pytest.raises(ValueError):
         lift_block(b, 0)
-
-
-def test_is_partial_exact_spanner_counts():
-    g = gems_shared_axis()
-    assert is_partial_exact_spanner([(0, 0, 1)], g) == (1, 1, 1)
-    assert is_partial_exact_spanner([(1, 0, 0)], g) == (1, 0, 0)
-    assert is_partial_exact_spanner([], g) == (0, 0, 0)
-    assert is_partial_exact_spanner(AXIS_DESIGN.spanner, g) == (2, 2, 2)
-    # dependent vectors inside a span count once
-    assert is_partial_exact_spanner([(0, 0, 1), (0, 0, 2)], g) == (1, 1, 1)
 
 
 def test_three_block_plan_for_the_shared_axis_set():

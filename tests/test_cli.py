@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -266,22 +267,59 @@ def test_simulate_rejects_a_plan_without_sink_decoders(tmp_path, capsys):
     assert "per-sink decoders" in capsys.readouterr().err
 
 
-def test_simulate_counts_failures_of_a_corrupted_plan(tmp_path):
-    net = write(tmp_path, "net.json", BUTTERFLY)
-    code = str(tmp_path / "code.json")
-    plan = str(tmp_path / "plan.json")
+@pytest.mark.parametrize("block, name", [
+    (False, "D"), (False, "R"), (True, "D_hat"), (True, "R_hat"),
+], ids=["subrate-D", "subrate-R", "block-D_hat", "block-R_hat"])
+def test_simulate_counts_failures_of_a_corrupted_plan(tmp_path, block, name):
+    # both kinds are checked as y . D_hat = x . R_hat, so a wrong R counts too
+    net, code, plan = _pipeline_files(tmp_path, block)
+    sink, full = ("11", "10") if block else ("8", "6")
+
+    def change(obj):
+        grid = obj["sinks"][sink][name]
+        grid[0][0] = (grid[0][0] + 1) % 3
+
+    _edit(plan, change)
     report = str(tmp_path / "report.json")
-    assert main(["code", net, "--out", code]) == 0
-    assert main(["precode", net, code, "--out", plan]) == 0
-    pobj = read(plan)
-    d = pobj["sinks"]["8"]["D"]
-    d[0][0] = (d[0][0] + 1) % 3
-    (tmp_path / "plan.json").write_text(json.dumps(pobj))
-    assert main(["simulate", net, code, str(tmp_path / "plan.json"),
-                 "--trials", "90", "--out", report]) == 0
+    assert main(["simulate", net, code, plan, "--trials", "90", "--out", report]) == 0
     rows = {row["sink"]: row for row in read(report)["sinks"]}
-    assert rows["8"]["failures"] > 0
-    assert rows["6"]["failures"] == 0
+    assert rows[sink]["failures"] > 0
+    assert rows[full]["failures"] == 0
+
+
+def test_simulate_derives_the_block_rate_instead_of_reading_it(tmp_path):
+    net, code, plan = _pipeline_files(tmp_path, block=True)
+    _edit(plan, lambda obj: obj["sinks"]["11"].update(rate="9/1"))
+    report = str(tmp_path / "report.json")
+    assert main(["simulate", net, code, plan, "--trials", "3", "--out", report]) == 0
+    rows = {row["sink"]: row for row in read(report)["sinks"]}
+    assert rows["11"]["rate"] == "5/3" and rows["11"]["decodable"] == 5
+
+
+def test_a_subrate_plan_simulates_as_the_single_block_plan(tmp_path):
+    net, code, plan = _pipeline_files(tmp_path, block=False)
+    sub = read(plan)
+
+    def lifted(entry):
+        out = {k: v for k, v in entry.items() if k not in ("D", "R")}
+        return dict(out, D_hat=entry["D"], R_hat=entry["R"],
+                    rate=f"{len(entry['decoded_indices'])}/1")
+
+    as_block = {
+        "kind": "block", "p": sub["p"], "rate": sub["rate"], "l": 1, "P_hat": sub["P"],
+        "spanner": sub["spanner"], "blocks": [list(range(len(sub["spanner"])))],
+        "members": [lifted(m) for m in sub["members"]],
+        "sinks": {t: lifted(e) for t, e in sub["sinks"].items()},
+    }
+    block_plan = write(tmp_path, "block.json", as_block)
+    rows = []
+    for path in (plan, block_plan):
+        report = str(tmp_path / "report.json")
+        assert main(["simulate", net, code, path, "--trials", "40", "--seed", "9",
+                     "--out", report]) == 0
+        rows.append(read(report)["sinks"])
+    assert rows[0] == rows[1]
+    assert [row["rate"] for row in rows[0]] == ["2/1", "2/1", "1/1"]
 
 
 def _inconsistent_code(tmp_path):
@@ -395,6 +433,39 @@ def test_bad_counts_exit_2(tmp_path, capsys, option):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("key, value", [
+    ("nodes", {"1": 2}), ("edges", {"1": 2}), ("sinks", 6), ("subrate_sinks", "8"),
+], ids=["nodes", "edges", "sinks", "subrate_sinks"])
+def test_network_lists_must_be_lists(tmp_path, capsys, key, value):
+    bad = write(tmp_path, "bad.json", dict(BUTTERFLY, **{key: value}))
+    assert main(["code", bad]) == 2
+    _one_error_line(capsys, "bad.json", f"{key} must be a list")
+
+
+@pytest.mark.parametrize("block", [False, True])
+def test_non_square_precoder_exits_2(tmp_path, capsys, block):
+    net, code, plan = _pipeline_files(tmp_path, block)
+    name = "P_hat" if block else "P"
+    _edit(plan, lambda obj: obj[name].pop())
+    capsys.readouterr()
+    assert main(["simulate", net, code, plan, "--trials", "3"]) == 2
+    _one_error_line(capsys, "plan.json", f"{name} must be")
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    seen = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(parser, *args, **kwargs):
+        seen.append(parser)
+        return parse_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    assert main(["rate-ratio", "--max-sinks", "2"]) == 0
+    assert main(["rate-ratio", "--max-sinks", "3"]) == 0
+    assert len(seen) == 2 and seen[0] is seen[1]
+
+
 def test_rate_ratio_rejects_zero(capsys):
     assert main(["rate-ratio", "--max-sinks", "0"]) == 2
     assert "error" in capsys.readouterr().err
@@ -475,7 +546,7 @@ def test_malformed_code_tables_exit_2(tmp_path, capsys, table, value):
 
 
 @pytest.mark.parametrize("block, name", [
-    (False, "P"), (False, "D"), (True, "P_hat"), (True, "D_hat"), (True, "R_hat"),
+    (False, "P"), (False, "D"), (False, "R"), (True, "P_hat"), (True, "D_hat"), (True, "R_hat"),
 ])
 @pytest.mark.parametrize("value", [1.5, "a", True])
 def test_non_integer_plan_entries_exit_2(tmp_path, capsys, block, name, value):

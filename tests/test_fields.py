@@ -5,28 +5,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srlnc import Fe, FieldMismatch, FieldSpec, is_prime, smallest_prime_greater_than
+from srlnc import FieldSpec, is_prime, smallest_prime_greater_than
 
-from helpers import GF2, GF3, GF5
-
-
-def test_add_and_mul_wrap():
-    assert GF3.add(2, 2) == 1
-    assert GF3.mul(2, 2) == 1
-    assert GF2.add(1, 1) == 0
-
-
-def test_inverses():
-    assert GF3.inv(2) == 2
-    assert GF5.inv(3) == 2
-    assert FieldSpec(7).inv(1) == 1
-
-
-def test_zero_has_no_inverse():
-    with pytest.raises(ZeroDivisionError):
-        GF3.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        GF5.inv(10)  # 10 % 5 == 0
+from helpers import GF3, GF5
 
 
 @pytest.mark.parametrize("n", [-3, 0, 1, 4, 6, 9, 15, 21])
@@ -83,44 +64,6 @@ def test_smallest_prime_greater_than():
     assert smallest_prime_greater_than(13) == 17
     with pytest.raises(ValueError):
         smallest_prime_greater_than(0)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_field_axioms_exhaustive(p):
-    f = FieldSpec(p)
-    els = list(f.elements())
-    for a in els:
-        assert f.add(a, 0) == a
-        assert f.mul(a, 1) == a
-        assert f.add(a, f.neg(a)) == 0
-        if a != 0:
-            assert f.mul(a, f.inv(a)) == 1
-        for b in els:
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(a, b) == f.mul(b, a)
-            assert f.sub(a, b) == f.add(a, f.neg(b))
-            for c in els:
-                assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-                assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-                assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-
-
-def test_fe_wraps_and_carries_field():
-    a = GF3.fe(5)
-    assert a.value == 2
-    assert (a + GF3.fe(2)).value == 1
-    assert (a * a).value == 1
-    assert (-a).value == 1
-    assert a.inv().value == 2
-    assert a == GF3.fe(2)
-    assert a != GF5.fe(2)
-
-
-def test_fe_field_mismatch():
-    with pytest.raises(FieldMismatch):
-        GF3.fe(1) + GF5.fe(1)
-    with pytest.raises(TypeError):
-        GF3.fe(1) + 1
 
 
 def test_fieldspec_equality():

@@ -1,16 +1,14 @@
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srlnc import (
     Mat,
     Singular,
     Subspace,
-    br_factorize,
     change_basis_to_targets,
     complete_basis,
     invert,
-    k_degree_br_factorize,
     kernel_columns,
     rank,
     rank_of_vectors,
@@ -230,7 +228,7 @@ def test_span_unchanged_by_generator_shuffling(data):
             == Subspace.from_columns(field, n, scaled))
 
 
-# ---------------------------------------------------------------- factorizations
+# ---------------------------------------------------------------- bases
 
 def test_complete_basis_examples():
     pad = complete_basis(Subspace.from_columns(GF2, 3, [(1, 1, 0)]))
@@ -238,70 +236,6 @@ def test_complete_basis_examples():
     assert complete_basis(Subspace.from_columns(GF3, 2, [(1, 0), (0, 1)])).cols == 0
     full = complete_basis(Subspace.zero(GF3, 2))
     assert full == Mat.identity(GF3, 2)
-
-
-def test_br_factorize_example():
-    a = Mat(GF3, [[1, 0], [1, 0], [0, 1]])
-    b, r = br_factorize(a)
-    assert b @ r == a
-    assert rank(b) == 3
-    eye = Mat.identity(GF3, 3)
-    assert r.columns() == [eye.col(0), eye.col(1)]
-
-
-def test_br_factorize_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        br_factorize(Mat(GF3, [[1, 1], [2, 2]]))  # dependent columns
-    with pytest.raises(ValueError):
-        br_factorize(Mat(GF3, [[1, 0, 1]]))  # wider than tall
-
-
-def test_k_degree_factorize():
-    a = mat_cols(GF3, (1, 1, 0), (2, 2, 0), (1, 0, 1))
-    b, r = k_degree_br_factorize(a, 2)
-    assert b @ r == a
-    assert rank(b) == 3
-    # the first two independent columns of A become identity columns of R
-    assert r.col(0) == (1, 0, 0)
-    assert r.col(2) == (0, 1, 0)
-    assert r.col(1) == (2, 0, 0)
-
-
-def test_k_degree_zero_is_trivial():
-    a = mat_cols(GF3, (1, 1, 0), (2, 2, 0))
-    b, r = k_degree_br_factorize(a, 0)
-    assert b == Mat.identity(GF3, 3)
-    assert r == a
-
-
-def test_k_degree_rejects_rank_deficit():
-    a = mat_cols(GF3, (1, 1, 0), (2, 2, 0))
-    with pytest.raises(ValueError):
-        k_degree_br_factorize(a, 2)
-    with pytest.raises(ValueError):
-        k_degree_br_factorize(a, 3)  # k > cols
-
-
-@given(matrices())
-@settings(max_examples=60)
-def test_br_round_trip(a):
-    assume(a.rows >= a.cols and rank(a) == a.cols)
-    b, r = br_factorize(a)
-    assert b @ r == a
-    assert rank(b) == a.rows
-    cols = r.columns()
-    eye = Mat.identity(a.field, a.rows)
-    assert len(set(cols)) == len(cols)
-    assert all(c in eye.columns() for c in cols)
-
-
-@given(matrices(), st.integers(0, 4))
-@settings(max_examples=60)
-def test_k_degree_round_trip(a, k):
-    assume(a.rows >= a.cols >= k and rank(a) >= k)
-    b, r = k_degree_br_factorize(a, k)
-    assert b @ r == a
-    assert rank(b) == a.rows
 
 
 def test_change_basis_known_values():

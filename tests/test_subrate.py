@@ -18,14 +18,11 @@ from srlnc import (
     build_precoder,
     build_spanner,
     comd,
-    comd_set,
-    comdim,
     compol,
     comss_c,
     comss_exhaustive,
     decoder_for,
     fsrd_check,
-    invert,
     is_exact_spanner,
     minimal_exact_spanner,
     projective_rep,
@@ -127,13 +124,6 @@ def test_comd_examples():
         comd((0, 0, 0), g)
 
 
-def test_comd_set():
-    g = gems_three_planes()
-    assert comd_set([(1, 1, 1), (1, 1, 0), (2, 1, 1)], g) == 6
-    assert comd_set([], g) == 0
-    assert comd_set([(0, 0, 1), (0, 0, 2)], g) == 2  # duplicates both count
-
-
 def test_comss_c_values():
     assert tuple(comss_c(gems_three_planes(), c) for c in (1, 2, 3)) == (0, 3, 0)
     assert tuple(comss_c(gems_shared_axis(), c) for c in (1, 2, 3)) == (3, 0, 1)
@@ -151,23 +141,6 @@ def test_compol():
     assert compol(g, (0, 0, 0)) == 0
     with pytest.raises(ValueError):
         compol(g, (1, 2))
-
-
-def test_comdim_levels():
-    g = gems_three_planes()
-    for t in range(3):
-        assert [comdim(g, t, c) for c in (1, 2, 3)] == [0, 2, 0]
-    g = gems_shared_axis()
-    for t in range(3):
-        assert [comdim(g, t, c) for c in (1, 2, 3)] == [1, 0, 1]
-
-
-def test_comdim_telescopes_to_member_dimension():
-    rng = random.Random(4)
-    for _ in range(20):
-        g = random_gemset(rng, GF3, 3, 3)
-        for t in range(g.k):
-            assert sum(comdim(g, t, c) for c in range(1, g.k + 1)) == g.h(t)
 
 
 # ---------------------------------------------------------------- spanners
