@@ -41,16 +41,12 @@ from .subrate import (
     GemSet,
     NotFullyDecodable,
     SearchSpaceTooLarge,
-    SinkPlan,
     SpannerCertificate,
-    SubRatePlan,
-    build_precoder,
     build_spanner,
     comd,
     compol,
     comss_c,
     comss_exhaustive,
-    decoder_for,
     fsrd_check,
     is_exact_spanner,
     minimal_exact_spanner,
@@ -65,6 +61,7 @@ from .blockcode import (
     block_decoder_for,
     build_block_plan,
     build_partial_general,
+    build_precoder,
     lift_block,
     optimize_block_plan,
 )
@@ -89,13 +86,12 @@ __all__ = [
     "RateExceedsSourceDegree", "SimTrace", "build_multicast",
     "decode_full_rate", "extract_gem", "simulate",
     "ConstructionFailed", "GemSet", "NotFullyDecodable", "SearchSpaceTooLarge",
-    "SinkPlan", "SpannerCertificate", "SubRatePlan", "build_precoder",
-    "build_spanner", "comd", "compol", "comss_c",
-    "comss_exhaustive", "decoder_for", "fsrd_check", "is_exact_spanner",
+    "SpannerCertificate", "build_spanner", "comd", "compol", "comss_c",
+    "comss_exhaustive", "fsrd_check", "is_exact_spanner",
     "minimal_exact_spanner", "projective_rep", "subspace_lines",
     "BlockDesign", "BlockPlan", "BlockSinkPlan", "InfeasibleDesign",
     "block_decoder_for", "build_block_plan", "build_partial_general",
-    "lift_block", "optimize_block_plan",
+    "build_precoder", "lift_block", "optimize_block_plan",
     "PREFER_SINK", "PREFER_SUB_RATE", "SinkAdvice", "consequential_maxflow",
     "field_bits", "rate_ratio_curve", "rate_ratio_verdict",
 ]

@@ -1,14 +1,15 @@
-"""Block-lifted partial sub-rate decoding.
+"""Sub-rate precoding as block-lifted decoding.
 
-When no single-use precoder can serve every sub-rate sink, spreading the
-spanner over l network uses still recovers d_t of the l*r block symbols
-per sink.  Rates are exact rationals.
+A plan spreads an exact spanner over l network uses, so that each sub-rate
+sink recovers d_t of the l*r block symbols.  The single-use precoder is
+the l = 1 plan whose one block is the whole spanner; when none exists, a
+longer block still recovers a share.  Rates are exact rationals.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -18,10 +19,20 @@ from .linalg import (
     Subspace,
     complete_basis,
     invert,
+    rank,
     rank_of_vectors,
     solve_columns,
 )
-from .subrate import GemSet, SearchSpaceTooLarge, minimal_exact_spanner
+from .subrate import (
+    ConstructionFailed,
+    GemSet,
+    NotFullyDecodable,
+    SearchSpaceTooLarge,
+    build_spanner,
+    fsrd_check,
+    is_exact_spanner,
+    minimal_exact_spanner,
+)
 
 Vec = Tuple[int, ...]
 
@@ -34,14 +45,7 @@ def lift_block(B_t: Mat, l: int) -> Mat:
     """Block-diagonal matrix with l copies of B_t."""
     if l < 1:
         raise ValueError("block length must be >= 1")
-    field = B_t.field
-    rows, cols = B_t.rows, B_t.cols
-    out = [[0] * (l * cols) for _ in range(l * rows)]
-    for b in range(l):
-        for i in range(rows):
-            for j in range(cols):
-                out[b * rows + i][b * cols + j] = B_t.data[i][j]
-    return Mat(field, out, cols=l * cols)
+    return _block_diag(B_t.field, [B_t] * l)
 
 
 def _block_diag(field, mats: Sequence[Mat]) -> Mat:
@@ -78,6 +82,7 @@ class BlockPlan:
     P_hat: Mat
     sinks: Tuple[BlockSinkPlan, ...]      # parallel to GemSet.mats
     design: BlockDesign
+    i_bar: Optional[Tuple[int, ...]] = None   # set on the single-use precoder
 
 
 def build_block_plan(gems: GemSet, design: BlockDesign) -> BlockPlan:
@@ -134,8 +139,8 @@ def _sink_block_plan(field, V: List[Vec], blocks: Sequence[Tuple[int, ...]],
 def block_decoder_for(plan: BlockPlan, index: int, B: Mat) -> BlockSinkPlan:
     """Block decoders for a matrix whose span equals member `index`.
 
-    Same role as the single-use `decoder_for`: a sink deduplicated away
-    keeps the member's decoded coordinates but needs its own D_hat.
+    Lets a sink that was deduplicated away (same span, different basis)
+    reuse the plan: same decoded coordinates, its own D_hat.
     """
     V = [tuple(v) for v in plan.design.spanner]
     got = _sink_block_plan(B.field, V, plan.design.blocks, plan.P_hat, B, plan.l)
@@ -143,6 +148,44 @@ def block_decoder_for(plan: BlockPlan, index: int, B: Mat) -> BlockSinkPlan:
     if got.decoded_indices != entry.decoded_indices:
         raise ContractViolation("same-span matrix decodes different block coordinates")
     return got
+
+
+def build_precoder(gems: GemSet, full_rate: Sequence[Mat] = (),
+                   spanner: Optional[Sequence[Sequence[int]]] = None) -> BlockPlan:
+    """The single-use precoder: the l = 1 plan whose one block is a whole
+    exact spanner, so P_hat @ B_t @ D_hat = R_hat decodes h_t coordinates.
+
+    A spanner may be supplied to fix the column order of the inverted
+    basis (and hence P_hat) exactly; by default the guideline construction
+    is used, with the exhaustive minimal spanner as fallback.  Any supplied
+    full-rate matrices are checked to stay invertible under P_hat.
+    """
+    i_bar = fsrd_check(gems)
+    if i_bar is None:
+        raise NotFullyDecodable("no degree profile satisfies the feasibility conditions")
+    r = gems.rate
+    field = gems.field
+    if spanner is not None:
+        V = [tuple(x % field.p for x in v) for v in spanner]
+        if not is_exact_spanner(V, gems):
+            raise ValueError("supplied vectors are not an exact spanner")
+        if rank_of_vectors(field, V) != len(V):
+            raise ValueError("supplied spanner vectors must be independent")
+    else:
+        try:
+            V = list(build_spanner(gems, i_bar).spanner)
+        except ConstructionFailed:
+            V = minimal_exact_spanner(gems)
+            # The r columns of an inverse precoder would themselves be an
+            # exact spanner, so a larger minimum rules a precoder out.
+            if len(V) > r:
+                raise NotFullyDecodable(f"the minimal exact spanner has {len(V)} vectors, "
+                                        f"more than the rate {r}")
+    plan = build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=(tuple(range(len(V))),)))
+    for FB in full_rate:
+        if rank(plan.P_hat @ FB) != r:
+            raise ContractViolation("full-rate matrix lost rank under P")
+    return replace(plan, i_bar=i_bar)
 
 
 def build_partial_general(gems: GemSet, max_blocks: int = 10_000) -> BlockPlan:

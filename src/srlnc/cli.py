@@ -14,7 +14,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .advisor import rate_ratio_curve
 from .blockcode import (
@@ -22,17 +22,19 @@ from .blockcode import (
     BlockSinkPlan,
     InfeasibleDesign,
     block_decoder_for,
+    build_precoder,
+    lift_block,
     optimize_block_plan,
 )
 from .fields import FieldSpec
-from .linalg import ContractViolation, Mat, row_times
+from .linalg import ContractViolation, Mat, Singular, invert, row_times
 from .multicast import (
     FieldTooSmall,
     Gem,
     LinearCode,
     RateExceedsSourceDegree,
+    _check_consistent,
     build_multicast,
-    decode_full_rate,
     extract_gem,
     simulate,
 )
@@ -42,9 +44,6 @@ from .subrate import (
     GemSet,
     NotFullyDecodable,
     SearchSpaceTooLarge,
-    SubRatePlan,
-    build_precoder,
-    decoder_for,
 )
 
 
@@ -163,8 +162,12 @@ def load_code(path: str, net: Network) -> LinearCode:
         outs = sorted(net.out_edges[n])
         if entry["in"] != ins or entry["out"] != outs:
             raise ValueError(f"local kernel of {n!r} lists different edges than the network")
-        lek[n] = Mat(net.field, _matrix(path, f"lek.{n}.k", entry["k"]), cols=len(outs))
-    return LinearCode(rate=r, gek=gek, lek=lek)
+        if len(_matrix(path, f"lek.{n}.k", entry["k"])) != len(ins):
+            raise ValueError(f"{path}: lek.{n}.k must have {len(ins)} rows, one per input")
+        lek[n] = Mat(net.field, entry["k"], cols=len(outs))
+    code = LinearCode(rate=r, gek=gek, lek=lek)
+    _check_consistent(net, code)
+    return code
 
 
 def load_gems(path: str) -> Tuple[GemSet, Optional[List[Tuple[int, ...]]]]:
@@ -207,53 +210,44 @@ def _frac_str(f) -> str:
 
 # ---------------------------------------------------------------- plans
 
-def _sink_obj(sp) -> dict:
+def _sink_obj(plan: BlockPlan, sp: BlockSinkPlan) -> dict:
     """One sink's decoders: D and R of a single-use plan, or D_hat, R_hat
     and the rate of a block plan."""
-    if isinstance(sp, BlockSinkPlan):
-        return {"D_hat": sp.D_hat.to_lists(), "R_hat": sp.R_hat.to_lists(),
-                "decoded_indices": list(sp.decoded_indices), "rate": _frac_str(sp.rate)}
-    return {"D": sp.D.to_lists(), "R": sp.R.to_lists(),
-            "decoded_indices": list(sp.decoded_indices)}
+    if plan.i_bar is not None:
+        return {"D": sp.D_hat.to_lists(), "R": sp.R_hat.to_lists(),
+                "decoded_indices": list(sp.decoded_indices)}
+    return {"D_hat": sp.D_hat.to_lists(), "R_hat": sp.R_hat.to_lists(),
+            "decoded_indices": list(sp.decoded_indices), "rate": _frac_str(sp.rate)}
 
 
-def plan_to_obj(p: int, rate: int, plan: Union[SubRatePlan, BlockPlan],
-                sink_entries: Optional[dict] = None) -> dict:
-    if isinstance(plan, BlockPlan):
-        obj = {"kind": "block", "l": plan.l, "P_hat": plan.P_hat.to_lists(),
-               "spanner": [list(v) for v in plan.design.spanner],
-               "blocks": [list(b) for b in plan.design.blocks]}
+def plan_to_obj(p: int, rate: int, plan: BlockPlan, sink_entries: Optional[dict] = None) -> dict:
+    """A single-use plan (one with `i_bar`) is written as "kind": "subrate",
+    its P_hat as P; any other as "kind": "block"."""
+    if plan.i_bar is not None:
+        obj = {"kind": "subrate", "P": plan.P_hat.to_lists(), "i_bar": list(plan.i_bar)}
     else:
-        obj = {"kind": "subrate", "P": plan.P.to_lists(), "i_bar": list(plan.i_bar),
-               "spanner": [list(v) for v in plan.spanner]}
-    obj.update(p=p, rate=rate, members=[_sink_obj(sp) for sp in plan.sinks])
+        obj = {"kind": "block", "l": plan.l, "P_hat": plan.P_hat.to_lists(),
+               "blocks": [list(b) for b in plan.design.blocks]}
+    obj.update(p=p, rate=rate, spanner=[list(v) for v in plan.design.spanner],
+               members=[_sink_obj(plan, sp) for sp in plan.sinks])
     if sink_entries is not None:
         obj["sinks"] = sink_entries
     return obj
 
 
-def _subrate_gems(net: Network, code: LinearCode, sinks: Sequence, subrate_sinks: Sequence
-                  ) -> Tuple[GemSet, List[Gem], List[Mat]]:
-    """GemSet over the sub-rate sinks plus the full-rate matrices to protect."""
-    r = net.rate
-    full_rate: List[Mat] = []
-    for t in sinks:
-        g = extract_gem(code, net, t)
-        if g.matrix.cols < r:
+def _sink_gems(net: Network, code: LinearCode, sinks: Sequence, subrate_sinks: Sequence
+               ) -> Dict[object, Gem]:
+    """Each sink's gem; a sink must reach the rate, a subrate sink must not."""
+    gems = {}
+    for t in sinks + subrate_sinks:
+        gems[t] = extract_gem(code, net, t)
+        if t in sinks and gems[t].matrix.cols < net.rate:
             raise ValueError(f"sink {t!r} has max-flow below the rate; "
                              f"list it under subrate_sinks")
-        full_rate.append(g.matrix)
-    sub_gems: List[Gem] = []
-    for t in subrate_sinks:
-        g = extract_gem(code, net, t)
-        if g.matrix.cols >= r:
+        if t in subrate_sinks and gems[t].matrix.cols >= net.rate:
             raise ValueError(f"subrate sink {t!r} reaches the full rate; "
                              f"list it under sinks")
-        sub_gems.append(g)
-    if not sub_gems:
-        raise ValueError("no subrate_sinks to precode for")
-    gems = GemSet([g.matrix for g in sub_gems], r)
-    return gems, sub_gems, full_rate
+    return gems
 
 
 # ---------------------------------------------------------------- commands
@@ -296,7 +290,12 @@ def cmd_precode(args) -> int:
             raise ValueError("precode needs a network file and a code file, or --gems")
         net, sinks, subrate_sinks = load_network(args.file)
         code = load_code(args.code, net)
-        gems, sub_gems, full_rate = _subrate_gems(net, code, sinks, subrate_sinks)
+        gem_of = _sink_gems(net, code, sinks, subrate_sinks)
+        if not subrate_sinks:
+            raise ValueError("no subrate_sinks to precode for")
+        sub_gems = [gem_of[t] for t in subrate_sinks]
+        gems = GemSet([g.matrix for g in sub_gems], net.rate)
+        full_rate = [gem_of[t].matrix for t in sinks]
         spanner = None
         p = net.field.p
         rate = net.rate
@@ -304,12 +303,10 @@ def cmd_precode(args) -> int:
 
     try:
         plan = build_precoder(gems, full_rate=full_rate, spanner=spanner)
-        same_span_decoder = decoder_for
     except NotFullyDecodable:
         if args.block is None:
             raise
         plan = optimize_block_plan(gems, l_max=args.block)
-        same_span_decoder = block_decoder_for
 
     entries = None
     if sub_gems is not None:
@@ -317,18 +314,23 @@ def cmd_precode(args) -> int:
         for pos, g in enumerate(sub_gems):
             m = gems.source_map[pos]
             sp = (plan.sinks[m] if g.matrix == gems.mats[m]
-                  else same_span_decoder(plan, m, g.matrix))
-            entries[sink_ids[pos]] = {"member": m, **_sink_obj(sp)}
+                  else block_decoder_for(plan, m, g.matrix))
+            entries[sink_ids[pos]] = {"member": m, **_sink_obj(plan, sp)}
     _emit(canonical_json(plan_to_obj(p, rate, plan, entries)), args.out)
     return 0
 
 
-def _load_plan(path: str, net: Network) -> Tuple[int, list, dict]:
+def _load_plan(path: str, net: Network, widths: Dict[str, int]) -> Tuple[int, Mat, dict]:
     """A plan file read as the block plan over l uses that it is:
-    (l, P_hat, {sink: (D_hat, R_hat, decoded_indices)}).  A subrate plan is
-    the l = 1 case, its P, D and R read as P_hat, D_hat and R_hat.  P_hat
-    must be square of side l * rate, every matrix entry an integer, and the
-    decoded indices distinct coordinates of the l * rate block message."""
+    (l, P_hat, {sink: (D_hat, R_hat, decoded_indices)}) for the sinks named
+    in `widths`, which maps each to its h.  A subrate plan is the l = 1
+    case, its P, D and R read as P_hat, D_hat and R_hat.
+
+    P_hat must be invertible, of side l * rate; every matrix entry an
+    integer; the decoded indices distinct coordinates of the l * rate
+    block message; D_hat (l * h) by (l * h) and R_hat (l * rate) by
+    (l * h), with the unit vectors of the decoded indices, in order, as
+    its nonzero columns."""
     obj = _load_json(path)
     if not isinstance(obj, dict) or obj.get("kind") not in ("subrate", "block"):
         raise ValueError('plan file must have "kind": "subrate" or "block"')
@@ -344,77 +346,88 @@ def _load_plan(path: str, net: Network) -> Tuple[int, list, dict]:
         precoder, dec, ret = "P_hat", "D_hat", "R_hat"
         if l < 1:
             raise ValueError("block plan needs l >= 1")
-    if _integer(path, "p", obj["p"]) != net.field.p or _integer(path, "rate", obj["rate"]) != net.rate:
+    field = net.field
+    if _integer(path, "p", obj["p"]) != field.p or _integer(path, "rate", obj["rate"]) != net.rate:
         raise ValueError(f"plan is for GF({obj['p']}) rate {obj['rate']}, "
-                         f"network wants GF({net.field.p}) rate {net.rate}")
+                         f"network wants GF({field.p}) rate {net.rate}")
     if "sinks" not in obj:
         raise ValueError("plan lacks per-sink decoders; build it from a network file")
     width = l * net.rate
-    P_hat = _matrix(path, precoder, obj[precoder])
-    if len(P_hat) != width or any(len(row) != width for row in P_hat):
+    P_rows = _matrix(path, precoder, obj[precoder])
+    if len(P_rows) != width or any(len(row) != width for row in P_rows):
         raise ValueError(f"{path}: {precoder} must be {width} by {width}")
+    P_hat = Mat(field, P_rows)
+    try:
+        invert(P_hat)
+    except Singular:
+        raise ValueError(f"{path}: {precoder} must be invertible") from None
     if not isinstance(obj["sinks"], dict):
         raise ValueError(f"{path}: sinks must be a JSON object")
+    units = Mat.identity(field, width)
     sinks = {}
     for t, entry in obj["sinks"].items():
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: sinks.{t} must be a JSON object")
-        D_hat = _matrix(path, f"sinks.{t}.{dec}", entry.get(dec))
-        R_hat = _matrix(path, f"sinks.{t}.{ret}", entry.get(ret))
+        D_rows = _matrix(path, f"sinks.{t}.{dec}", entry.get(dec))
+        R_rows = _matrix(path, f"sinks.{t}.{ret}", entry.get(ret))
         idxs = _integers(path, f"sinks.{t}.decoded_indices", entry.get("decoded_indices"))
         if len(set(idxs)) != len(idxs) or not all(0 <= j < width for j in idxs):
             raise ValueError(f"{path}: sinks.{t}.decoded_indices must be distinct "
                              f"and in range({width}), got {json.dumps(idxs)}")
-        sinks[t] = (D_hat, R_hat, idxs)
+        if t not in widths:
+            continue
+        cols = l * widths[t]
+        if len(D_rows) != cols or any(len(row) != cols for row in D_rows):
+            raise ValueError(f"{path}: sinks.{t}.{dec} must be {cols} by {cols}")
+        if len(R_rows) != width or any(len(row) != cols for row in R_rows):
+            raise ValueError(f"{path}: sinks.{t}.{ret} must be {width} by {cols}")
+        R_hat = Mat(field, R_rows, cols=cols)
+        if [c for c in R_hat.columns() if any(c)] != [units.col(j) for j in idxs]:
+            raise ValueError(f"{path}: the nonzero columns of sinks.{t}.{ret} must be the "
+                             f"unit vectors of sinks.{t}.decoded_indices, in order")
+        sinks[t] = (Mat(field, D_rows, cols=cols), R_hat, idxs)
     return l, P_hat, sinks
 
 
 def cmd_simulate(args) -> int:
+    """Send --trials random block messages x_hat, each as x = x_hat @ P_hat
+    over l uses of the network, and count per sink the messages whose
+    received symbols y fail y @ D_hat = x_hat @ R_hat.  A full-rate sink
+    decodes the whole block: D_hat = (P_hat @ lift(B_t))^-1, R_hat = I."""
     if args.trials < 0:
         raise ValueError(f"--trials must be at least 0, got {args.trials}")
     net, sinks, subrate_sinks = load_network(args.file)
     code = load_code(args.code, net)
     field = net.field
     r = net.rate
+    gems = _sink_gems(net, code, sinks, subrate_sinks)
     if args.plan is None:
         # one use of the network, messages sent uncoded, no sub-rate decoders
-        l, p_blocks, entries = 1, [None], {}
+        l, P_hat, entries = 1, Mat.identity(field, r), {}
     else:
-        l, P_rows, entries = _load_plan(args.plan, net)
+        widths = {str(t): gems[t].matrix.cols for t in subrate_sinks}
+        l, P_hat, entries = _load_plan(args.plan, net, widths)
         for t in subrate_sinks:
             if str(t) not in entries:
                 raise ValueError(f"plan has no decoders for subrate sink {t!r}")
-        P_hat = Mat(field, P_rows)
-        p_blocks = [_diag_block(P_hat, field, bi, r) for bi in range(l)]
-
-    full_gems = {t: extract_gem(code, net, t) for t in sinks}
-    sub_gems = {t: extract_gem(code, net, t) for t in subrate_sinks}
-    flows = {t: max_flow(net, t).value for t in sinks + subrate_sinks}
-    failures = {t: 0 for t in sinks + subrate_sinks}
+    eye = Mat.identity(field, l * r)
+    decoders = {t: (invert(P_hat @ lift_block(gems[t].matrix, l)), eye) for t in sinks}
     decodable = {t: l * r if t in sinks else 0 for t in sinks + subrate_sinks}
-    decoders = {}
     for t in subrate_sinks:
         if str(t) in entries:
             D_hat, R_hat, idxs = entries[str(t)]
-            cols = l * sub_gems[t].matrix.cols
-            decoders[t] = (Mat(field, D_hat, cols=cols), Mat(field, R_hat, cols=cols))
+            decoders[t] = (D_hat, R_hat)
             decodable[t] = len(idxs)
+    failures = {t: 0 for t in sinks + subrate_sinks}
     rng = random.Random(args.seed)
     for _ in range(args.trials):
         x_hat = tuple(rng.randrange(field.p) for _ in range(l * r))
-        received = {t: [] for t in decoders}
-        for bi, P in enumerate(p_blocks):
-            v = x_hat[bi * r:(bi + 1) * r]
-            trace = simulate(net, code, P, v)
-            for t in sinks:
-                g = full_gems[t]
-                y = tuple(trace.edge_symbols[e] for e in g.used_edges)
-                if decode_full_rate(g, P, y) != v:
-                    failures[t] += 1
-            for t in decoders:
-                received[t].extend(trace.edge_symbols[e] for e in sub_gems[t].used_edges)
+        x = row_times(x_hat, P_hat)
+        uses = [simulate(net, code, None, x[bi * r:(bi + 1) * r]).edge_symbols
+                for bi in range(l)]
         for t, (D_hat, R_hat) in decoders.items():
-            if row_times(received[t], D_hat) != row_times(x_hat, R_hat):
+            y = [sym[e] for sym in uses for e in gems[t].used_edges]
+            if row_times(y, D_hat) != row_times(x_hat, R_hat):
                 failures[t] += 1
 
     report = {
@@ -430,7 +443,7 @@ def cmd_simulate(args) -> int:
         "sinks": [
             {
                 "sink": str(t),
-                "h": flows[t],
+                "h": gems[t].h,
                 "decodable": decodable[t],
                 "rate": _frac_str(Fraction(decodable[t], l)),
                 "failures": failures[t],
@@ -440,11 +453,6 @@ def cmd_simulate(args) -> int:
     }
     _emit(canonical_json(report), args.out)
     return 0
-
-
-def _diag_block(P_hat: Mat, field: FieldSpec, bi: int, r: int) -> Mat:
-    rows = [P_hat.data[bi * r + i][bi * r:(bi + 1) * r] for i in range(r)]
-    return Mat(field, rows, cols=r)
 
 
 def cmd_rate_ratio(args) -> int:

@@ -1,9 +1,9 @@
-"""Commonality measures, exact spanners, and full sub-rate precoding.
+"""Commonality measures and exact spanners.
 
 A GemSet is the matrix-level view of the sub-rate sinks: band together
-their encoding matrices, measure how much the column spans overlap, and
-when the feasibility check passes, produce a precoder P with per-sink
-decoders (D_t, R_t) satisfying P @ B_t @ D_t = R_t.
+their encoding matrices, measure how much the column spans overlap, check
+whether a single-use precoder is feasible, and find the exact spanners
+that `blockcode` turns into precoders and block plans.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from .linalg import (
     ContractViolation,
     Mat,
     Subspace,
-    change_basis_to_targets,
-    complete_basis,
-    invert,
     rank,
     rank_of_vectors,
     subspace_intersect,
@@ -378,93 +375,3 @@ def build_spanner(gems: GemSet, i_bar: Sequence[int]) -> SpannerCertificate:
         raise ConstructionFailed("collected vectors do not form an exact spanner")
     return SpannerCertificate(i_bar=tuple(i_bar), spanner=tuple(V), comss_values=caps)
 
-
-@dataclass(frozen=True)
-class SinkPlan:
-    D: Mat
-    R: Mat
-    decoded_indices: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SubRatePlan:
-    P: Mat
-    sinks: Tuple[SinkPlan, ...]      # parallel to GemSet.mats
-    spanner: Tuple[Vec, ...]
-    i_bar: Tuple[int, ...]
-
-
-def build_precoder(gems: GemSet, full_rate: Sequence[Mat] = (),
-                   spanner: Optional[Sequence[Sequence[int]]] = None) -> SubRatePlan:
-    """Precoder P plus per-sink (D_t, R_t) with P @ B_t @ D_t = R_t.
-
-    A spanner may be supplied to fix the column order of the inverted
-    basis (and hence P) exactly; by default the guideline construction is
-    used, with the exhaustive minimal spanner as fallback.  Any supplied
-    full-rate matrices are checked to stay invertible under P.
-    """
-    i_bar = fsrd_check(gems)
-    if i_bar is None:
-        raise NotFullyDecodable("no degree profile satisfies the feasibility conditions")
-    r = gems.rate
-    field = gems.field
-    if spanner is not None:
-        V = [tuple(x % field.p for x in v) for v in spanner]
-        if not is_exact_spanner(V, gems):
-            raise ValueError("supplied vectors are not an exact spanner")
-        if rank_of_vectors(field, V) != len(V):
-            raise ValueError("supplied spanner vectors must be independent")
-    else:
-        try:
-            V = list(build_spanner(gems, i_bar).spanner)
-        except ConstructionFailed:
-            V = minimal_exact_spanner(gems)
-            # The r columns of an inverse precoder would themselves be an
-            # exact spanner, so a larger minimum rules a precoder out.
-            if len(V) > r:
-                raise NotFullyDecodable(f"the minimal exact spanner has {len(V)} vectors, "
-                                        f"more than the rate {r}")
-    pad = complete_basis(Subspace.from_columns(field, r, V))
-    cols = V + pad.columns()
-    B_bar = Mat.from_cols(field, cols, nrows=r)
-    P = invert(B_bar)
-    eye = Mat.identity(field, r)
-    plans: List[SinkPlan] = []
-    for B in gems.mats:
-        span = Subspace.span_of(B)
-        positions: List[int] = []
-        vecs: List[Vec] = []
-        for j, v in enumerate(V):
-            if len(positions) == B.cols:
-                break
-            if span.contains(v) and rank_of_vectors(field, vecs + [v]) > len(vecs):
-                positions.append(j)
-                vecs.append(v)
-        if len(positions) != B.cols:
-            raise ContractViolation("exact spanner must cover every member")
-        targets = Mat.from_cols(field, vecs, nrows=r)
-        D = change_basis_to_targets(B, targets)
-        R = Mat.from_cols(field, [eye.col(j) for j in positions], nrows=r)
-        if P @ B @ D != R:
-            raise ContractViolation("precoding contract violated")
-        plans.append(SinkPlan(D=D, R=R, decoded_indices=tuple(positions)))
-    for FB in full_rate:
-        if rank(P @ FB) != r:
-            raise ContractViolation("full-rate matrix lost rank under P")
-    return SubRatePlan(P=P, sinks=tuple(plans), spanner=tuple(V), i_bar=i_bar)
-
-
-def decoder_for(plan: SubRatePlan, index: int, B: Mat) -> SinkPlan:
-    """Per-sink decoders for a matrix whose span equals member `index`.
-
-    Lets a sink that was deduplicated away (same span, different basis)
-    reuse the plan: same decoded coordinates, its own D.
-    """
-    entry = plan.sinks[index]
-    field = B.field
-    Pinv = invert(plan.P)
-    targets = Mat.from_cols(field, [Pinv.col(j) for j in entry.decoded_indices], nrows=B.rows)
-    D = change_basis_to_targets(B, targets)
-    if plan.P @ B @ D != entry.R:
-        raise ContractViolation("precoding contract violated for a same-span matrix")
-    return SinkPlan(D=D, R=entry.R, decoded_indices=entry.decoded_indices)

@@ -61,12 +61,12 @@ def test_acceptance_1_butterfly_end_to_end():
     rng = random.Random(1)
     for _ in range(100):
         v = tuple(rng.randrange(3) for _ in range(2))
-        trace = simulate(net, code, plan.P, v)
+        trace = simulate(net, code, plan.P_hat, v)
         for gem in (gem6, gem7):
             y = tuple(trace.edge_symbols[e] for e in gem.used_edges)
-            assert decode_full_rate(gem, plan.P, y) == v
+            assert decode_full_rate(gem, plan.P_hat, y) == v
         y8 = tuple(trace.edge_symbols[e] for e in gem8.used_edges)
-        assert row_times(y8, sp.D) == tuple(v[j] for j in sp.decoded_indices)
+        assert row_times(y8, sp.D_hat) == tuple(v[j] for j in sp.decoded_indices)
 
     dt = time.monotonic() - t0
     assert dt < 1.0
@@ -82,8 +82,8 @@ def test_acceptance_2_worked_three_plane_example():
 
     spanner = ((2, 1, 1), (1, 1, 0), (1, 1, 1))
     plan = build_precoder(g, spanner=spanner)
-    assert plan.P.to_lists() == [[1, 2, 0], [0, 1, 2], [2, 1, 1]]
-    ds = [sp.D.to_lists() for sp in plan.sinks]
+    assert plan.P_hat.to_lists() == [[1, 2, 0], [0, 1, 2], [2, 1, 1]]
+    ds = [sp.D_hat.to_lists() for sp in plan.sinks]
     assert ds == [[[1, 1], [0, 1]], [[2, 1], [1, 1]], [[1, 1], [1, 0]]]
 
     # the P.B.D = R contract holds regardless of spanner or member order
@@ -92,7 +92,7 @@ def test_acceptance_2_worked_three_plane_example():
                    (build_precoder(GemSet(list(reversed(g.mats)), 3)),
                     GemSet(list(reversed(g.mats)), 3))):
         for i, sp in enumerate(pl.sinks):
-            assert pl.P @ gg.mats[i] @ sp.D == sp.R
+            assert pl.P_hat @ gg.mats[i] @ sp.D_hat == sp.R_hat
 
     dt = time.monotonic() - t0
     assert dt < 1.0
@@ -190,13 +190,13 @@ def test_acceptance_6_randomized_property_suite():
             if rank(m) == r:
                 break
         plan = build_precoder(g, full_rate=[m])
-        assert rank(plan.P @ m) == r
+        assert rank(plan.P_hat @ m) == r
         for _ in range(3):
             v = tuple(rng.randrange(field.p) for _ in range(r))
-            x = row_times(v, plan.P)
+            x = row_times(v, plan.P_hat)
             for i, sp in enumerate(plan.sinks):
                 y = row_times(x, g.mats[i])
-                assert row_times(y, sp.D) == tuple(v[j] for j in sp.decoded_indices)
+                assert row_times(y, sp.D_hat) == tuple(v[j] for j in sp.decoded_indices)
 
     # single-member sets and hyperplane families are always decodable
     for field in (GF2, GF3):

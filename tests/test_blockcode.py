@@ -87,12 +87,12 @@ def test_block_plan_round_trips_messages():
 def test_single_block_of_an_exact_spanner_reduces_to_the_precoder():
     g = gems_three_planes()
     sub = build_precoder(g)
-    plan = build_block_plan(g, BlockDesign(spanner=sub.spanner, blocks=((0, 1, 2),)))
+    plan = build_block_plan(g, BlockDesign(spanner=sub.design.spanner, blocks=((0, 1, 2),)))
     assert plan.l == 1
-    assert plan.P_hat == sub.P
+    assert plan.P_hat == sub.P_hat
     for i, sp in enumerate(plan.sinks):
-        assert sp.D_hat == sub.sinks[i].D
-        assert sp.R_hat == sub.sinks[i].R
+        assert sp.D_hat == sub.sinks[i].D_hat
+        assert sp.R_hat == sub.sinks[i].R_hat
         assert sp.decoded_indices == sub.sinks[i].decoded_indices
         assert sp.rate == Fraction(g.h(i), 1)
 

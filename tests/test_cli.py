@@ -276,8 +276,18 @@ def test_simulate_counts_failures_of_a_corrupted_plan(tmp_path, block, name):
     sink, full = ("11", "10") if block else ("8", "6")
 
     def change(obj):
-        grid = obj["sinks"][sink][name]
-        grid[0][0] = (grid[0][0] + 1) % 3
+        entry = obj["sinks"][sink]
+        grid = entry[name]
+        if name.startswith("D"):
+            grid[0][0] = (grid[0][0] + 1) % 3
+            return
+        # R must still select decoded_indices to load, so move the first
+        # decoded coordinate to one the sink does not decode, in both
+        idxs = entry["decoded_indices"]
+        col = next(c for c in range(len(grid[0])) if any(row[c] for row in grid))
+        k = min(set(range(len(grid))) - set(idxs))
+        grid[idxs[0]][col], grid[k][col] = 0, 1
+        idxs[0] = k
 
     _edit(plan, change)
     report = str(tmp_path / "report.json")
@@ -334,10 +344,57 @@ def _inconsistent_code(tmp_path):
     return net, code
 
 
-def test_simulate_exits_4_on_an_inconsistent_code(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["simulate", "precode"])
+def test_simulate_exits_4_on_an_inconsistent_code(tmp_path, capsys, command):
+    # the kernels are checked once, when the code is loaded
     net, code = _inconsistent_code(tmp_path)
-    assert main(["simulate", net, code, "--trials", "50"]) == 4
-    assert "contract violation" in capsys.readouterr().err
+    out = str(tmp_path / "out.json")
+    assert main([command, net, code, "--out", out]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["contract violation: encoding kernels inconsistent at edge 6"]
+    assert not os.path.exists(out)
+
+
+def test_simulate_exits_4_when_imaginary_kernels_are_not_units(tmp_path, capsys):
+    # swapping the imaginary links' kernels and the source's local kernel
+    # rows leaves every real edge consistent, but the symbols sent are not
+    # x times those kernels any more
+    net = write(tmp_path, "net.json", BUTTERFLY)
+    code = str(tmp_path / "code.json")
+    assert main(["code", net, "--out", code]) == 0
+
+    def change(obj):
+        obj["gek"]["-1"], obj["gek"]["-2"] = obj["gek"]["-2"], obj["gek"]["-1"]
+        obj["lek"]["1"]["k"].reverse()
+
+    _edit(code, change)
+    capsys.readouterr()
+    assert main(["simulate", net, code, "--trials", "5"]) == 4
+    assert capsys.readouterr().err.startswith("contract violation: encoding kernels inconsistent")
+
+
+@pytest.mark.parametrize("command", ["simulate", "precode"])
+def test_local_kernels_need_one_row_per_input(tmp_path, capsys, command):
+    net, code, plan = _pipeline_files(tmp_path, block=False)
+    _edit(code, lambda obj: obj["lek"]["5"]["k"].pop())
+    capsys.readouterr()
+    assert main([command, net, code]) == 2
+    _one_error_line(capsys, "code.json", "lek.5.k must have 1 rows")
+
+
+@pytest.mark.parametrize("command", ["simulate", "precode"])
+@pytest.mark.parametrize("sinks, subrate_sinks, fragment", [
+    ([6, 7, 8], [], "sink 8 has max-flow below the rate"),
+    ([7], [8, 6], "subrate sink 6 reaches the full rate"),
+], ids=["weak-sink", "full-subrate-sink"])
+def test_sinks_must_be_listed_by_rate(tmp_path, capsys, command, sinks, subrate_sinks,
+                                      fragment):
+    net, code, plan = _pipeline_files(tmp_path, block=False)
+    relisted = write(tmp_path, "relisted.json",
+                     dict(BUTTERFLY, sinks=sinks, subrate_sinks=subrate_sinks))
+    capsys.readouterr()
+    assert main([command, relisted, code]) == 2
+    _one_error_line(capsys, fragment)
 
 
 def test_contract_checks_survive_python_O(tmp_path):
@@ -450,6 +507,50 @@ def test_non_square_precoder_exits_2(tmp_path, capsys, block):
     capsys.readouterr()
     assert main(["simulate", net, code, plan, "--trials", "3"]) == 2
     _one_error_line(capsys, "plan.json", f"{name} must be")
+
+
+@pytest.mark.parametrize("block", [False, True])
+def test_singular_precoder_exits_2(tmp_path, capsys, block):
+    net, code, plan = _pipeline_files(tmp_path, block)
+    name = "P_hat" if block else "P"
+
+    def change(obj):
+        obj[name][1] = list(obj[name][0])
+
+    _edit(plan, change)
+    capsys.readouterr()
+    assert main(["simulate", net, code, plan, "--trials", "0"]) == 2
+    _one_error_line(capsys, "plan.json", f"{name} must be invertible")
+
+
+@pytest.mark.parametrize("field, change", [
+    ("decoded_indices", lambda entry: entry.update(decoded_indices=[1])),
+    ("D", lambda entry: [row.append(0) for row in entry["D"]]),
+    ("R", lambda entry: entry["R"].append([0])),
+], ids=["indices", "D-extra-column", "R-extra-row"])
+def test_decoders_must_fit_the_sink_and_its_indices(tmp_path, capsys, field, change):
+    net, code, plan = _pipeline_files(tmp_path, block=False)
+    assert read(plan)["sinks"]["8"]["decoded_indices"] == [0]
+    _edit(plan, lambda obj: change(obj["sinks"]["8"]))
+    capsys.readouterr()
+    assert main(["simulate", net, code, plan, "--trials", "30"]) == 2
+    _one_error_line(capsys, "plan.json", f"sinks.8.{field}")
+
+
+def test_simulate_sends_the_whole_block_precoder(tmp_path):
+    # an entry off P_hat's diagonal blocks mixes the l = 3 uses; the weak
+    # sinks' decoders no longer fit, the full-rate sink decodes through it
+    net, code, plan = _pipeline_files(tmp_path, block=True)
+
+    def change(obj):
+        obj["P_hat"][0][3] = (obj["P_hat"][0][3] + 1) % 3
+
+    _edit(plan, change)
+    report = str(tmp_path / "report.json")
+    assert main(["simulate", net, code, plan, "--trials", "30", "--out", report]) == 0
+    rows = {row["sink"]: row for row in read(report)["sinks"]}
+    assert rows["10"]["failures"] == 0
+    assert all(rows[t]["failures"] > 0 for t in ("11", "12", "13"))
 
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):

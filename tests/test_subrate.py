@@ -15,13 +15,13 @@ from srlnc import (
     NotFullyDecodable,
     SearchSpaceTooLarge,
     Subspace,
+    block_decoder_for,
     build_precoder,
     build_spanner,
     comd,
     compol,
     comss_c,
     comss_exhaustive,
-    decoder_for,
     fsrd_check,
     is_exact_spanner,
     minimal_exact_spanner,
@@ -309,23 +309,23 @@ def test_fsrd_profile_of_hyperplane_families(field, r, l):
 def check_plan_contract(g, plan):
     r = g.rate
     eye = Mat.identity(g.field, r)
-    assert rank(plan.P) == r
-    assert is_exact_spanner(plan.spanner, g)
+    assert rank(plan.P_hat) == r
+    assert is_exact_spanner(plan.design.spanner, g)
     for i, sp in enumerate(plan.sinks):
         B = g.mats[i]
-        assert plan.P @ B @ sp.D == sp.R
-        assert rank(sp.D) == B.cols
+        assert plan.P_hat @ B @ sp.D_hat == sp.R_hat
+        assert rank(sp.D_hat) == B.cols
         assert len(sp.decoded_indices) == g.h(i)
-        assert sp.R.columns() == [eye.col(j) for j in sp.decoded_indices]
+        assert sp.R_hat.columns() == [eye.col(j) for j in sp.decoded_indices]
 
 
 def test_build_precoder_with_pinned_spanner():
     g = gems_three_planes()
     plan = build_precoder(g, spanner=[(2, 1, 1), (1, 1, 0), (1, 1, 1)])
-    assert plan.P.to_lists() == [[1, 2, 0], [0, 1, 2], [2, 1, 1]]
+    assert plan.P_hat.to_lists() == [[1, 2, 0], [0, 1, 2], [2, 1, 1]]
     assert plan.i_bar == (0, 3, 0)
-    assert plan.spanner == ((2, 1, 1), (1, 1, 0), (1, 1, 1))
-    assert [sp.D.to_lists() for sp in plan.sinks] == [
+    assert plan.design.spanner == ((2, 1, 1), (1, 1, 0), (1, 1, 1))
+    assert [sp.D_hat.to_lists() for sp in plan.sinks] == [
         [[1, 1], [0, 1]], [[2, 1], [1, 1]], [[1, 1], [1, 0]]]
     assert [sp.decoded_indices for sp in plan.sinks] == [(1, 2), (0, 2), (0, 1)]
     check_plan_contract(g, plan)
@@ -337,7 +337,7 @@ def test_build_precoder_default_spanner():
     assert plan.i_bar == (0, 3, 0)
     check_plan_contract(g, plan)
     # default spanner picks canonical line representatives
-    assert plan.spanner == ((1, 2, 2), (1, 1, 0), (1, 1, 1))
+    assert plan.design.spanner == ((1, 2, 2), (1, 1, 0), (1, 1, 1))
 
 
 def test_precoded_messages_round_trip():
@@ -345,10 +345,10 @@ def test_precoded_messages_round_trip():
     for plan in (build_precoder(g),
                  build_precoder(g, spanner=[(2, 1, 1), (1, 1, 0), (1, 1, 1)])):
         for v in itertools.product(range(3), repeat=3):
-            x = row_times(v, plan.P)
+            x = row_times(v, plan.P_hat)
             for i, sp in enumerate(plan.sinks):
                 received = row_times(x, g.mats[i])
-                got = row_times(received, sp.D)
+                got = row_times(received, sp.D_hat)
                 assert got == tuple(v[j] for j in sp.decoded_indices)
 
 
@@ -366,7 +366,7 @@ def test_build_precoder_keeps_full_rate_gems_invertible():
     fb = Mat(GF3, [[1, 0, 2], [0, 1, 0], [1, 1, 1]])
     assert rank(fb) == 3
     plan = build_precoder(g, full_rate=[fb])
-    assert rank(plan.P @ fb) == 3
+    assert rank(plan.P_hat @ fb) == 3
 
 
 def test_build_precoder_refuses_infeasible_sets():
@@ -382,10 +382,10 @@ def test_decoder_for_other_basis_of_same_span():
     twist = Mat(GF3, [[1, 1], [1, 2]])
     assert rank(twist) == 2
     b_alt = g.mats[0] @ twist
-    sp = decoder_for(plan, 0, b_alt)
+    sp = block_decoder_for(plan, 0, b_alt)
     assert sp.decoded_indices == plan.sinks[0].decoded_indices
-    assert plan.P @ b_alt @ sp.D == sp.R
+    assert plan.P_hat @ b_alt @ sp.D_hat == sp.R_hat
     for v in itertools.product(range(3), repeat=3):
-        x = row_times(v, plan.P)
+        x = row_times(v, plan.P_hat)
         received = row_times(x, b_alt)
-        assert row_times(received, sp.D) == tuple(v[j] for j in sp.decoded_indices)
+        assert row_times(received, sp.D_hat) == tuple(v[j] for j in sp.decoded_indices)
