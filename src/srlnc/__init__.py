@@ -11,7 +11,6 @@ from .linalg import (
     Mat,
     Singular,
     Subspace,
-    change_basis_to_targets,
     complete_basis,
     invert,
     kernel_columns,
@@ -21,7 +20,6 @@ from .linalg import (
     solve_columns,
     subspace_intersect,
     subspace_sum,
-    times_col,
 )
 from .netgraph import CycleDetected, FlowResult, Network, max_flow, topo_order
 from .multicast import (
@@ -78,9 +76,8 @@ from .advisor import (
 __all__ = [
     "FieldSpec", "is_prime", "smallest_prime_greater_than",
     "ContractViolation", "Mat", "Singular", "Subspace",
-    "change_basis_to_targets", "complete_basis", "invert", "kernel_columns",
-    "rank", "rank_of_vectors", "row_times", "solve_columns",
-    "subspace_intersect", "subspace_sum", "times_col",
+    "complete_basis", "invert", "kernel_columns", "rank", "rank_of_vectors",
+    "row_times", "solve_columns", "subspace_intersect", "subspace_sum",
     "CycleDetected", "FlowResult", "Network", "max_flow", "topo_order",
     "CodeInvalidForSink", "FieldTooSmall", "Gem", "LinearCode",
     "RateExceedsSourceDegree", "SimTrace", "build_multicast",

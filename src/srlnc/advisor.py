@@ -43,7 +43,7 @@ def consequential_maxflow(net: Network, code: LinearCode, t) -> int:
     """
     if t == net.source:
         raise ValueError("the source has no incoming kernels")
-    cols = [code.gek[e] for e in sorted(net.in_edges[t]) if e >= 0]
+    cols = [code.gek[e] for e in net.in_edges[t] if e >= 0]
     if not cols:
         return 0
     return rank(Mat.from_cols(net.field, cols, nrows=code.rate))

@@ -79,6 +79,14 @@ def _list(path: str, field: str, value) -> list:
     return value
 
 
+def _node(path: str, field: str, value):
+    """A node id: a JSON integer or string; a boolean, float, list or object is rejected."""
+    if type(value) not in (int, str):
+        raise ValueError(f"{path}: {field}: node ids must be integers or strings, "
+                         f"got {json.dumps(value)}")
+    return value
+
+
 def _integers(path: str, field: str, values) -> list:
     """A JSON list of integers, each checked as `_integer` checks a scalar."""
     for x in _list(path, field, values):
@@ -102,18 +110,20 @@ def load_network(path: str) -> Tuple[Network, List, List]:
                 ["subrate_sinks"], "network file")
     field = FieldSpec(_integer(path, "field", obj["field"]))
     rate = _integer(path, "rate", obj["rate"])
-    nodes = _list(path, "nodes", obj["nodes"])
+    nodes = [_node(path, "nodes", n) for n in _list(path, "nodes", obj["nodes"])]
     edges = []
     for e in _list(path, "edges", obj["edges"]):
         if not isinstance(e, list) or len(e) != 2:
             raise ValueError(f"edge must be a [tail, head] pair: {e!r}")
-        edges.append((e[0], e[1]))
-    sinks = _list(path, "sinks", obj["sinks"])
-    subrate_sinks = _list(path, "subrate_sinks", obj.get("subrate_sinks", []))
+        edges.append((_node(path, "edges", e[0]), _node(path, "edges", e[1])))
+    sinks = [_node(path, "sinks", t) for t in _list(path, "sinks", obj["sinks"])]
+    subrate_sinks = [_node(path, "subrate_sinks", t)
+                     for t in _list(path, "subrate_sinks", obj.get("subrate_sinks", []))]
     both = [t for t in subrate_sinks if t in sinks]
     if both:
         raise ValueError(f"nodes listed as both sink and subrate sink: {both}")
-    net = Network(nodes, edges, obj["source"], sinks + subrate_sinks, rate, field)
+    net = Network(nodes, edges, _node(path, "source", obj["source"]), sinks + subrate_sinks,
+                  rate, field)
     return net, sinks, subrate_sinks
 
 
@@ -124,8 +134,8 @@ def code_to_obj(net: Network, code: LinearCode) -> dict:
         "gek": {str(e): list(v) for e, v in code.gek.items()},
         "lek": {
             str(n): {
-                "in": sorted(net.in_edges[n]),
-                "out": sorted(net.out_edges[n]),
+                "in": net.in_edges[n],
+                "out": net.out_edges[n],
                 "k": code.lek[n].to_lists(),
             }
             for n in net.nodes
@@ -158,8 +168,7 @@ def load_code(path: str, net: Network) -> LinearCode:
         if entry is None:
             raise ValueError(f"code has no local kernel for node {n!r}")
         _check_keys(entry, ["in", "out", "k"], [], f"local kernel of {n!r}")
-        ins = sorted(net.in_edges[n])
-        outs = sorted(net.out_edges[n])
+        ins, outs = net.in_edges[n], net.out_edges[n]
         if entry["in"] != ins or entry["out"] != outs:
             raise ValueError(f"local kernel of {n!r} lists different edges than the network")
         if len(_matrix(path, f"lek.{n}.k", entry["k"])) != len(ins):

@@ -128,13 +128,6 @@ def row_times(v: Sequence[int], A: Mat) -> Vec:
     return tuple(sum(vi * A.data[i][j] for i, vi in enumerate(v)) % p for j in range(A.cols))
 
 
-def times_col(A: Mat, v: Sequence[int]) -> Vec:
-    if len(v) != A.cols:
-        raise ValueError("length mismatch")
-    p = A.field.p
-    return tuple(sum(a * b for a, b in zip(row, v)) % p for row in A.data)
-
-
 def _rref(field: FieldSpec, rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:
     """In-place reduced row echelon form.  Returns (rows, pivot column list)."""
     p = field.p
@@ -347,17 +340,3 @@ def complete_basis(V: Subspace) -> Mat:
             added.append(e)
             r += 1
     return Mat.from_cols(field, added, nrows=n)
-
-
-def change_basis_to_targets(B_t: Mat, targets: Mat) -> Mat:
-    """Square invertible D with B_t @ D = targets.
-
-    Requires B_t to have full column rank, targets to lie in span(B_t)
-    and to be as many independent vectors as rank(B_t).
-    """
-    if targets.cols != B_t.cols:
-        raise ValueError("need as many targets as columns of B_t")
-    D = solve_columns(B_t, targets)
-    if rank(D) != D.cols:
-        raise ValueError("targets are linearly dependent")
-    return D

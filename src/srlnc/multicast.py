@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import ContractViolation, Mat, rank_of_vectors, invert, row_times
-from .netgraph import Network, max_flow, topo_order
+from .netgraph import Network, max_flow
 
 Node = Hashable
 Vec = Tuple[int, ...]
@@ -48,9 +48,7 @@ class Gem:
 
 @dataclass(frozen=True)
 class SimTrace:
-    input: Vec
     edge_symbols: Dict[int, int]
-    sink_outputs: Dict[Node, Vec]
 
 
 def _unit(r: int, j: int) -> Vec:
@@ -116,9 +114,7 @@ def build_multicast(net: Network, sinks: Sequence[Node], seed: int = 0) -> Linea
     frontier: Dict[Node, List[int]] = {t: [pth[0] for pth in paths[t]] for t in sinks}
 
     rng = random.Random(seed)
-    order = topo_order(net)
-    topo_index = {n: i for i, n in enumerate(order)}
-    for e in sorted(range(len(net.edges)), key=lambda e: (topo_index[net.tail(e)], e)):
+    for e in [e for n in net.order for e in net.out_edges[n]]:
         users = on_edge.get(e)
         if not users:
             gek[e] = (0,) * r
@@ -149,8 +145,7 @@ def build_multicast(net: Network, sinks: Sequence[Node], seed: int = 0) -> Linea
 
     lek: Dict[Node, Mat] = {}
     for x in net.nodes:
-        ins = sorted(net.in_edges[x])
-        outs = sorted(net.out_edges[x])
+        ins, outs = net.in_edges[x], net.out_edges[x]
         k = [[coeffs.get(e, {}).get(d, 0) for e in outs] for d in ins]
         lek[x] = Mat(field, k, cols=len(outs))
 
@@ -168,8 +163,7 @@ def _check_consistent(net: Network, code: LinearCode) -> None:
         if code.gek[-(j + 1)] != _unit(r, j):
             raise ContractViolation(f"encoding kernels inconsistent at edge {-(j + 1)}")
     for x in net.nodes:
-        ins = sorted(net.in_edges[x])
-        outs = sorted(net.out_edges[x])
+        ins, outs = net.in_edges[x], net.out_edges[x]
         k = code.lek[x]
         for jc, e in enumerate(outs):
             want = tuple(
@@ -191,7 +185,7 @@ def extract_gem(code: LinearCode, net: Network, t: Node) -> Gem:
     target = min(h, r)
     chosen: List[int] = []
     vecs: List[Vec] = []
-    for e in sorted(net.in_edges[t]):
+    for e in net.in_edges[t]:
         if len(chosen) == target:
             break
         v = code.gek[e]
@@ -219,14 +213,12 @@ def simulate(net: Network, code: LinearCode, P: Optional[Mat], v: Sequence[int])
     v = tuple(x % p for x in v)
     x = row_times(v, P) if P is not None else v
     sym: Dict[int, int] = {-(j + 1): x[j] for j in range(r)}
-    for node in topo_order(net):
-        ins = sorted(net.in_edges[node])
-        outs = sorted(net.out_edges[node])
+    for node in net.order:
+        ins = net.in_edges[node]
         k = code.lek[node]
-        for jc, e in enumerate(outs):
+        for jc, e in enumerate(net.out_edges[node]):
             sym[e] = sum(k.data[ji][jc] * sym[d] for ji, d in enumerate(ins)) % p
-    outputs = {t: tuple(sym[d] for d in sorted(net.in_edges[t])) for t in net.sinks}
-    return SimTrace(input=v, edge_symbols=sym, sink_outputs=outputs)
+    return SimTrace(edge_symbols=sym)
 
 
 def decode_full_rate(gem: Gem, P: Optional[Mat], received: Sequence[int]) -> Vec:

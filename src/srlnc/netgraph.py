@@ -20,11 +20,14 @@ class Network:
 
     Real edges get ids 0..len(edges)-1 (their position in the edge list).
     The r imaginary links from the implicit upstream source carry the
-    reserved ids -1..-r and all enter `source`.
+    reserved ids -1..-r and are the only edges into `source`.  Every
+    `in_edges`/`out_edges` list is in ascending id order, so the imaginary
+    links come as -r..-1.  `order` is the topological order of the nodes,
+    computed once here: a cyclic edge set raises `CycleDetected`.
     """
 
     __slots__ = ("nodes", "edges", "source", "sinks", "rate", "field",
-                 "in_edges", "out_edges")
+                 "in_edges", "out_edges", "order")
 
     def __init__(self, nodes: Sequence[Node], edges: Sequence[Tuple[Node, Node]],
                  source: Node, sinks: Sequence[Node], rate: int, field: FieldSpec):
@@ -56,11 +59,8 @@ class Network:
         for e, (t, h) in enumerate(edges):
             self.out_edges[t].append(e)
             self.in_edges[h].append(e)
-        # imaginary links, ascending id
         self.in_edges[source] = list(range(-rate, 0))
-
-    def imaginary_ids(self) -> List[int]:
-        return list(range(-self.rate, 0))
+        self.order: Tuple[Node, ...] = tuple(topo_order(self))
 
     def tail(self, e: int) -> Node:
         return self.edges[e][0]

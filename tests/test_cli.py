@@ -499,6 +499,33 @@ def test_network_lists_must_be_lists(tmp_path, capsys, key, value):
     _one_error_line(capsys, "bad.json", f"{key} must be a list")
 
 
+_BUTTERFLY_TAIL_EDGES = BUTTERFLY["edges"][1:]
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"source": [1]}, "source"),
+    ({"sinks": [6, [7]]}, "sinks"),
+    ({"edges": [[[1], 2]] + _BUTTERFLY_TAIL_EDGES}, "edges"),
+    ({"nodes": BUTTERFLY["nodes"] + [{"a": 1}]}, "nodes"),
+    ({"edges": [[1.0, 2]] + _BUTTERFLY_TAIL_EDGES}, "edges"),
+    ({"source": True, "nodes": [True] + BUTTERFLY["nodes"][1:]}, "nodes"),
+], ids=["source-list", "sink-list", "endpoint-list", "node-object", "endpoint-float",
+        "source-and-node-true"])
+def test_node_ids_must_be_integers_or_strings(tmp_path, capsys, change, field):
+    bad = write(tmp_path, "bad.json", dict(BUTTERFLY, **change))
+    assert main(["code", bad]) == 2
+    _one_error_line(capsys, "bad.json", f"{field}: node ids must be integers or strings")
+
+
+@pytest.mark.parametrize("argv, p", [(["code"], 3), (["code"], 5), (["maxflow", "8"], 3)],
+                         ids=["code-GF3", "code-GF5", "maxflow"])
+def test_a_cyclic_network_exits_2_whatever_the_field(tmp_path, capsys, argv, p):
+    cyclic = dict(BUTTERFLY, field=p, edges=BUTTERFLY["edges"] + [[8, 2], [2, 8]])
+    net = write(tmp_path, "net.json", cyclic)
+    assert main(argv[:1] + [net] + argv[1:]) == 2
+    assert capsys.readouterr().err == "error: graph has a directed cycle\n"
+
+
 @pytest.mark.parametrize("block", [False, True])
 def test_non_square_precoder_exits_2(tmp_path, capsys, block):
     net, code, plan = _pipeline_files(tmp_path, block)

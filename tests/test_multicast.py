@@ -201,7 +201,7 @@ def test_hand_code_simulation():
         for b in (0, 1):
             trace = simulate(net, code, None, (a, b))
             assert trace.edge_symbols[6] == (a + b) % 2  # the coded middle edge
-            assert trace.sink_outputs[8] == ((a + b) % 2,)
+            assert trace.edge_symbols[9] == (a + b) % 2  # sink 8's only input
             for t in (6, 7):
                 y = tuple(trace.edge_symbols[e] for e in gems[t].used_edges)
                 assert decode_full_rate(gems[t], None, y) == (a, b)

@@ -24,7 +24,6 @@ def test_network_validation():
 
 def test_imaginary_links():
     net = butterfly()
-    assert net.imaginary_ids() == [-2, -1]
     assert net.in_edges[1] == [-2, -1]
     assert net.tail(0) == 1 and net.head(0) == 2
 
@@ -38,11 +37,10 @@ def test_topo_order_butterfly():
         assert pos[t] < pos[h]
 
 
-def test_topo_order_rejects_cycle():
-    net = Network(nodes=[0, 1, 2], edges=[(0, 1), (1, 2), (2, 1)],
-                  source=0, sinks=[2], rate=1, field=GF3)
+def test_network_rejects_cycle():
     with pytest.raises(CycleDetected):
-        topo_order(net)
+        Network(nodes=[0, 1, 2], edges=[(0, 1), (1, 2), (2, 1)],
+                source=0, sinks=[2], rate=1, field=GF3)
 
 
 def test_max_flow_butterfly():
@@ -105,6 +103,20 @@ def small_dags(draw):
     edges = draw(st.lists(st.sampled_from(pairs), min_size=0, max_size=8))
     return Network(nodes=list(range(n)), edges=edges, source=0, sinks=[n - 1],
                    rate=1, field=GF2)
+
+
+@given(small_dags(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_order_and_edge_lists_are_what_walkers_rely_on(dag, rnd):
+    nodes = list(dag.nodes)
+    rnd.shuffle(nodes)
+    net = Network(nodes=nodes, edges=dag.edges, source=0, sinks=dag.sinks, rate=2, field=GF2)
+    assert sorted(net.order) == sorted(nodes)
+    pos = {n: i for i, n in enumerate(net.order)}
+    assert all(pos[t] < pos[h] for t, h in net.edges)
+    for lists in (net.in_edges, net.out_edges):
+        assert all(es == sorted(es) for es in lists.values())
+    assert net.in_edges[0] == [-2, -1]
 
 
 @given(small_dags())

@@ -1,0 +1,107 @@
+"""Compare two source trees' outputs on every op of the benchmark pools.
+
+    python3 tools/pool_digests.py PARENT_TREE CHANGED_TREE
+
+Each tree is a checkout with `src/` and `perfbench/`.  Each runs in its own
+subprocess that imports that tree's `srlnc` and `perfbench/run.py`, builds
+every pool with that tree's `WORKLOADS` (all four workloads at seed 701,
+gem-block also at 711), and runs each op's stages through `Runner.call`,
+after writing its inputs with `_write`.  Both trees use the same fixed work
+directory, because the simulate report embeds its `--out` path.
+
+Compared per op: each stage's exit code and stderr, and the sha256 of each
+output file; per pool, the set-up's CLI calls and the files it left.  Every
+op that differs is printed, and the exit status is 1 if any op differs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List
+
+POOLS = [("net-pipeline", 701), ("sim-stream", 701), ("gem-precode", 701),
+         ("gem-block", 701), ("gem-block", 711)]
+
+
+def _sha(path: Path):
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
+
+
+def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
+    """Run in a fresh interpreter: every pool of `tree`, keyed by op."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import srlnc.cli
+    import run
+    if Path(srlnc.cli.__file__).resolve().parent != (tree / "src" / "srlnc").resolve():
+        raise SystemExit(f"pool_digests: imported srlnc from outside {tree}")
+    runner = run.Runner(srlnc.cli)
+    out: Dict[str, dict] = {}
+    for name, seed in POOLS:
+        pool_dir = work / f"{name}-{seed}"
+        shutil.rmtree(pool_dir, ignore_errors=True)
+        pool_dir.mkdir(parents=True)
+        calls: List[list] = []
+
+        def setup_call(argv):
+            rc, msg = runner.call(argv)
+            calls.append([argv, rc, msg])
+            return rc, msg
+
+        ops = run.WORKLOADS[name](random.Random(seed), pool_dir, setup_call)
+        out[f"{name}@{seed} set-up"] = {
+            "calls": calls, "files": {p.name: _sha(p) for p in sorted(pool_dir.iterdir())}}
+        for i, op in enumerate(ops):
+            for path in op.outputs:
+                path.unlink(missing_ok=True)
+            for path, obj in op.inputs.items():
+                run._write(path, obj)
+            stages = []
+            for argv in op.stages:
+                rc, msg = runner.call(argv)
+                stages.append([rc, msg])
+                if rc != 0:
+                    break
+            out[f"{name}@{seed} #{i} {op.label}"] = {
+                "stages": stages, "outputs": {p.name: _sha(p) for p in op.outputs}}
+    return out
+
+
+def _run_tree(tree: Path, work: Path) -> Dict[str, dict]:
+    proc = subprocess.run([sys.executable, __file__, "--digest", str(tree), str(work)],
+                          capture_output=True, text=True, cwd=tree)
+    if proc.returncode != 0:
+        raise SystemExit(f"pool_digests: {tree} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv: List[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--digest":
+        json.dump(digest_tree(Path(argv[1]).resolve(), Path(argv[2])), sys.stdout)
+        return 0
+    if len(argv) != 2:
+        print("usage: python3 tools/pool_digests.py PARENT_TREE CHANGED_TREE", file=sys.stderr)
+        return 2
+    work = Path(tempfile.mkdtemp(prefix="pool_digests-"))
+    try:
+        parent, changed = (_run_tree(Path(t).resolve(), work) for t in argv)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    differ = 0
+    for key in list(parent) + [k for k in changed if k not in parent]:
+        if parent.get(key) != changed.get(key):
+            differ += 1
+            print(f"differs: {key}\n  parent:  {json.dumps(parent.get(key))}\n"
+                  f"  changed: {json.dumps(changed.get(key))}")
+    print(f"{len(parent)} parent and {len(changed)} changed entries compared, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
