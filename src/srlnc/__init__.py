@@ -39,7 +39,6 @@ from .subrate import (
     GemSet,
     NotFullyDecodable,
     SearchSpaceTooLarge,
-    SpannerCertificate,
     build_spanner,
     comd,
     compol,
@@ -83,7 +82,7 @@ __all__ = [
     "RateExceedsSourceDegree", "SimTrace", "build_multicast",
     "decode_full_rate", "extract_gem", "simulate",
     "ConstructionFailed", "GemSet", "NotFullyDecodable", "SearchSpaceTooLarge",
-    "SpannerCertificate", "build_spanner", "comd", "compol", "comss_c",
+    "build_spanner", "comd", "compol", "comss_c",
     "comss_exhaustive", "fsrd_check", "is_exact_spanner",
     "minimal_exact_spanner", "projective_rep", "subspace_lines",
     "BlockDesign", "BlockPlan", "BlockSinkPlan", "InfeasibleDesign",

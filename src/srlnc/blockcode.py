@@ -173,7 +173,7 @@ def build_precoder(gems: GemSet, full_rate: Sequence[Mat] = (),
             raise ValueError("supplied spanner vectors must be independent")
     else:
         try:
-            V = list(build_spanner(gems, i_bar).spanner)
+            V = list(build_spanner(gems, i_bar))
         except ConstructionFailed:
             V = minimal_exact_spanner(gems)
             # The r columns of an inverse precoder would themselves be an

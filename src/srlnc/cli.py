@@ -96,9 +96,7 @@ def _integers(path: str, field: str, values) -> list:
 
 def _matrix(path: str, field: str, grid) -> list:
     """A JSON list of rows of integers."""
-    if not isinstance(grid, list):
-        raise ValueError(f"{path}: {field} must be a list of rows, got {json.dumps(grid)}")
-    for row in grid:
+    for row in _list(path, field, grid):
         _integers(path, field, row)
     return grid
 
@@ -111,6 +109,10 @@ def load_network(path: str) -> Tuple[Network, List, List]:
     field = FieldSpec(_integer(path, "field", obj["field"]))
     rate = _integer(path, "rate", obj["rate"])
     nodes = [_node(path, "nodes", n) for n in _list(path, "nodes", obj["nodes"])]
+    names = [str(n) for n in nodes]
+    if len(set(names)) < len(names):
+        dup = next(name for name in names if names.count(name) > 1)
+        raise ValueError(f"{path}: nodes: node ids must have distinct names, {dup!r} repeats")
     edges = []
     for e in _list(path, "edges", obj["edges"]):
         if not isinstance(e, list) or len(e) != 2:
@@ -171,9 +173,11 @@ def load_code(path: str, net: Network) -> LinearCode:
         ins, outs = net.in_edges[n], net.out_edges[n]
         if entry["in"] != ins or entry["out"] != outs:
             raise ValueError(f"local kernel of {n!r} lists different edges than the network")
-        if len(_matrix(path, f"lek.{n}.k", entry["k"])) != len(ins):
-            raise ValueError(f"{path}: lek.{n}.k must have {len(ins)} rows, one per input")
-        lek[n] = Mat(net.field, entry["k"], cols=len(outs))
+        rows = _matrix(path, f"lek.{n}.k", entry["k"])
+        if len(rows) != len(ins) or any(len(row) != len(outs) for row in rows):
+            raise ValueError(f"{path}: lek.{n}.k must have {len(ins)} rows, one per input, "
+                             f"of {len(outs)} entries, one per output")
+        lek[n] = Mat(net.field, rows, cols=len(outs))
     code = LinearCode(rate=r, gek=gek, lek=lek)
     _check_consistent(net, code)
     return code
@@ -184,11 +188,16 @@ def load_gems(path: str) -> Tuple[GemSet, Optional[List[Tuple[int, ...]]]]:
     _check_keys(obj, ["p", "rate", "mats"], ["spanner"], "gems file")
     field = FieldSpec(_integer(path, "p", obj["p"]))
     rate = _integer(path, "rate", obj["rate"])
-    mats = [Mat(field, _matrix(path, f"mats[{i}]", grid)) for i, grid in enumerate(obj["mats"])]
-    gems = GemSet(mats, rate)
+    grids = [_matrix(path, f"mats[{i}]", g) for i, g in enumerate(_list(path, "mats", obj["mats"]))]
+    try:
+        gems = GemSet([Mat(field, grid) for grid in grids], rate)
+    except ValueError as exc:
+        raise ValueError(f"{path}: mats: {exc}") from None
     spanner = None
     if "spanner" in obj:
-        spanner = [tuple(_integer(path, "spanner", x) for x in v) for v in obj["spanner"]]
+        spanner = [tuple(v) for v in _matrix(path, "spanner", obj["spanner"])]
+        if any(len(v) != rate for v in spanner):
+            raise ValueError(f"{path}: spanner vectors must have length {rate}")
     return gems, spanner
 
 
@@ -263,10 +272,7 @@ def _sink_gems(net: Network, code: LinearCode, sinks: Sequence, subrate_sinks: S
 
 def _resolve_node(net: Network, name: str):
     """argv gives strings; network files may name nodes with ints."""
-    for n in net.nodes:
-        if str(n) == name:
-            return n
-    return name
+    return next((n for n in net.nodes if str(n) == name), name)
 
 
 def cmd_maxflow(args) -> int:
@@ -530,7 +536,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             SearchSpaceTooLarge, InfeasibleDesign) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ContractViolation, ConstructionFailed) as exc:

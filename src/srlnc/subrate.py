@@ -9,7 +9,6 @@ that `blockcode` turns into precoders and block plans.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import (
@@ -131,15 +130,16 @@ class GemSet:
         return self.mats[i].cols
 
     def intersection(self, idxs: FrozenSet[int]) -> Subspace:
+        """The spans folded over ascending indices, from the cached fold of all but the last."""
         idxs = frozenset(idxs)
         if not idxs:
             raise ValueError("empty index set")
         got = self._inter_cache.get(idxs)
         if got is None:
-            it = iter(sorted(idxs))
-            got = self.spans[next(it)]
-            for i in it:
-                got = subspace_intersect(got, self.spans[i])
+            last = max(idxs)
+            rest = idxs - {last}
+            got = (subspace_intersect(self.intersection(rest), self.spans[last]) if rest
+                   else self.spans[last])
             self._inter_cache[idxs] = got
         return got
 
@@ -172,23 +172,27 @@ def is_exact_spanner(V: Sequence[Sequence[int]], gems: GemSet) -> bool:
     return True
 
 
+def _comss(gems: GemSet) -> Tuple[int, ...]:
+    """comss_1..comss_k in one pass.  The bracket of a member set S, the
+    signed sum of dim(intersection of T) over the supersets T of S, is the
+    superset Moebius transform of the intersection dimensions by bit mask;
+    comss_c sums the c-member brackets, each clamped at 0."""
+    k, full = gems.k, 1 << gems.k
+    f = [0] + [gems.intersection(frozenset(i for i in range(k) if m >> i & 1)).dim
+               for m in range(1, full)]
+    for bit in (1 << i for i in range(k)):
+        for m in range(full):
+            if m & bit:
+                f[m ^ bit] -= f[m]
+    return tuple(sum(max(f[m], 0) for m in range(1, full) if m.bit_count() == c)
+                 for c in range(1, k + 1))
+
+
 def comss_c(gems: GemSet, c: int) -> int:
-    """Inclusion-exclusion count of level-c commonality, one clamped bracket
-    per (k-c)-subset of dropped members."""
-    k = gems.k
-    if not 1 <= c <= k:
-        raise ValueError(f"need 1 <= c <= {k}")
-    idx = range(k)
-    total = 0
-    for removed in itertools.combinations(idx, k - c):
-        comp = frozenset(i for i in idx if i not in removed)
-        term = 0
-        for jsz in range(len(removed) + 1):
-            sign = 1 if jsz % 2 == 0 else -1
-            for J in itertools.combinations(removed, jsz):
-                term += sign * gems.intersection(comp | frozenset(J)).dim
-        total += max(term, 0)
-    return total
+    """Level-c commonality: the clamped brackets of the c-member sets, summed."""
+    if not 1 <= c <= gems.k:
+        raise ValueError(f"need 1 <= c <= {gems.k}")
+    return _comss(gems)[c - 1]
 
 
 def compol(gems: GemSet, i_bar: Sequence[int]) -> int:
@@ -198,21 +202,19 @@ def compol(gems: GemSet, i_bar: Sequence[int]) -> int:
 
 
 def fsrd_check(gems: GemSet) -> Optional[Tuple[int, ...]]:
-    """First feasible degree profile, searched with high-commonality mass first.
+    """The greatest feasible degree profile, compared from level k down, or None.
 
     Feasible means compol(i_bar) >= sum of member dimensions and
-    sum(i_bar) <= dim of the total span.
-    """
-    k = gems.k
-    caps = [comss_c(gems, c) for c in range(1, k + 1)]
-    need = sum(gems.h(i) for i in range(k))
-    limit = gems.total_span().dim
-    ranges = [range(caps[c], -1, -1) for c in range(k - 1, -1, -1)]
-    for rev in itertools.product(*ranges):
-        i_bar = tuple(reversed(rev))
-        if compol(gems, i_bar) >= need and sum(i_bar) <= limit:
-            return i_bar
-    return None
+    sum(i_bar) <= dim of the total span.  Filling each level from c = k
+    down with as much as fits gives that profile: it also has the largest
+    compol, as a vector of degree c outweighs any of lower degree."""
+    caps = _comss(gems)
+    room = gems.total_span().dim
+    i_bar = [0] * gems.k
+    for c in reversed(range(gems.k)):
+        i_bar[c] = min(caps[c], room)
+        room -= i_bar[c]
+    return tuple(i_bar) if compol(gems, i_bar) >= sum(gems.h(i) for i in range(gems.k)) else None
 
 
 def comss_exhaustive(gems: GemSet, cap: int = 10_000) -> int:
@@ -318,14 +320,7 @@ def _reduce(v: Vec, rows: List[Tuple[int, List[int]]], p: int) -> Optional[Tuple
     return None
 
 
-@dataclass(frozen=True)
-class SpannerCertificate:
-    i_bar: Tuple[int, ...]
-    spanner: Tuple[Vec, ...]
-    comss_values: Tuple[int, ...]
-
-
-def build_spanner(gems: GemSet, i_bar: Sequence[int]) -> SpannerCertificate:
+def build_spanner(gems: GemSet, i_bar: Sequence[int]) -> Tuple[Vec, ...]:
     """Collect i_bar[c] independent vectors of commonality degree c, walking
     c downward, the c-member intersections in complement-ascending order
     and the lines of each in sorted order.
@@ -339,7 +334,7 @@ def build_spanner(gems: GemSet, i_bar: Sequence[int]) -> SpannerCertificate:
     k = gems.k
     if len(i_bar) != k:
         raise ValueError("i_bar length must equal the number of members")
-    caps = tuple(comss_c(gems, c) for c in range(1, k + 1))
+    caps = _comss(gems)
     for c in range(1, k + 1):
         if i_bar[c - 1] > caps[c - 1]:
             raise ValueError(f"i_bar[{c}]={i_bar[c - 1]} exceeds level size {caps[c - 1]}")
@@ -373,5 +368,5 @@ def build_spanner(gems: GemSet, i_bar: Sequence[int]) -> SpannerCertificate:
             raise ConstructionFailed(f"could not collect {need} degree-{c} vectors")
     if not is_exact_spanner(V, gems):
         raise ConstructionFailed("collected vectors do not form an exact spanner")
-    return SpannerCertificate(i_bar=tuple(i_bar), spanner=tuple(V), comss_values=caps)
+    return tuple(V)
 

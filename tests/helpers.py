@@ -429,6 +429,47 @@ def reference_minimal_exact_spanner(gems: GemSet,
     raise AssertionError("the union of member bases always spans exactly")
 
 
+def reference_comss_c(gems: GemSet, c: int) -> int:
+    """Inclusion-exclusion count of level-c commonality, one clamped bracket
+    per (k-c)-subset of dropped members: 3^k - 2^k signed intersection
+    dimensions over the k levels."""
+    k = gems.k
+    if not 1 <= c <= k:
+        raise ValueError(f"need 1 <= c <= {k}")
+    idx = range(k)
+    total = 0
+    for removed in itertools.combinations(idx, k - c):
+        comp = frozenset(i for i in idx if i not in removed)
+        term = 0
+        for jsz in range(len(removed) + 1):
+            sign = 1 if jsz % 2 == 0 else -1
+            for J in itertools.combinations(removed, jsz):
+                term += sign * gems.intersection(comp | frozenset(J)).dim
+        total += max(term, 0)
+    return total
+
+
+def reference_fsrd_check(gems: GemSet) -> Optional[Tuple[int, ...]]:
+    """First feasible degree profile, searched with high-commonality mass
+    first over all prod(comss_c + 1) profiles.
+
+    Feasible means compol(i_bar) >= sum of member dimensions and
+    sum(i_bar) <= dim of the total span.
+    """
+    from srlnc import compol
+
+    k = gems.k
+    caps = [reference_comss_c(gems, c) for c in range(1, k + 1)]
+    need = sum(gems.h(i) for i in range(k))
+    limit = gems.total_span().dim
+    ranges = [range(caps[c], -1, -1) for c in range(k - 1, -1, -1)]
+    for rev in itertools.product(*ranges):
+        i_bar = tuple(reversed(rev))
+        if compol(gems, i_bar) >= need and sum(i_bar) <= limit:
+            return i_bar
+    return None
+
+
 def reference_subspace_lines(S: Subspace) -> List[Vec]:
     """Every vector of S listed, scaled to its projective representative,
     deduplicated and sorted."""

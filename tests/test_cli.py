@@ -1,12 +1,17 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srlnc import FieldSpec, Mat, lift_block
 from srlnc.cli import main
@@ -383,6 +388,15 @@ def test_local_kernels_need_one_row_per_input(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "precode"])
+def test_local_kernel_rows_need_one_entry_per_output(tmp_path, capsys, command):
+    net, code, plan = _pipeline_files(tmp_path, block=False)
+    _edit(code, lambda obj: obj["lek"]["5"]["k"][0].append(0))
+    capsys.readouterr()
+    assert main([command, net, code]) == 2
+    _one_error_line(capsys, "code.json", "lek.5.k must have 1 rows, one per input, of 3 entries")
+
+
+@pytest.mark.parametrize("command", ["simulate", "precode"])
 @pytest.mark.parametrize("sinks, subrate_sinks, fragment", [
     ([6, 7, 8], [], "sink 8 has max-flow below the rate"),
     ([7], [8, 6], "subrate sink 6 reaches the full rate"),
@@ -526,6 +540,18 @@ def test_a_cyclic_network_exits_2_whatever_the_field(tmp_path, capsys, argv, p):
     assert capsys.readouterr().err == "error: graph has a directed cycle\n"
 
 
+@pytest.mark.parametrize("nodes, edges, named", [
+    ([1, "1", 2], [[1, "1"], ["1", 2]], "'1' repeats"),
+    ([1, 2, 2], [[1, 2]], "'2' repeats"),
+], ids=["int-and-string", "exact-duplicate"])
+def test_node_ids_need_distinct_names(tmp_path, capsys, nodes, edges, named):
+    # code files, plans, reports and argv all name a node by str(id)
+    net = write(tmp_path, "net.json", {"field": 3, "rate": 1, "nodes": nodes, "edges": edges,
+                                       "source": 1, "sinks": [2]})
+    assert main(["code", net]) == 2
+    _one_error_line(capsys, "net.json: nodes: node ids must have distinct names, ", named)
+
+
 @pytest.mark.parametrize("block", [False, True])
 def test_non_square_precoder_exits_2(tmp_path, capsys, block):
     net, code, plan = _pipeline_files(tmp_path, block)
@@ -638,6 +664,23 @@ def test_non_integer_gems_entries_exit_2(tmp_path, capsys, value):
     _one_error_line(capsys, "bad.json", "mats[1] must be an integer")
 
 
+@pytest.mark.parametrize("change, fragment", [
+    ({"mats": 5}, "mats must be a list, got 5"),
+    ({"mats": []}, "mats: need at least one matrix"),
+    ({"mats": [[[1], [0]]]}, "mats: matrix has 2 rows, rate is 3"),
+    ({"mats": [[[1], [0], [1, 0]]]}, "mats: ragged rows"),
+    ({"mats": [[[1, 2], [1, 2], [0, 0]]]}, "mats: matrix columns are dependent"),
+    ({"spanner": 5}, "spanner must be a list, got 5"),
+    ({"spanner": [[1, 0]]}, "spanner vectors must have length 3"),
+    ({"spanner": [5]}, "spanner must be a list, got 5"),
+], ids=["mats-int", "mats-empty", "mats-short", "mats-ragged", "mats-dependent",
+        "spanner-int", "spanner-short", "spanner-vector-int"])
+def test_malformed_gems_exit_2(tmp_path, capsys, change, fragment):
+    gems = write(tmp_path, "bad.json", dict(THREE_PLANES_GEMS, **change))
+    assert main(["precode", "--gems", gems]) == 2
+    _one_error_line(capsys, "bad.json: ", fragment)
+
+
 @pytest.mark.parametrize("where, value", [
     ("gek", 1.5), ("gek", True), ("gek", "1"), ("lek", 1.5), ("lek", "a"),
 ])
@@ -723,3 +766,58 @@ def test_precode_coordinate_hyperplanes_over_large_fields(tmp_path, p, r, omit, 
     obj = read(out)
     assert obj["spanner"] == spanner
     assert obj["i_bar"] == [2, r - 2]
+
+
+# ---------------------------------------------------------------- mutated inputs
+
+_MUTANTS = [None, 0, 5, -1, 10 ** 6, "x", "1", "", 1.5, True, [], [1], [[1]], {}, {"a": 1}]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """The butterfly with its code and subrate plan, the fan network with
+    its code and block plan, and a gems file, each with the commands that
+    read it; a file's command lines name it as FILE."""
+    cases = []
+    for block in (False, True):
+        base = tmp_path_factory.mktemp("block" if block else "subrate")
+        net, code, plan = _pipeline_files(base, block)
+        precode = ["precode", net, code] + (["--block", "3"] if block else [])
+        simulate = ["simulate", net, code, plan, "--trials", "2"]
+        runs = {net: [["code", net], ["maxflow", net, "11" if block else "8"], precode,
+                      simulate],
+                code: [precode, simulate],
+                plan: [simulate]}
+        for path, argvs in runs.items():
+            cases.append((read(path), [[a if a != path else "FILE" for a in argv]
+                                       for argv in argvs]))
+    cases.append((THREE_PLANES_GEMS, [["precode", "--gems", "FILE"],
+                                      ["precode", "--gems", "FILE", "--block", "2"]]))
+    return cases
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_inputs_end_in_one_line_and_a_known_exit_code(fuzz_files, data):
+    obj, argvs = data.draw(st.sampled_from(fuzz_files))
+    mutant = json.loads(json.dumps(obj))
+    # walk down from the root, stopping at each level with even odds, and
+    # replace the value reached
+    holder, key = None, None
+    node = mutant
+    while isinstance(node, (dict, list)) and node and (holder is None
+                                                       or data.draw(st.booleans())):
+        holder = node
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        node = holder[key]
+    holder[key] = data.draw(st.sampled_from(_MUTANTS))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutant.json")
+        Path(path).write_text(json.dumps(mutant))
+        for argv in argvs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main([path if a == "FILE" else a for a in argv])
+            assert rc in (0, 2, 3, 4), (argv, key, rc)
+            assert len(err.getvalue().splitlines()) == (rc != 0), (argv, key, err.getvalue())

@@ -29,6 +29,7 @@ from srlnc import (
     rank,
     rank_of_vectors,
     row_times,
+    subspace_intersect,
     subspace_lines,
 )
 
@@ -46,6 +47,8 @@ from helpers import (
     mat_cols,
     random_gemset,
     reference_build_spanner,
+    reference_comss_c,
+    reference_fsrd_check,
     reference_minimal_exact_spanner,
     reference_subspace_lines,
 )
@@ -230,20 +233,18 @@ def test_minimal_spanner_respects_cap():
 
 def test_build_spanner_collects_intersection_lines():
     g = gems_three_planes()
-    cert = build_spanner(g, (0, 3, 0))
-    assert cert.i_bar == (0, 3, 0)
-    assert cert.comss_values == (0, 3, 0)
-    assert cert.spanner == ((1, 2, 2), (1, 1, 0), (1, 1, 1))
-    assert is_exact_spanner(cert.spanner, g)
-    assert all(comd(v, g) == 2 for v in cert.spanner)
+    V = build_spanner(g, (0, 3, 0))
+    assert V == ((1, 2, 2), (1, 1, 0), (1, 1, 1))
+    assert is_exact_spanner(V, g)
+    assert all(comd(v, g) == 2 for v in V)
 
 
 def test_build_spanner_two_members():
     g = gems_hyperplanes(GF3, 3, 2)
-    cert = build_spanner(g, (2, 1))
-    assert is_exact_spanner(cert.spanner, g)
-    assert rank_of_vectors(GF3, cert.spanner) == 3
-    assert comd(cert.spanner[0], g) == 2
+    V = build_spanner(g, (2, 1))
+    assert is_exact_spanner(V, g)
+    assert rank_of_vectors(GF3, V) == 3
+    assert comd(V[0], g) == 2
 
 
 def test_build_spanner_rejects_oversized_levels():
@@ -277,7 +278,7 @@ def test_build_spanner_matches_the_reference_construction(p, r, k_max, feasible,
             with pytest.raises(ConstructionFailed, match=f"^{re.escape(str(exc))}$"):
                 build_spanner(g, i_bar)
         else:
-            assert list(build_spanner(g, i_bar).spanner) == want
+            assert list(build_spanner(g, i_bar)) == want
 
 
 # ---------------------------------------------------------------- feasibility
@@ -288,6 +289,41 @@ def test_fsrd_check_results():
     assert fsrd_check(gems_four_planes()) is None
     single = GemSet([mat_cols(GF3, (1, 1, 0), (0, 0, 1))], rate=3)
     assert fsrd_check(single) == (2,)
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(2, 5), st.integers(1, 6),
+       st.booleans(), st.integers())
+@settings(max_examples=200, deadline=None)
+def test_levels_and_profile_match_the_brute_force_references(p, r, k_max, feasible, seed):
+    make = feasible_gemset if feasible else random_gemset
+    g = make(random.Random(seed), FieldSpec(p), r, k_max)
+    for size in range(1, g.k + 1):
+        for S in itertools.combinations(range(g.k), size):
+            want = g.spans[S[0]]
+            for i in S[1:]:
+                want = subspace_intersect(want, g.spans[i])
+            assert g.intersection(frozenset(S)) == want
+    assert ([comss_c(g, c) for c in range(1, g.k + 1)]
+            == [reference_comss_c(g, c) for c in range(1, g.k + 1)])
+    assert fsrd_check(g) == reference_fsrd_check(g)
+
+
+def test_many_weak_sinks_are_fast():
+    # twelve members of GF(5)^8, each spanned by a distinct subset of one
+    # random basis; the brute-force levels take about 4 s here
+    basis = [(1, 4, 4, 1, 2, 4, 3, 4), (0, 4, 0, 3, 2, 4, 1, 1), (3, 4, 4, 3, 3, 1, 1, 1),
+             (4, 3, 0, 0, 1, 4, 0, 2), (0, 2, 3, 4, 3, 3, 3, 4), (3, 1, 2, 0, 0, 1, 3, 1),
+             (2, 3, 2, 3, 4, 3, 4, 2), (4, 4, 3, 4, 1, 2, 0, 2)]
+    subsets = [(0, 2, 4, 5, 7), (0, 2, 3, 4, 5, 6), (7,), (0, 2, 3, 4, 5, 6, 7), (3, 6, 7),
+               (0, 1, 2, 4, 5, 6, 7), (0, 1, 2, 4, 7), (1,), (0,), (2, 6), (0, 1, 2, 4, 5),
+               (1, 3, 5)]
+    g = GemSet([mat_cols(GF5, *[basis[j] for j in sub]) for sub in subsets], rate=8)
+    t0 = time.perf_counter()
+    plan = build_precoder(g)
+    assert time.perf_counter() - t0 < 2.0
+    # the profile reference_fsrd_check gives for this set
+    assert plan.i_bar == (0, 0, 0, 1, 2, 3, 2, 0, 0, 0, 0, 0)
+    check_plan_contract(g, plan)
 
 
 @pytest.mark.parametrize("field", [GF2, GF3])

@@ -9,6 +9,11 @@ gem-block also at 711), and runs each op's stages through `Runner.call`,
 after writing its inputs with `_write`.  Both trees use the same fixed work
 directory, because the simulate report embeds its `--out` path.
 
+The pools hold at most five weak sinks, so each tree also runs `precode
+--gems`, with and without `--block 2`, on the many-sink sets
+`gen.feasible_gemset(random.Random(1000 * k + s), 5, 8, k)` of its own
+`perfbench/gen.py`, for k in 8, 10, 12 and s in 1, 2.
+
 Compared per op: each stage's exit code and stderr, and the sha256 of each
 output file; per pool, the set-up's CLI calls and the files it left.  Every
 op that differs is printed, and the exit status is 1 if any op differs.
@@ -28,6 +33,7 @@ from typing import Dict, List
 
 POOLS = [("net-pipeline", 701), ("sim-stream", 701), ("gem-precode", 701),
          ("gem-block", 701), ("gem-block", 711)]
+MANY_SINKS = [(k, s) for k in (8, 10, 12) for s in (1, 2)]
 
 
 def _sha(path: Path):
@@ -38,6 +44,7 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
     """Run in a fresh interpreter: every pool of `tree`, keyed by op."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import srlnc.cli
+    import gen
     import run
     if Path(srlnc.cli.__file__).resolve().parent != (tree / "src" / "srlnc").resolve():
         raise SystemExit(f"pool_digests: imported srlnc from outside {tree}")
@@ -70,6 +77,18 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
                     break
             out[f"{name}@{seed} #{i} {op.label}"] = {
                 "stages": stages, "outputs": {p.name: _sha(p) for p in op.outputs}}
+    many = work / "many-sinks"
+    shutil.rmtree(many, ignore_errors=True)
+    many.mkdir(parents=True)
+    for k, s in MANY_SINKS:
+        gems = run._write(many / f"gems-{k}-{s}.json",
+                          gen.feasible_gemset(random.Random(1000 * k + s), 5, 8, k))
+        for block in ([], ["--block", "2"]):
+            plan = many / "plan.json"
+            plan.unlink(missing_ok=True)
+            rc, msg = runner.call(["precode", "--gems", str(gems), *block, "--out", str(plan)])
+            out[f"many-sinks k={k} s={s} {' '.join(block)}".rstrip()] = {
+                "stages": [[rc, msg]], "outputs": {plan.name: _sha(plan)}}
     return out
 
 
