@@ -28,7 +28,6 @@ from .multicast import (
     Gem,
     LinearCode,
     RateExceedsSourceDegree,
-    SimTrace,
     build_multicast,
     decode_full_rate,
     extract_gem,
@@ -79,7 +78,7 @@ __all__ = [
     "row_times", "solve_columns", "subspace_intersect", "subspace_sum",
     "CycleDetected", "FlowResult", "Network", "max_flow", "topo_order",
     "CodeInvalidForSink", "FieldTooSmall", "Gem", "LinearCode",
-    "RateExceedsSourceDegree", "SimTrace", "build_multicast",
+    "RateExceedsSourceDegree", "build_multicast",
     "decode_full_rate", "extract_gem", "simulate",
     "ConstructionFailed", "GemSet", "NotFullyDecodable", "SearchSpaceTooLarge",
     "build_spanner", "comd", "compol", "comss_c",

@@ -54,15 +54,16 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _check_keys(obj, required: Sequence[str], optional: Sequence[str], what: str) -> None:
+def _check_keys(path: str, obj, required: Sequence[str], optional: Sequence[str],
+                what: str) -> None:
     if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object")
+        raise ValueError(f"{path}: {what} must be a JSON object")
     unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
-        raise ValueError(f"{what} has unknown keys: {', '.join(unknown)}")
+        raise ValueError(f"{path}: {what} has unknown keys: {', '.join(unknown)}")
     missing = sorted(set(required) - set(obj))
     if missing:
-        raise ValueError(f"{what} is missing keys: {', '.join(missing)}")
+        raise ValueError(f"{path}: {what} is missing keys: {', '.join(missing)}")
 
 
 def _integer(path: str, field: str, value) -> int:
@@ -104,7 +105,7 @@ def _matrix(path: str, field: str, grid) -> list:
 def load_network(path: str) -> Tuple[Network, List, List]:
     """Parse a network file; returns (net, full-rate sinks, sub-rate sinks)."""
     obj = _load_json(path)
-    _check_keys(obj, ["field", "rate", "nodes", "edges", "source", "sinks"],
+    _check_keys(path, obj, ["field", "rate", "nodes", "edges", "source", "sinks"],
                 ["subrate_sinks"], "network file")
     field = FieldSpec(_integer(path, "field", obj["field"]))
     rate = _integer(path, "rate", obj["rate"])
@@ -114,18 +115,25 @@ def load_network(path: str) -> Tuple[Network, List, List]:
         dup = next(name for name in names if names.count(name) > 1)
         raise ValueError(f"{path}: nodes: node ids must have distinct names, {dup!r} repeats")
     edges = []
-    for e in _list(path, "edges", obj["edges"]):
+    for i, e in enumerate(_list(path, "edges", obj["edges"])):
         if not isinstance(e, list) or len(e) != 2:
-            raise ValueError(f"edge must be a [tail, head] pair: {e!r}")
+            raise ValueError(f"{path}: edges[{i}] must be a [tail, head] pair, "
+                             f"got {json.dumps(e)}")
         edges.append((_node(path, "edges", e[0]), _node(path, "edges", e[1])))
     sinks = [_node(path, "sinks", t) for t in _list(path, "sinks", obj["sinks"])]
     subrate_sinks = [_node(path, "subrate_sinks", t)
                      for t in _list(path, "subrate_sinks", obj.get("subrate_sinks", []))]
     both = [t for t in subrate_sinks if t in sinks]
     if both:
-        raise ValueError(f"nodes listed as both sink and subrate sink: {both}")
-    net = Network(nodes, edges, _node(path, "source", obj["source"]), sinks + subrate_sinks,
-                  rate, field)
+        raise ValueError(f"{path}: subrate_sinks: nodes listed as both sink and "
+                         f"subrate sink: {both}")
+    source = _node(path, "source", obj["source"])
+    # checked before `Network` makes `rate` imaginary links, so a huge rate
+    # fails at once; `code` would refuse it anyway
+    degree = sum(1 for tail, _ in edges if tail == source)
+    if source in nodes and rate > degree:
+        raise RateExceedsSourceDegree(f"rate {rate} > source out-degree {degree}")
+    net = Network(nodes, edges, source, sinks + subrate_sinks, rate, field)
     return net, sinks, subrate_sinks
 
 
@@ -147,11 +155,11 @@ def code_to_obj(net: Network, code: LinearCode) -> dict:
 
 def load_code(path: str, net: Network) -> LinearCode:
     obj = _load_json(path)
-    _check_keys(obj, ["p", "rate", "gek", "lek"], [], "code file")
+    _check_keys(path, obj, ["p", "rate", "gek", "lek"], [], "code file")
     p = net.field.p
     r = net.rate
     if _integer(path, "p", obj["p"]) != p or _integer(path, "rate", obj["rate"]) != r:
-        raise ValueError(f"code is for GF({obj['p']}) rate {obj['rate']}, "
+        raise ValueError(f"{path}: p, rate: code is for GF({obj['p']}) rate {obj['rate']}, "
                          f"network wants GF({p}) rate {r}")
     for table in ("gek", "lek"):
         if not isinstance(obj[table], dict):
@@ -162,17 +170,19 @@ def load_code(path: str, net: Network) -> LinearCode:
     gek: Dict[int, Tuple[int, ...]] = {}
     for key, vec in obj["gek"].items():
         if len(_integers(path, f"gek.{key}", vec)) != r:
-            raise ValueError(f"kernel for edge {key} has length {len(vec)}, want {r}")
+            raise ValueError(f"{path}: gek.{key}: kernel for edge {key} has length "
+                             f"{len(vec)}, want {r}")
         gek[edge_ids[key]] = tuple(x % p for x in vec)
     lek: Dict = {}
     for n in net.nodes:
         entry = obj["lek"].get(str(n))
         if entry is None:
-            raise ValueError(f"code has no local kernel for node {n!r}")
-        _check_keys(entry, ["in", "out", "k"], [], f"local kernel of {n!r}")
+            raise ValueError(f"{path}: lek: code has no local kernel for node {n!r}")
+        _check_keys(path, entry, ["in", "out", "k"], [], f"lek.{n}")
         ins, outs = net.in_edges[n], net.out_edges[n]
         if entry["in"] != ins or entry["out"] != outs:
-            raise ValueError(f"local kernel of {n!r} lists different edges than the network")
+            raise ValueError(f"{path}: lek.{n}: local kernel of {n!r} lists different edges "
+                             f"than the network")
         rows = _matrix(path, f"lek.{n}.k", entry["k"])
         if len(rows) != len(ins) or any(len(row) != len(outs) for row in rows):
             raise ValueError(f"{path}: lek.{n}.k must have {len(ins)} rows, one per input, "
@@ -185,7 +195,7 @@ def load_code(path: str, net: Network) -> LinearCode:
 
 def load_gems(path: str) -> Tuple[GemSet, Optional[List[Tuple[int, ...]]]]:
     obj = _load_json(path)
-    _check_keys(obj, ["p", "rate", "mats"], ["spanner"], "gems file")
+    _check_keys(path, obj, ["p", "rate", "mats"], ["spanner"], "gems file")
     field = FieldSpec(_integer(path, "p", obj["p"]))
     rate = _integer(path, "rate", obj["rate"])
     grids = [_matrix(path, f"mats[{i}]", g) for i, g in enumerate(_list(path, "mats", obj["mats"]))]
@@ -348,25 +358,26 @@ def _load_plan(path: str, net: Network, widths: Dict[str, int]) -> Tuple[int, Ma
     its nonzero columns."""
     obj = _load_json(path)
     if not isinstance(obj, dict) or obj.get("kind") not in ("subrate", "block"):
-        raise ValueError('plan file must have "kind": "subrate" or "block"')
+        raise ValueError(f'{path}: kind: plan file must have "kind": "subrate" or "block"')
     if obj["kind"] == "subrate":
-        _check_keys(obj, ["kind", "p", "rate", "P", "i_bar", "spanner", "members"],
+        _check_keys(path, obj, ["kind", "p", "rate", "P", "i_bar", "spanner", "members"],
                     ["sinks"], "plan file")
         l = 1
         precoder, dec, ret = "P", "D", "R"
     else:
-        _check_keys(obj, ["kind", "p", "rate", "l", "P_hat", "spanner", "blocks",
-                          "members"], ["sinks"], "plan file")
+        _check_keys(path, obj, ["kind", "p", "rate", "l", "P_hat", "spanner", "blocks",
+                                "members"], ["sinks"], "plan file")
         l = _integer(path, "l", obj["l"])
         precoder, dec, ret = "P_hat", "D_hat", "R_hat"
         if l < 1:
-            raise ValueError("block plan needs l >= 1")
+            raise ValueError(f"{path}: l: block plan needs l >= 1")
     field = net.field
     if _integer(path, "p", obj["p"]) != field.p or _integer(path, "rate", obj["rate"]) != net.rate:
-        raise ValueError(f"plan is for GF({obj['p']}) rate {obj['rate']}, "
+        raise ValueError(f"{path}: p, rate: plan is for GF({obj['p']}) rate {obj['rate']}, "
                          f"network wants GF({field.p}) rate {net.rate}")
     if "sinks" not in obj:
-        raise ValueError("plan lacks per-sink decoders; build it from a network file")
+        raise ValueError(f"{path}: sinks: plan lacks per-sink decoders; "
+                         f"build it from a network file")
     width = l * net.rate
     P_rows = _matrix(path, precoder, obj[precoder])
     if len(P_rows) != width or any(len(row) != width for row in P_rows):
@@ -404,6 +415,10 @@ def _load_plan(path: str, net: Network, widths: Dict[str, int]) -> Tuple[int, Ma
     return l, P_hat, sinks
 
 
+# messages per `simulate` call: memory stays at CHUNK symbols per edge and use
+CHUNK = 256
+
+
 def cmd_simulate(args) -> int:
     """Send --trials random block messages x_hat, each as x = x_hat @ P_hat
     over l uses of the network, and count per sink the messages whose
@@ -424,7 +439,8 @@ def cmd_simulate(args) -> int:
         l, P_hat, entries = _load_plan(args.plan, net, widths)
         for t in subrate_sinks:
             if str(t) not in entries:
-                raise ValueError(f"plan has no decoders for subrate sink {t!r}")
+                raise ValueError(f"{args.plan}: sinks: plan has no decoders for "
+                                 f"subrate sink {t!r}")
     eye = Mat.identity(field, l * r)
     decoders = {t: (invert(P_hat @ lift_block(gems[t].matrix, l)), eye) for t in sinks}
     decodable = {t: l * r if t in sinks else 0 for t in sinks + subrate_sinks}
@@ -435,15 +451,16 @@ def cmd_simulate(args) -> int:
             decodable[t] = len(idxs)
     failures = {t: 0 for t in sinks + subrate_sinks}
     rng = random.Random(args.seed)
-    for _ in range(args.trials):
-        x_hat = tuple(rng.randrange(field.p) for _ in range(l * r))
-        x = row_times(x_hat, P_hat)
-        uses = [simulate(net, code, None, x[bi * r:(bi + 1) * r]).edge_symbols
-                for bi in range(l)]
+    for start in range(0, args.trials, CHUNK):
+        x_hats = [tuple(rng.randrange(field.p) for _ in range(l * r))
+                  for _ in range(min(CHUNK, args.trials - start))]
+        xs = [row_times(x_hat, P_hat) for x_hat in x_hats]
+        uses = [simulate(net, code, [x[bi * r:(bi + 1) * r] for x in xs]) for bi in range(l)]
         for t, (D_hat, R_hat) in decoders.items():
-            y = [sym[e] for sym in uses for e in gems[t].used_edges]
-            if row_times(y, D_hat) != row_times(x_hat, R_hat):
-                failures[t] += 1
+            for m, x_hat in enumerate(x_hats):
+                y = [sym[e][m] for sym in uses for e in gems[t].used_edges]
+                if row_times(y, D_hat) != row_times(x_hat, R_hat):
+                    failures[t] += 1
 
     report = {
         "command": "simulate",

@@ -3,13 +3,15 @@
 The construction walks edges in topological order along precomputed
 edge-disjoint path families and picks, for every coded edge, local
 coefficients that keep every designated sink's frontier matrix at full
-rank.  Sub-rate sinks participate with target rank h_t.
+rank.  Sub-rate sinks participate with target rank h_t.  `simulate` alone
+applies local kernels; the kernel check sends the r unit rows through it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import ContractViolation, Mat, rank_of_vectors, invert, row_times
@@ -44,11 +46,6 @@ class Gem:
     matrix: Mat                  # r x min(h_t, r)
     used_edges: Tuple[int, ...]
     h: int                       # max-flow to the sink
-
-
-@dataclass(frozen=True)
-class SimTrace:
-    edge_symbols: Dict[int, int]
 
 
 def _unit(r: int, j: int) -> Vec:
@@ -155,23 +152,15 @@ def build_multicast(net: Network, sinks: Sequence[Node], seed: int = 0) -> Linea
 
 
 def _check_consistent(net: Network, code: LinearCode) -> None:
-    """Every global kernel is its local kernel applied to the kernels of
-    its inputs, starting from the unit kernels of the imaginary links."""
-    p = net.field.p
+    """Sent the r unit rows, every edge e must carry its global kernel f_e:
+    by induction over the topological order, exactly when every local
+    kernel maps its inputs' global kernels to its outputs'.  Names the
+    first edge that differs, in `simulate`'s order."""
     r = code.rate
-    for j in range(r):
-        if code.gek[-(j + 1)] != _unit(r, j):
-            raise ContractViolation(f"encoding kernels inconsistent at edge {-(j + 1)}")
-    for x in net.nodes:
-        ins, outs = net.in_edges[x], net.out_edges[x]
-        k = code.lek[x]
-        for jc, e in enumerate(outs):
-            want = tuple(
-                sum(k.data[ji][jc] * code.gek[d][row] for ji, d in enumerate(ins)) % p
-                for row in range(r)
-            )
-            if code.gek[e] != want:
-                raise ContractViolation(f"encoding kernels inconsistent at edge {e}")
+    sym = simulate(net, code, [_unit(r, j) for j in range(r)])
+    bad = next((e for e, s in sym.items() if s != code.gek[e]), None)
+    if bad is not None:
+        raise ContractViolation(f"encoding kernels inconsistent at edge {bad}")
 
 
 def extract_gem(code: LinearCode, net: Network, t: Node) -> Gem:
@@ -198,27 +187,31 @@ def extract_gem(code: LinearCode, net: Network, t: Node) -> Gem:
                h=h)
 
 
-def simulate(net: Network, code: LinearCode, P: Optional[Mat], v: Sequence[int]) -> SimTrace:
-    """Propagate one message vector through the network.
+def simulate(net: Network, code: LinearCode, X: Sequence[Sequence[int]]) -> Dict[int, Vec]:
+    """Send a batch of network inputs, one row of r symbols per use.
 
-    The network input is v @ P (or v itself when P is None).  The code's
-    kernels must be consistent, as `build_multicast` and the CLI's
-    `load_code` check once: then, the code being linear, every edge symbol
-    is the input times that edge's global kernel, and none is checked here.
+    Returns each edge's symbols as a tuple with one entry per row of X: the
+    imaginary links -1..-r first, then the real edges in topological order.
+    When the code's kernels are consistent, as `build_multicast` and the
+    CLI's `load_code` check, entry m of edge e is X[m] times f_e.
     """
     p = net.field.p
     r = code.rate
-    if len(v) != r:
+    if any(len(x) != r for x in X):
         raise ValueError("message length != rate")
-    v = tuple(x % p for x in v)
-    x = row_times(v, P) if P is not None else v
-    sym: Dict[int, int] = {-(j + 1): x[j] for j in range(r)}
+    sym: Dict[int, Vec] = {-(j + 1): tuple(x[j] % p for x in X) for j in range(r)}
     for node in net.order:
-        ins = net.in_edges[node]
-        k = code.lek[node]
+        ins = [sym[d] for d in net.in_edges[node]]
+        k = code.lek[node].data
         for jc, e in enumerate(net.out_edges[node]):
-            sym[e] = sum(k.data[ji][jc] * sym[d] for ji, d in enumerate(ins)) % p
-    return SimTrace(edge_symbols=sym)
+            # only the inputs this output reads: most coefficients are 0
+            terms = [(row[jc], s) for row, s in zip(k, ins) if row[jc]]
+            if not terms:
+                sym[e] = (0,) * len(X)
+                continue
+            cs = [c for c, _ in terms]
+            sym[e] = tuple(sum(map(mul, cs, y)) % p for y in zip(*(s for _, s in terms)))
+    return sym
 
 
 def decode_full_rate(gem: Gem, P: Optional[Mat], received: Sequence[int]) -> Vec:

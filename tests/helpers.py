@@ -14,6 +14,7 @@ from sympy.polys.domains import GF as _sympy_GF
 from sympy.polys.matrices import DomainMatrix
 
 from srlnc import (
+    ContractViolation,
     FieldSpec,
     GemSet,
     Mat,
@@ -511,6 +512,43 @@ def reference_build_spanner(gems: GemSet, i_bar: Sequence[int]) -> List[Vec]:
     if not is_exact_spanner(V, gems):
         raise ConstructionFailed("collected vectors do not form an exact spanner")
     return V
+
+
+def reference_simulate(net: Network, code, v: Sequence[int]) -> Dict[int, int]:
+    """One message through the network, one symbol per edge: the former
+    single-message `simulate` body, without its precoder argument."""
+    p = net.field.p
+    r = code.rate
+    if len(v) != r:
+        raise ValueError("message length != rate")
+    v = tuple(x % p for x in v)
+    sym: Dict[int, int] = {-(j + 1): v[j] for j in range(r)}
+    for node in net.order:
+        ins = net.in_edges[node]
+        k = code.lek[node]
+        for jc, e in enumerate(net.out_edges[node]):
+            sym[e] = sum(k.data[ji][jc] * sym[d] for ji, d in enumerate(ins)) % p
+    return sym
+
+
+def reference_check_consistent(net: Network, code) -> None:
+    """The former local kernel check: unit kernels on the imaginary links,
+    then every node's local kernel applied to its inputs' global kernels."""
+    p = net.field.p
+    r = code.rate
+    for j in range(r):
+        if code.gek[-(j + 1)] != tuple(1 if i == j else 0 for i in range(r)):
+            raise ContractViolation(f"encoding kernels inconsistent at edge {-(j + 1)}")
+    for x in net.nodes:
+        ins, outs = net.in_edges[x], net.out_edges[x]
+        k = code.lek[x]
+        for jc, e in enumerate(outs):
+            want = tuple(
+                sum(k.data[ji][jc] * code.gek[d][row] for ji, d in enumerate(ins)) % p
+                for row in range(r)
+            )
+            if code.gek[e] != want:
+                raise ContractViolation(f"encoding kernels inconsistent at edge {e}")
 
 
 def sympy_dm(A: Mat) -> DomainMatrix:

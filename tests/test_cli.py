@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srlnc import FieldSpec, Mat, lift_block
-from srlnc.cli import main
+from srlnc import cli
+from srlnc.cli import CHUNK, main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -337,6 +338,27 @@ def test_a_subrate_plan_simulates_as_the_single_block_plan(tmp_path):
     assert [row["rate"] for row in rows[0]] == ["2/1", "2/1", "1/1"]
 
 
+@pytest.mark.parametrize("trials", [0, 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("block", [False, True])
+def test_simulate_sends_messages_in_chunks(tmp_path, monkeypatch, block, trials):
+    net, code, plan = _pipeline_files(tmp_path, block)
+    l = read(plan).get("l", 1)
+    sizes = []
+    send = cli.simulate
+
+    def counted(net, code, X):
+        sizes.append(len(X))
+        return send(net, code, X)
+
+    monkeypatch.setattr(cli, "simulate", counted)
+    report = str(tmp_path / "report.json")
+    assert main(["simulate", net, code, plan, "--trials", str(trials), "--out", report]) == 0
+    assert len(sizes) == l * -(-trials // CHUNK)
+    assert all(1 <= n <= CHUNK for n in sizes)
+    assert sum(sizes) == l * trials
+    assert all(row["failures"] == 0 for row in read(report)["sinks"])
+
+
 def _inconsistent_code(tmp_path):
     """Butterfly network and code files whose edge-6 kernel is off by one."""
     net = write(tmp_path, "net.json", BUTTERFLY)
@@ -540,6 +562,17 @@ def test_a_cyclic_network_exits_2_whatever_the_field(tmp_path, capsys, argv, p):
     assert capsys.readouterr().err == "error: graph has a directed cycle\n"
 
 
+@pytest.mark.parametrize("argv", [["maxflow", "FILE", "6"], ["code", "FILE"]],
+                         ids=["maxflow", "code"])
+def test_a_rate_above_the_source_degree_exits_3_before_building(tmp_path, capsys, argv):
+    net = write(tmp_path, "net.json", dict(BUTTERFLY, rate=10 ** 9))
+    t0 = time.perf_counter()
+    assert main([net if a == "FILE" else a for a in argv]) == 3
+    assert time.perf_counter() - t0 < 0.5
+    assert capsys.readouterr().err.splitlines() == [
+        "infeasible: rate 1000000000 > source out-degree 2"]
+
+
 @pytest.mark.parametrize("nodes, edges, named", [
     ([1, "1", 2], [[1, "1"], ["1", 2]], "'1' repeats"),
     ([1, 2, 2], [[1, 2]], "'2' repeats"),
@@ -653,6 +686,43 @@ def _one_error_line(capsys, *fragments):
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     for fragment in fragments:
         assert fragment in lines[0], lines[0]
+
+
+def _set(key, value):
+    return lambda obj: obj.update({key: value})
+
+
+@pytest.mark.parametrize("block, name, change, message", [
+    (False, "net", _set("comment", 1), "network file has unknown keys: comment"),
+    (False, "net", lambda obj: obj["edges"].__setitem__(0, [1]),
+     "edges[0] must be a [tail, head] pair, got [1]"),
+    (False, "net", _set("subrate_sinks", [6]),
+     "subrate_sinks: nodes listed as both sink and subrate sink: [6]"),
+    (False, "code", _set("p", 5), "p, rate: code is for GF(5) rate 2"),
+    (False, "code", lambda obj: obj["gek"]["6"].append(0),
+     "gek.6: kernel for edge 6 has length 3, want 2"),
+    (False, "code", lambda obj: obj["lek"].pop("5"),
+     "lek: code has no local kernel for node 5"),
+    (False, "code", lambda obj: obj["lek"]["5"].update(x=1), "lek.5 has unknown keys: x"),
+    (False, "code", lambda obj: obj["lek"]["5"].update({"in": [7]}),
+     "lek.5: local kernel of 5 lists different edges"),
+    (False, "plan", _set("kind", "x"), 'kind: plan file must have "kind"'),
+    (False, "plan", _set("extra", 1), "plan file has unknown keys: extra"),
+    (True, "plan", _set("l", 0), "l: block plan needs l >= 1"),
+    (False, "plan", _set("p", 5), "p, rate: plan is for GF(5) rate 2"),
+    (False, "plan", lambda obj: obj.pop("sinks"), "sinks: plan lacks per-sink decoders"),
+    (True, "plan", lambda obj: obj["sinks"].pop("12"),
+     "sinks: plan has no decoders for subrate sink 12"),
+], ids=["net-keys", "net-edge", "net-both", "code-field", "code-gek", "code-lek-missing",
+        "code-lek-keys", "code-lek-edges", "plan-kind", "plan-keys", "plan-l", "plan-field",
+        "plan-sinks", "plan-sink"])
+def test_load_errors_name_their_file_and_field(tmp_path, capsys, block, name, change,
+                                               message):
+    files = dict(zip(("net", "code", "plan"), _pipeline_files(tmp_path, block)))
+    _edit(files[name], change)
+    capsys.readouterr()
+    assert main(["simulate", *files.values(), "--trials", "1"]) == 2
+    _one_error_line(capsys, f"{files[name]}: {message}")
 
 
 @pytest.mark.parametrize("value", [1.5, "a", True])

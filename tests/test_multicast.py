@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from srlnc import (
     CodeInvalidForSink,
+    ContractViolation,
     FieldSpec,
     FieldTooSmall,
     LinearCode,
@@ -19,12 +21,22 @@ from srlnc import (
     decode_full_rate,
     extract_gem,
     rank,
+    row_times,
     simulate,
 )
 
-from srlnc.multicast import _shuffled_vectors
+from srlnc.multicast import _check_consistent, _shuffled_vectors
 
-from helpers import GF2, GF3, GF5, butterfly, classic_butterfly_code, generalized_butterfly
+from helpers import (
+    GF2,
+    GF3,
+    GF5,
+    butterfly,
+    classic_butterfly_code,
+    generalized_butterfly,
+    reference_check_consistent,
+    reference_simulate,
+)
 
 
 def recheck_consistency(net, code):
@@ -62,9 +74,9 @@ def test_built_code_round_trips():
     rng = random.Random(7)
     for _ in range(100):
         v = tuple(rng.randrange(3) for _ in range(2))
-        trace = simulate(net, code, None, v)
+        sym = simulate(net, code, [v])
         for t in (6, 7):
-            y = tuple(trace.edge_symbols[e] for e in gems[t].used_edges)
+            y = tuple(sym[e][0] for e in gems[t].used_edges)
             assert decode_full_rate(gems[t], None, y) == v
 
 
@@ -109,8 +121,8 @@ def test_single_sink_over_gf2():
     code = build_multicast(net, [6])
     gem = extract_gem(code, net, 6)
     for v in [(0, 1), (1, 0), (1, 1)]:
-        trace = simulate(net, code, None, v)
-        y = tuple(trace.edge_symbols[e] for e in gem.used_edges)
+        sym = simulate(net, code, [v])
+        y = tuple(sym[e][0] for e in gem.used_edges)
         assert decode_full_rate(gem, None, y) == v
 
 
@@ -126,8 +138,8 @@ def test_rate_one_path_graph():
                   sinks=[2], rate=1, field=GF2)
     code = build_multicast(net, [2])
     gem = extract_gem(code, net, 2)
-    trace = simulate(net, code, None, (1,))
-    assert decode_full_rate(gem, None, (trace.edge_symbols[gem.used_edges[0]],)) == (1,)
+    sym = simulate(net, code, [(1,)])
+    assert decode_full_rate(gem, None, (sym[gem.used_edges[0]][0],)) == (1,)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -199,11 +211,11 @@ def test_hand_code_simulation():
     gems = {t: extract_gem(code, net, t) for t in (6, 7)}
     for a in (0, 1):
         for b in (0, 1):
-            trace = simulate(net, code, None, (a, b))
-            assert trace.edge_symbols[6] == (a + b) % 2  # the coded middle edge
-            assert trace.edge_symbols[9] == (a + b) % 2  # sink 8's only input
+            sym = simulate(net, code, [(a, b)])
+            assert sym[6][0] == (a + b) % 2  # the coded middle edge
+            assert sym[9][0] == (a + b) % 2  # sink 8's only input
             for t in (6, 7):
-                y = tuple(trace.edge_symbols[e] for e in gems[t].used_edges)
+                y = tuple(sym[e][0] for e in gems[t].used_edges)
                 assert decode_full_rate(gems[t], None, y) == (a, b)
 
 
@@ -215,11 +227,11 @@ def test_hand_code_with_shifting_precoder():
     gems = {t: extract_gem(code, net, t) for t in (6, 7)}
     for a in (0, 1):
         for b in (0, 1):
-            trace = simulate(net, code, P, (a, b))
-            assert trace.edge_symbols[1] == (a + b) % 2
-            assert trace.edge_symbols[9] == b
+            sym = simulate(net, code, [row_times((a, b), P)])
+            assert sym[1][0] == (a + b) % 2
+            assert sym[9][0] == b
             for t in (6, 7):
-                y = tuple(trace.edge_symbols[e] for e in gems[t].used_edges)
+                y = tuple(sym[e][0] for e in gems[t].used_edges)
                 assert decode_full_rate(gems[t], P, y) == (a, b)
 
 
@@ -245,10 +257,8 @@ def test_equivalent_code_gives_weak_sink_a_unit_column():
     code = LinearCode(rate=2, gek=gek, lek=lek)
     recheck_consistency(net, code)
     assert extract_gem(code, net, 8).matrix.columns() == [(0, 1)]
-    trace = simulate(net, code, None, (1, 0))
-    assert trace.edge_symbols[9] == 0
-    trace = simulate(net, code, None, (0, 1))
-    assert trace.edge_symbols[9] == 1
+    assert simulate(net, code, [(1, 0)])[9][0] == 0
+    assert simulate(net, code, [(0, 1)])[9][0] == 1
 
 
 def test_extract_gem_rejects_deficient_sink():
@@ -263,10 +273,10 @@ def test_extract_gem_rejects_deficient_sink():
 def test_simulate_zero_message_and_length_check():
     net = butterfly()
     code = build_multicast(net, [6, 7])
-    trace = simulate(net, code, None, (0, 0))
-    assert all(s == 0 for s in trace.edge_symbols.values())
+    sym = simulate(net, code, [(0, 0)])
+    assert all(s[0] == 0 for s in sym.values())
     with pytest.raises(ValueError):
-        simulate(net, code, None, (1,))
+        simulate(net, code, [(1,)])
 
 
 def test_decode_requires_square_gem():
@@ -275,3 +285,78 @@ def test_decode_requires_square_gem():
     weak = extract_gem(code, net, 8)
     with pytest.raises(ValueError):
         decode_full_rate(weak, None, (1,))
+
+
+# ------------------------------------------- batches and the kernel check
+
+@functools.lru_cache(maxsize=None)
+def _built(kind, seed):
+    if kind == "butterfly":
+        net = butterfly(GF5, weak_sink=True)
+    else:
+        net = generalized_butterfly(FieldSpec(7), 3, n_weak=2)
+    return net, build_multicast(net, list(net.sinks), seed=seed)
+
+
+@given(st.sampled_from(["butterfly", "generalized"]), st.integers(0, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_batch_matches_the_single_message_reference(kind, seed, data):
+    net, code = _built(kind, seed)
+    r, p = code.rate, net.field.p
+    X = data.draw(st.lists(st.lists(st.integers(-2 * p, 2 * p), min_size=r, max_size=r),
+                           max_size=5))
+    sym = simulate(net, code, X)
+    refs = [reference_simulate(net, code, x) for x in X]
+    assert sorted(sym) == list(range(-r, len(net.edges)))
+    for e, symbols in sym.items():
+        assert symbols == tuple(ref[e] for ref in refs)
+    wrong = data.draw(st.integers(0, r + 2).filter(lambda n: n != r))
+    with pytest.raises(ValueError):
+        simulate(net, code, X + [[0] * wrong])
+
+
+@given(st.sampled_from(["butterfly", "generalized"]), st.integers(0, 3),
+       st.sampled_from(["gek", "lek", "swap"]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_kernel_check_agrees_with_the_local_reference(kind, seed, how, data):
+    net, code = _built(kind, seed)
+    r, p, field = code.rate, net.field.p, net.field
+    gek, lek = dict(code.gek), dict(code.lek)
+    if how == "gek":
+        e = data.draw(st.sampled_from(sorted(gek)))
+        i = data.draw(st.integers(0, r - 1))
+        vec = list(gek[e])
+        vec[i] = (vec[i] + data.draw(st.integers(1, p - 1))) % p
+        gek[e] = tuple(vec)
+    elif how == "lek":
+        node = data.draw(st.sampled_from([n for n in net.nodes if lek[n].rows and lek[n].cols]))
+        rows = [list(row) for row in lek[node].data]
+        i = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, len(rows[0]) - 1))
+        rows[i][j] = (rows[i][j] + data.draw(st.integers(1, p - 1))) % p
+        lek[node] = Mat(field, rows)
+    else:
+        # swap two imaginary kernels and the source's rows that read them,
+        # so every real edge stays locally consistent
+        a, b = data.draw(st.lists(st.integers(1, r), min_size=2, max_size=2, unique=True))
+        gek[-a], gek[-b] = gek[-b], gek[-a]
+        ins = net.in_edges[net.source]
+        rows = list(lek[net.source].data)
+        ia, ib = ins.index(-a), ins.index(-b)
+        rows[ia], rows[ib] = rows[ib], rows[ia]
+        lek[net.source] = Mat(field, rows)
+    broken = LinearCode(rate=r, gek=gek, lek=lek)
+    verdicts = []
+    for check in (_check_consistent, reference_check_consistent):
+        try:
+            check(net, broken)
+            verdicts.append(None)
+        except ContractViolation as exc:
+            verdicts.append(str(exc))
+    assert (verdicts[0] is None) == (verdicts[1] is None), verdicts
+    if how != "lek":
+        assert verdicts[0] is not None
+    if how == "gek":
+        # butterfly and generalized_butterfly list their nodes in
+        # topological order, so both checks name the changed edge first
+        assert verdicts[0] == verdicts[1] == f"encoding kernels inconsistent at edge {e}"

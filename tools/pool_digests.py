@@ -9,6 +9,11 @@ gem-block also at 711), and runs each op's stages through `Runner.call`,
 after writing its inputs with `_write`.  Both trees use the same fixed work
 directory, because the simulate report embeds its `--out` path.
 
+Pool ops send 20 to 40 messages, fewer than the 256 that `srlnc.cli`
+sends per `simulate` call, so each tree also runs `simulate` on the
+sim-stream set-up's single-use and l=2 plans with `--trials` 0 and
+2 * 256 + 1, which crosses two chunk boundaries.
+
 The pools hold at most five weak sinks, so each tree also runs `precode
 --gems`, with and without `--block 2`, on the many-sink sets
 `gen.feasible_gemset(random.Random(1000 * k + s), 5, 8, k)` of its own
@@ -34,6 +39,8 @@ from typing import Dict, List
 POOLS = [("net-pipeline", 701), ("sim-stream", 701), ("gem-precode", 701),
          ("gem-block", 701), ("gem-block", 711)]
 MANY_SINKS = [(k, s) for k in (8, 10, 12) for s in (1, 2)]
+# srlnc.cli.CHUNK is 256; the parent tree may not define it
+CHUNK_TRIALS = (0, 2 * 256 + 1)
 
 
 def _sha(path: Path):
@@ -64,6 +71,18 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
         ops = run.WORKLOADS[name](random.Random(seed), pool_dir, setup_call)
         out[f"{name}@{seed} set-up"] = {
             "calls": calls, "files": {p.name: _sha(p) for p in sorted(pool_dir.iterdir())}}
+        if name == "sim-stream":
+            for kind in ("single", "block"):
+                for trials in CHUNK_TRIALS:
+                    report = pool_dir / "chunks.report.json"
+                    report.unlink(missing_ok=True)
+                    rc, msg = runner.call(
+                        ["simulate", str(pool_dir / f"stream-{kind}.net.json"),
+                         str(pool_dir / "stream.code.json"),
+                         str(pool_dir / f"stream-{kind}.plan.json"),
+                         "--trials", str(trials), "--out", str(report)])
+                    out[f"{name}@{seed} {kind} --trials {trials}"] = {
+                        "stages": [[rc, msg]], "outputs": {report.name: _sha(report)}}
         for i, op in enumerate(ops):
             for path in op.outputs:
                 path.unlink(missing_ok=True)
