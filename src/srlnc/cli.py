@@ -95,6 +95,15 @@ def _integers(path: str, field: str, values) -> list:
     return values
 
 
+def _field(path: str, key: str, value) -> FieldSpec:
+    """GF(p) for a JSON integer p that is prime."""
+    p = _integer(path, key, value)
+    try:
+        return FieldSpec(p)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {key}: {exc}") from None
+
+
 def _matrix(path: str, field: str, grid) -> list:
     """A JSON list of rows of integers."""
     for row in _list(path, field, grid):
@@ -107,7 +116,7 @@ def load_network(path: str) -> Tuple[Network, List, List]:
     obj = _load_json(path)
     _check_keys(path, obj, ["field", "rate", "nodes", "edges", "source", "sinks"],
                 ["subrate_sinks"], "network file")
-    field = FieldSpec(_integer(path, "field", obj["field"]))
+    field = _field(path, "field", obj["field"])
     rate = _integer(path, "rate", obj["rate"])
     nodes = [_node(path, "nodes", n) for n in _list(path, "nodes", obj["nodes"])]
     names = [str(n) for n in nodes]
@@ -128,12 +137,21 @@ def load_network(path: str) -> Tuple[Network, List, List]:
         raise ValueError(f"{path}: subrate_sinks: nodes listed as both sink and "
                          f"subrate sink: {both}")
     source = _node(path, "source", obj["source"])
+    # `Network` checks the sinks too, but sees both lists as one
+    for key, listed in (("sinks", sinks), ("subrate_sinks", subrate_sinks)):
+        for t in listed:
+            if t not in nodes or t == source:
+                raise ValueError(f"{path}: {key}: {t!r} is not a node other than the source")
     # checked before `Network` makes `rate` imaginary links, so a huge rate
     # fails at once; `code` would refuse it anyway
     degree = sum(1 for tail, _ in edges if tail == source)
     if source in nodes and rate > degree:
         raise RateExceedsSourceDegree(f"rate {rate} > source out-degree {degree}")
-    net = Network(nodes, edges, source, sinks + subrate_sinks, rate, field)
+    try:
+        net = Network(nodes, edges, source, sinks + subrate_sinks, rate, field)
+    except ValueError as exc:
+        # its messages start with the field at fault
+        raise ValueError(f"{path}: {exc}") from None
     return net, sinks, subrate_sinks
 
 
@@ -196,7 +214,7 @@ def load_code(path: str, net: Network) -> LinearCode:
 def load_gems(path: str) -> Tuple[GemSet, Optional[List[Tuple[int, ...]]]]:
     obj = _load_json(path)
     _check_keys(path, obj, ["p", "rate", "mats"], ["spanner"], "gems file")
-    field = FieldSpec(_integer(path, "p", obj["p"]))
+    field = _field(path, "p", obj["p"])
     rate = _integer(path, "rate", obj["rate"])
     grids = [_matrix(path, f"mats[{i}]", g) for i, g in enumerate(_list(path, "mats", obj["mats"]))]
     try:
@@ -263,18 +281,19 @@ def plan_to_obj(p: int, rate: int, plan: BlockPlan, sink_entries: Optional[dict]
     return obj
 
 
-def _sink_gems(net: Network, code: LinearCode, sinks: Sequence, subrate_sinks: Sequence
-               ) -> Dict[object, Gem]:
-    """Each sink's gem; a sink must reach the rate, a subrate sink must not."""
+def _sink_gems(path: str, net: Network, code: LinearCode, sinks: Sequence,
+               subrate_sinks: Sequence) -> Dict[object, Gem]:
+    """Each sink's gem; a sink must reach the rate, a subrate sink must not.
+    `path` names the network file that lists them."""
     gems = {}
     for t in sinks + subrate_sinks:
         gems[t] = extract_gem(code, net, t)
         if t in sinks and gems[t].matrix.cols < net.rate:
-            raise ValueError(f"sink {t!r} has max-flow below the rate; "
+            raise ValueError(f"{path}: sinks: sink {t!r} has max-flow below the rate; "
                              f"list it under subrate_sinks")
         if t in subrate_sinks and gems[t].matrix.cols >= net.rate:
-            raise ValueError(f"subrate sink {t!r} reaches the full rate; "
-                             f"list it under sinks")
+            raise ValueError(f"{path}: subrate_sinks: subrate sink {t!r} reaches the full "
+                             f"rate; list it under sinks")
     return gems
 
 
@@ -315,9 +334,9 @@ def cmd_precode(args) -> int:
             raise ValueError("precode needs a network file and a code file, or --gems")
         net, sinks, subrate_sinks = load_network(args.file)
         code = load_code(args.code, net)
-        gem_of = _sink_gems(net, code, sinks, subrate_sinks)
+        gem_of = _sink_gems(args.file, net, code, sinks, subrate_sinks)
         if not subrate_sinks:
-            raise ValueError("no subrate_sinks to precode for")
+            raise ValueError(f"{args.file}: subrate_sinks: no subrate sinks to precode for")
         sub_gems = [gem_of[t] for t in subrate_sinks]
         gems = GemSet([g.matrix for g in sub_gems], net.rate)
         full_rate = [gem_of[t].matrix for t in sinks]
@@ -332,6 +351,11 @@ def cmd_precode(args) -> int:
         if args.block is None:
             raise
         plan = optimize_block_plan(gems, l_max=args.block)
+    except ValueError as exc:
+        if spanner is None:
+            raise
+        # given a spanner, build_precoder raises ValueError only on its checks of it
+        raise ValueError(f"{args.gems}: spanner: {exc}") from None
 
     entries = None
     if sub_gems is not None:
@@ -430,7 +454,7 @@ def cmd_simulate(args) -> int:
     code = load_code(args.code, net)
     field = net.field
     r = net.rate
-    gems = _sink_gems(net, code, sinks, subrate_sinks)
+    gems = _sink_gems(args.file, net, code, sinks, subrate_sinks)
     if args.plan is None:
         # one use of the network, messages sent uncoded, no sub-rate decoders
         l, P_hat, entries = 1, Mat.identity(field, r), {}

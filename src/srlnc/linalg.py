@@ -7,6 +7,7 @@ equality of spans is literal equality of basis entries.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
 from .fields import FieldSpec
@@ -124,8 +125,10 @@ def row_times(v: Sequence[int], A: Mat) -> Vec:
     """Row vector times matrix."""
     if len(v) != A.rows:
         raise ValueError("length mismatch")
+    if not A.rows:
+        return (0,) * A.cols
     p = A.field.p
-    return tuple(sum(vi * A.data[i][j] for i, vi in enumerate(v)) % p for j in range(A.cols))
+    return tuple(sum(map(mul, v, col)) % p for col in zip(*A.data))
 
 
 def _rref(field: FieldSpec, rows: List[List[int]]) -> Tuple[List[List[int]], List[int]]:

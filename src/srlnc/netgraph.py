@@ -23,7 +23,8 @@ class Network:
     reserved ids -1..-r and are the only edges into `source`.  Every
     `in_edges`/`out_edges` list is in ascending id order, so the imaginary
     links come as -r..-1.  `order` is the topological order of the nodes,
-    computed once here: a cyclic edge set raises `CycleDetected`.
+    computed once here: a cyclic edge set raises `CycleDetected`.  Each
+    error message starts with the name of the argument at fault.
     """
 
     __slots__ = ("nodes", "edges", "source", "sinks", "rate", "field",
@@ -34,20 +35,20 @@ class Network:
         nodes = tuple(nodes)
         node_set = set(nodes)
         if len(node_set) != len(nodes):
-            raise ValueError("duplicate node ids")
+            raise ValueError("nodes: duplicate node ids")
         edges = tuple((t, h) for t, h in edges)
         for t, h in edges:
             if t not in node_set or h not in node_set:
-                raise ValueError(f"edge endpoint not a node: {(t, h)}")
+                raise ValueError(f"edges: edge endpoint not a node: {(t, h)}")
         if source not in node_set:
-            raise ValueError("source is not a node")
+            raise ValueError("source: source is not a node")
         for s in sinks:
             if s not in node_set:
-                raise ValueError(f"sink is not a node: {s}")
+                raise ValueError(f"sinks: sink is not a node: {s}")
         if rate < 1:
-            raise ValueError("rate must be >= 1")
+            raise ValueError("rate: rate must be >= 1")
         if any(h == source for _, h in edges):
-            raise ValueError("source must have no incoming real edges")
+            raise ValueError("edges: source must have no incoming real edges")
         self.nodes = nodes
         self.edges = edges
         self.source = source
@@ -90,7 +91,7 @@ def topo_order(net: Network) -> List[Node]:
         for h in sorted(set(freed), key=order_index.__getitem__):
             queue.append(h)
     if len(out) != len(net.nodes):
-        raise CycleDetected("graph has a directed cycle")
+        raise CycleDetected("edges: graph has a directed cycle")
     return out
 
 
@@ -105,13 +106,19 @@ def max_flow(net: Network, t: Node) -> FlowResult:
 
     Shortest augmenting paths over the unit-capacity residual graph; edge
     ids are scanned in ascending order so the result is deterministic.
+    The search stops once the flow fills the source's out-edges or t's
+    in-edges, as no cut is smaller than either.
     """
     if t == net.source:
         raise ValueError("sink must differ from the source")
     if t not in net.in_edges:
         raise ValueError(f"unknown node: {t}")
+    tails = [tl for tl, _ in net.edges]
+    heads = [h for _, h in net.edges]
     flow = [0] * len(net.edges)
-    while True:
+    value = 0
+    full = min(len(net.out_edges[net.source]), len(net.in_edges[t]))
+    while value < full:
         # BFS for a shortest residual path
         parent: Dict[Node, Tuple[int, bool]] = {}  # node -> (edge, used forward)
         seen = {net.source}
@@ -120,7 +127,7 @@ def max_flow(net: Network, t: Node) -> FlowResult:
         while queue and not found:
             u = queue.popleft()
             for e in net.out_edges[u]:
-                h = net.head(e)
+                h = heads[e]
                 if flow[e] == 0 and h not in seen:
                     seen.add(h)
                     parent[h] = (e, True)
@@ -133,22 +140,23 @@ def max_flow(net: Network, t: Node) -> FlowResult:
             for e in net.in_edges[u]:
                 if e < 0:
                     continue
-                tl = net.tail(e)
+                tl = tails[e]
                 if flow[e] == 1 and tl not in seen:
                     seen.add(tl)
                     parent[tl] = (e, False)
                     queue.append(tl)
         if not found:
             break
+        value += 1
         n = t
         while n != net.source:
             e, fwd = parent[n]
             if fwd:
                 flow[e] = 1
-                n = net.tail(e)
+                n = tails[e]
             else:
                 flow[e] = 0
-                n = net.head(e)
+                n = heads[e]
     # decompose the flow into edge-disjoint paths
     used = [False] * len(net.edges)
     paths: List[Tuple[int, ...]] = []
@@ -165,7 +173,7 @@ def max_flow(net: Network, t: Node) -> FlowResult:
                 break
             used[nxt] = True
             path.append(nxt)
-            n = net.head(nxt)
+            n = heads[nxt]
         if n == t and path:
             paths.append(tuple(path))
         else:

@@ -9,6 +9,7 @@ that `blockcode` turns into precoders and block plans.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import (
@@ -34,7 +35,7 @@ class ConstructionFailed(RuntimeError):
 
 
 class SearchSpaceTooLarge(RuntimeError):
-    """Exhaustive enumeration would exceed the configured cap."""
+    """A search ran past its budget before it found a result."""
 
 
 def projective_rep(field: FieldSpec, v: Sequence[int]) -> Vec:
@@ -217,12 +218,18 @@ def fsrd_check(gems: GemSet) -> Optional[Tuple[int, ...]]:
     return tuple(i_bar) if compol(gems, i_bar) >= sum(gems.h(i) for i in range(gems.k)) else None
 
 
-def comss_exhaustive(gems: GemSet, cap: int = 10_000) -> int:
+# DFS nodes that one exact-spanner search may visit, summed over its
+# depths.  A node of the long searches (p=3, r=5 or 6) costs about 15 us
+# on a 2-vCPU x86_64 VM, so such a search gives up after about 3 s.
+SEARCH_BUDGET = 200_000
+
+
+def comss_exhaustive(gems: GemSet, budget: int = SEARCH_BUDGET) -> int:
     """Exact minimum exact-spanner size by iterative-deepening search."""
-    return len(minimal_exact_spanner(gems, cap=cap))
+    return len(minimal_exact_spanner(gems, budget=budget))
 
 
-def minimal_exact_spanner(gems: GemSet, cap: int = 10_000) -> List[Vec]:
+def minimal_exact_spanner(gems: GemSet, budget: int = SEARCH_BUDGET) -> List[Vec]:
     """A minimum-cardinality exact spanner.
 
     Candidates are the projective lines of the member spans: a vector
@@ -237,42 +244,60 @@ def minimal_exact_spanner(gems: GemSet, cap: int = 10_000) -> List[Vec]:
     far that it contains; pushing v reduces it against the stacks of the
     members in `inside[v]` only, and popping undoes that.  A member's rank
     is its stack's length, so the deficit sum(h_i - rank_i) is known at
-    every node.  One more vector raises the rank of at most `maxdeg`
-    deficient members, the most of them that any line lies in, and the
-    deficient members only dwindle; so a node is cut when even that many
-    per vector could not clear the deficit within the depth, and deepening
-    starts at the larger of dim(total span) and ceil(sum(h) / maxdeg) over
-    all members.  Both cuts drop only subtrees without a solution at that
-    depth, so the first spanner found, and its order, is that of the plain
-    search.
+    every node.  One more line raises the rank of each deficient member
+    it lies in by at most 1, and the deficient members only dwindle; so
+    clearing the deficit takes at least as many distinct lines as the
+    fewest whose degrees among the deficient members add up to it, and a
+    node is cut when that many would overrun the depth.  Deepening starts
+    at the larger of dim(total span) and that count for all members.  Both
+    cuts drop only subtrees without a solution at that depth, so the first
+    spanner found, and its order, is that of the plain search.
+
+    A search that visits more than `budget` nodes, summed over its depths,
+    raises SearchSpaceTooLarge.
     """
     p = gems.field.p
-    if p ** gems.rate > cap:
-        raise SearchSpaceTooLarge(f"{p}^{gems.rate} candidate vectors exceed cap {cap}")
     lines = [subspace_lines(s) for s in gems.spans]
     targets = [gems.h(i) for i in range(gems.k)]
     inside: Dict[Vec, List[int]] = {}
     for i, member_lines in enumerate(lines):
         for v in member_lines:
             inside.setdefault(v, []).append(i)
-    masks = {sum(1 << i for i in held) for held in inside.values()}
-    degree: Dict[int, int] = {}
+    # how many lines lie in exactly the members of each bit mask
+    held = Counter(sum(1 << i for i in members) for members in inside.values())
+    degrees: Dict[int, List[Tuple[int, int]]] = {}
     need = sum(targets)
     stacks: List[List[Tuple[int, List[int]]]] = [[] for _ in targets]
     V: List[Vec] = []
+    nodes = 0
 
-    def maxdeg(short: int) -> int:
-        """The most members of the bit mask `short` that one line lies in."""
-        got = degree.get(short)
-        if got is None:
-            got = degree[short] = max((m & short).bit_count() for m in masks)
-        return got
+    def cover(short: int, deficit: int) -> int:
+        """The fewest distinct lines whose degrees, the number of members
+        of the bit mask `short` each lies in, add up to `deficit`."""
+        counts = degrees.get(short)
+        if counts is None:
+            by_degree: Counter = Counter()
+            for mask, n in held.items():
+                by_degree[(mask & short).bit_count()] += n
+            counts = degrees[short] = sorted(by_degree.items(), reverse=True)
+        m = 0
+        for d, n in counts:
+            if deficit <= 0 or not d:
+                break
+            take = min(n, -(-deficit // d))
+            m += take
+            deficit -= take * d
+        return m
 
     def dfs(deficit: int, depth: int, seen: set) -> Optional[List[Vec]]:
+        nonlocal nodes
         if not deficit:
             return list(V)
+        nodes += 1
+        if nodes > budget:
+            raise SearchSpaceTooLarge(f"exact spanner search stopped after {budget} nodes")
         short = sum(1 << j for j, rows in enumerate(stacks) if len(rows) < targets[j])
-        if len(V) + -(-deficit // maxdeg(short)) > depth:
+        if len(V) + cover(short, deficit) > depth:
             return None
         key = frozenset(V)
         if key in seen:
@@ -297,7 +322,7 @@ def minimal_exact_spanner(gems: GemSet, cap: int = 10_000) -> List[Vec]:
                 return got
         return None
 
-    lower = -(-need // maxdeg((1 << gems.k) - 1))
+    lower = cover((1 << gems.k) - 1, need)
     for depth in range(max(gems.total_span().dim, lower), need + 1):
         found = dfs(need, depth, set())
         if found is not None:

@@ -1,8 +1,10 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
+from srlnc import blockcode, subrate
 from srlnc import (
     BlockDesign,
     GemSet,
@@ -122,6 +124,17 @@ def test_build_partial_general_guarantees():
             assert len(sp.decoded_indices) >= g.h(i)
             assert sp.rate == Fraction(len(sp.decoded_indices), plan.l)
             assert plan.P_hat @ lift_block(g.mats[i], plan.l) @ sp.D_hat == sp.R_hat
+
+
+def test_build_partial_general_falls_back_to_the_member_bases(monkeypatch):
+    g = gems_shared_axis()
+    monkeypatch.setattr(blockcode, "minimal_exact_spanner",
+                        functools.partial(subrate.minimal_exact_spanner, budget=1))
+    plan = build_partial_general(g)
+    bases = [v for s in g.spans for v in s.basis.columns()]
+    assert plan.design.spanner == tuple(dict.fromkeys(bases))
+    for i, sp in enumerate(plan.sinks):
+        assert len(sp.decoded_indices) >= g.h(i)
 
 
 def test_build_partial_general_single_member_is_full_rate():

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -14,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srlnc import FieldSpec, Mat, lift_block
-from srlnc import cli
+from srlnc import blockcode, cli, subrate
 from srlnc.cli import CHUNK, main
+
+from helpers import generalized_butterfly
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -220,6 +223,44 @@ def test_precode_gems_with_a_spanner_longer_than_the_rate(tmp_path, capsys):
         assert P_hat @ lifted @ D_hat == R_hat
 
 
+def test_precode_exits_3_when_the_spanner_search_runs_past_its_budget(tmp_path, capsys,
+                                                                       monkeypatch):
+    gems = write(tmp_path, "gems.json", SHARED_AXIS_GEMS)
+    monkeypatch.setattr(blockcode, "minimal_exact_spanner",
+                        functools.partial(subrate.minimal_exact_spanner, budget=3))
+    assert main(["precode", "--gems", gems, "--block", "2"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "infeasible: exact spanner search stopped after 3 nodes"]
+
+
+@pytest.mark.parametrize("r, p, weak", [(3, 31, 3), (4, 13, 4), (4, 23, 4), (4, 31, 4)])
+def test_weak_butterfly_sinks_get_a_block_plan(tmp_path, r, p, weak):
+    # p^r is 29 791 to 923 521 here, but the weak sinks' exact spanner
+    # search visits a few dozen nodes at most
+    net = generalized_butterfly(FieldSpec(p), r, weak)
+    obj = {"field": p, "rate": r, "nodes": list(net.nodes),
+           "edges": [list(e) for e in net.edges], "source": net.source,
+           "sinks": list(net.sinks[:r]), "subrate_sinks": list(net.sinks[r:])}
+    nf = write(tmp_path, "net.json", obj)
+    cf, pf, rf = (str(tmp_path / name) for name in ("code.json", "plan.json", "report.json"))
+    assert main(["code", nf, "--out", cf]) == 0
+    t0 = time.perf_counter()
+    assert main(["precode", nf, cf, "--block", "2", "--out", pf]) == 0
+    assert time.perf_counter() - t0 < 0.5
+    assert main(["simulate", nf, cf, pf, "--trials", "20", "--out", rf]) == 0
+    rows = read(rf)["sinks"]
+    assert [row["failures"] for row in rows] == [0] * (r + weak)
+    assert [row["rate"] for row in rows[r:]] == ["3/2"] * weak
+
+
+def test_precode_needs_subrate_sinks(tmp_path, capsys):
+    net, code, _ = _pipeline_files(tmp_path, block=False)
+    _edit(net, lambda obj: obj.pop("subrate_sinks"))
+    capsys.readouterr()
+    assert main(["precode", net, code]) == 2
+    _one_error_line(capsys, f"{net}: subrate_sinks: no subrate sinks to precode for")
+
+
 def test_precode_needs_a_network_or_gems(tmp_path, capsys):
     assert main(["precode"]) == 2
     assert "needs a network file" in capsys.readouterr().err
@@ -420,8 +461,8 @@ def test_local_kernel_rows_need_one_entry_per_output(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["simulate", "precode"])
 @pytest.mark.parametrize("sinks, subrate_sinks, fragment", [
-    ([6, 7, 8], [], "sink 8 has max-flow below the rate"),
-    ([7], [8, 6], "subrate sink 6 reaches the full rate"),
+    ([6, 7, 8], [], "sinks: sink 8 has max-flow below the rate"),
+    ([7], [8, 6], "subrate_sinks: subrate sink 6 reaches the full rate"),
 ], ids=["weak-sink", "full-subrate-sink"])
 def test_sinks_must_be_listed_by_rate(tmp_path, capsys, command, sinks, subrate_sinks,
                                       fragment):
@@ -430,7 +471,7 @@ def test_sinks_must_be_listed_by_rate(tmp_path, capsys, command, sinks, subrate_
                      dict(BUTTERFLY, sinks=sinks, subrate_sinks=subrate_sinks))
     capsys.readouterr()
     assert main([command, relisted, code]) == 2
-    _one_error_line(capsys, fragment)
+    _one_error_line(capsys, f"{relisted}: {fragment}")
 
 
 def test_contract_checks_survive_python_O(tmp_path):
@@ -559,7 +600,7 @@ def test_a_cyclic_network_exits_2_whatever_the_field(tmp_path, capsys, argv, p):
     cyclic = dict(BUTTERFLY, field=p, edges=BUTTERFLY["edges"] + [[8, 2], [2, 8]])
     net = write(tmp_path, "net.json", cyclic)
     assert main(argv[:1] + [net] + argv[1:]) == 2
-    assert capsys.readouterr().err == "error: graph has a directed cycle\n"
+    assert capsys.readouterr().err == f"error: {net}: edges: graph has a directed cycle\n"
 
 
 @pytest.mark.parametrize("argv", [["maxflow", "FILE", "6"], ["code", "FILE"]],
@@ -713,9 +754,21 @@ def _set(key, value):
     (False, "plan", lambda obj: obj.pop("sinks"), "sinks: plan lacks per-sink decoders"),
     (True, "plan", lambda obj: obj["sinks"].pop("12"),
      "sinks: plan has no decoders for subrate sink 12"),
+    (False, "net", _set("field", 4), "field: field order must be prime, got 4"),
+    (False, "net", _set("source", 9), "source: source is not a node"),
+    (False, "net", lambda obj: obj["edges"].append([2, 9]),
+     "edges: edge endpoint not a node: (2, 9)"),
+    (False, "net", lambda obj: obj["edges"].append([2, 1]),
+     "edges: source must have no incoming real edges"),
+    (False, "net", _set("rate", 0), "rate: rate must be >= 1"),
+    (False, "net", _set("sinks", [6, 9]), "sinks: 9 is not a node other than the source"),
+    (False, "net", _set("sinks", [6, 1]), "sinks: 1 is not a node other than the source"),
+    (False, "net", _set("subrate_sinks", ["8"]),
+     "subrate_sinks: '8' is not a node other than the source"),
 ], ids=["net-keys", "net-edge", "net-both", "code-field", "code-gek", "code-lek-missing",
         "code-lek-keys", "code-lek-edges", "plan-kind", "plan-keys", "plan-l", "plan-field",
-        "plan-sinks", "plan-sink"])
+        "plan-sinks", "plan-sink", "net-field", "net-source", "net-endpoint",
+        "net-into-source", "net-rate", "net-sink", "net-sink-is-source", "net-subrate-sink"])
 def test_load_errors_name_their_file_and_field(tmp_path, capsys, block, name, change,
                                                message):
     files = dict(zip(("net", "code", "plan"), _pipeline_files(tmp_path, block)))
@@ -743,12 +796,18 @@ def test_non_integer_gems_entries_exit_2(tmp_path, capsys, value):
     ({"spanner": 5}, "spanner must be a list, got 5"),
     ({"spanner": [[1, 0]]}, "spanner vectors must have length 3"),
     ({"spanner": [5]}, "spanner must be a list, got 5"),
+    ({"p": 4}, "p: field order must be prime, got 4"),
+    ({"spanner": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+     "spanner: supplied vectors are not an exact spanner"),
+    ({"spanner": [[2, 1, 1], [1, 1, 0], [1, 1, 1], [2, 2, 0]]},
+     "spanner: supplied spanner vectors must be independent"),
 ], ids=["mats-int", "mats-empty", "mats-short", "mats-ragged", "mats-dependent",
-        "spanner-int", "spanner-short", "spanner-vector-int"])
+        "spanner-int", "spanner-short", "spanner-vector-int", "p-composite",
+        "spanner-not-exact", "spanner-dependent"])
 def test_malformed_gems_exit_2(tmp_path, capsys, change, fragment):
     gems = write(tmp_path, "bad.json", dict(THREE_PLANES_GEMS, **change))
     assert main(["precode", "--gems", gems]) == 2
-    _one_error_line(capsys, "bad.json: ", fragment)
+    _one_error_line(capsys, f"{gems}: {fragment}")
 
 
 @pytest.mark.parametrize("where, value", [

@@ -77,6 +77,18 @@ def test_matmul_and_vector_products():
     assert (a @ Mat.identity(GF3, 2)) == a
 
 
+@given(matrices(), st.data())
+def test_row_times_matches_a_one_row_product(a, data):
+    v = data.draw(st.lists(st.integers(-7, 7), min_size=a.rows, max_size=a.rows))
+    assert row_times(v, a) == (Mat(a.field, [v]) @ a).row(0)
+    with pytest.raises(ValueError, match="length mismatch"):
+        row_times(v + [1], a)
+
+
+def test_row_times_with_no_rows():
+    assert row_times((), Mat(GF3, [], cols=2)) == (0, 0)
+
+
 def test_matmul_mismatch():
     a = Mat(GF3, [[1, 2], [0, 1]])
     with pytest.raises(ValueError):

@@ -223,12 +223,19 @@ def test_precoder_refused_when_the_minimal_spanner_exceeds_the_rate():
         build_precoder(g)
 
 
-def test_minimal_spanner_respects_cap():
-    g = GemSet([mat_cols(GF5, *[tuple(1 if i == j else 0 for i in range(6))
-                                for j in range(2)])], rate=6)
-    with pytest.raises(SearchSpaceTooLarge):
-        minimal_exact_spanner(g)  # 5^6 candidates > default cap
-    assert len(minimal_exact_spanner(g, cap=5 ** 6)) == 2
+def test_minimal_spanner_respects_the_node_budget():
+    g = gems_four_planes()   # the search visits 7 nodes
+    V = minimal_exact_spanner(g)
+    assert minimal_exact_spanner(g, budget=7) == V
+    with pytest.raises(SearchSpaceTooLarge, match="stopped after 6 nodes"):
+        minimal_exact_spanner(g, budget=6)
+    with pytest.raises(SearchSpaceTooLarge, match="stopped after 6 nodes"):
+        comss_exhaustive(g, budget=6)
+    # the budget counts nodes, not the 5^6 vectors of the ambient space:
+    # one node per vector that a lone plane still lacks
+    wide = GemSet([mat_cols(GF5, *[tuple(1 if i == j else 0 for i in range(6))
+                                   for j in range(2)])], rate=6)
+    assert len(minimal_exact_spanner(wide, budget=2)) == 2
 
 
 def test_build_spanner_collects_intersection_lines():

@@ -19,6 +19,10 @@ The pools hold at most five weak sinks, so each tree also runs `precode
 `gen.feasible_gemset(random.Random(1000 * k + s), 5, 8, k)` of its own
 `perfbench/gen.py`, for k in 8, 10, 12 and s in 1, 2.
 
+Each tree also runs code, `precode --block 2` and simulate on
+`gen.generalized_butterfly(31, 4, 4)`, whose weak sinks need the longest
+exact spanner search of the butterfly family.
+
 Compared per op: each stage's exit code and stderr, and the sha256 of each
 output file; per pool, the set-up's CLI calls and the files it left.  Every
 op that differs is printed, and the exit status is 1 if any op differs.
@@ -39,6 +43,7 @@ from typing import Dict, List
 POOLS = [("net-pipeline", 701), ("sim-stream", 701), ("gem-precode", 701),
          ("gem-block", 701), ("gem-block", 711)]
 MANY_SINKS = [(k, s) for k in (8, 10, 12) for s in (1, 2)]
+BUTTERFLY = (31, 4, 4)   # p, r, weak sinks
 # srlnc.cli.CHUNK is 256; the parent tree may not define it
 CHUNK_TRIALS = (0, 2 * 256 + 1)
 
@@ -108,6 +113,18 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
             rc, msg = runner.call(["precode", "--gems", str(gems), *block, "--out", str(plan)])
             out[f"many-sinks k={k} s={s} {' '.join(block)}".rstrip()] = {
                 "stages": [[rc, msg]], "outputs": {plan.name: _sha(plan)}}
+    net = run._write(many / "bfly.net.json", gen.generalized_butterfly(*BUTTERFLY)[0])
+    code, plan, report = (many / f"bfly.{name}.json" for name in ("code", "plan", "report"))
+    stages = []
+    for argv in (["code", net, "--out", code],
+                 ["precode", net, code, "--block", "2", "--out", plan],
+                 ["simulate", net, code, plan, "--out", report]):
+        rc, msg = runner.call([str(a) for a in argv])
+        stages.append([rc, msg])
+        if rc != 0:
+            break
+    out["butterfly p={} r={} w={}".format(*BUTTERFLY)] = {
+        "stages": stages, "outputs": {p.name: _sha(p) for p in (code, plan, report)}}
     return out
 
 
