@@ -54,6 +54,7 @@ from .blockcode import (
     BlockPlan,
     BlockSinkPlan,
     InfeasibleDesign,
+    SpannerRejected,
     block_decoder_for,
     build_block_plan,
     build_partial_general,
@@ -84,7 +85,7 @@ __all__ = [
     "build_spanner", "comd", "compol", "comss_c",
     "comss_exhaustive", "fsrd_check", "is_exact_spanner",
     "minimal_exact_spanner", "projective_rep", "subspace_lines",
-    "BlockDesign", "BlockPlan", "BlockSinkPlan", "InfeasibleDesign",
+    "BlockDesign", "BlockPlan", "BlockSinkPlan", "InfeasibleDesign", "SpannerRejected",
     "block_decoder_for", "build_block_plan", "build_partial_general",
     "build_precoder", "lift_block", "optimize_block_plan",
     "PREFER_SINK", "PREFER_SUB_RATE", "SinkAdvice", "consequential_maxflow",

@@ -41,6 +41,10 @@ class InfeasibleDesign(ValueError):
     """A block of the design cannot be completed to an invertible basis."""
 
 
+class SpannerRejected(ValueError):
+    """A supplied spanner is not an exact spanner of independent vectors."""
+
+
 def lift_block(B_t: Mat, l: int) -> Mat:
     """Block-diagonal matrix with l copies of B_t."""
     if l < 1:
@@ -168,9 +172,9 @@ def build_precoder(gems: GemSet, full_rate: Sequence[Mat] = (),
     if spanner is not None:
         V = [tuple(x % field.p for x in v) for v in spanner]
         if not is_exact_spanner(V, gems):
-            raise ValueError("supplied vectors are not an exact spanner")
+            raise SpannerRejected("supplied vectors are not an exact spanner")
         if rank_of_vectors(field, V) != len(V):
-            raise ValueError("supplied spanner vectors must be independent")
+            raise SpannerRejected("supplied spanner vectors must be independent")
     else:
         try:
             V = list(build_spanner(gems, i_bar))

@@ -21,6 +21,7 @@ from .blockcode import (
     BlockPlan,
     BlockSinkPlan,
     InfeasibleDesign,
+    SpannerRejected,
     block_decoder_for,
     build_precoder,
     lift_block,
@@ -351,10 +352,7 @@ def cmd_precode(args) -> int:
         if args.block is None:
             raise
         plan = optimize_block_plan(gems, l_max=args.block)
-    except ValueError as exc:
-        if spanner is None:
-            raise
-        # given a spanner, build_precoder raises ValueError only on its checks of it
+    except SpannerRejected as exc:
         raise ValueError(f"{args.gems}: spanner: {exc}") from None
 
     entries = None

@@ -23,8 +23,10 @@ class Network:
     reserved ids -1..-r and are the only edges into `source`.  Every
     `in_edges`/`out_edges` list is in ascending id order, so the imaginary
     links come as -r..-1.  `order` is the topological order of the nodes,
-    computed once here: a cyclic edge set raises `CycleDetected`.  Each
-    error message starts with the name of the argument at fault.
+    computed once here: a cyclic edge set raises `CycleDetected`.  The
+    messages of the checks that a network file can reach (`cli.load_network`
+    checks node names and sinks itself) start with the name of the argument
+    at fault.
     """
 
     __slots__ = ("nodes", "edges", "source", "sinks", "rate", "field",
@@ -35,7 +37,7 @@ class Network:
         nodes = tuple(nodes)
         node_set = set(nodes)
         if len(node_set) != len(nodes):
-            raise ValueError("nodes: duplicate node ids")
+            raise ValueError("duplicate node ids")
         edges = tuple((t, h) for t, h in edges)
         for t, h in edges:
             if t not in node_set or h not in node_set:
@@ -44,7 +46,7 @@ class Network:
             raise ValueError("source: source is not a node")
         for s in sinks:
             if s not in node_set:
-                raise ValueError(f"sinks: sink is not a node: {s}")
+                raise ValueError(f"sink is not a node: {s}")
         if rate < 1:
             raise ValueError("rate: rate must be >= 1")
         if any(h == source for _, h in edges):

@@ -35,7 +35,7 @@ class ConstructionFailed(RuntimeError):
 
 
 class SearchSpaceTooLarge(RuntimeError):
-    """A search ran past its budget before it found a result."""
+    """A search ran past its budget, or would have, before it found a result."""
 
 
 def projective_rep(field: FieldSpec, v: Sequence[int]) -> Vec:
@@ -222,6 +222,10 @@ def fsrd_check(gems: GemSet) -> Optional[Tuple[int, ...]]:
 # depths.  A node of the long searches (p=3, r=5 or 6) costs about 15 us
 # on a 2-vCPU x86_64 VM, so such a search gives up after about 3 s.
 SEARCH_BUDGET = 200_000
+# Member lines that one search may list before its first node.  A line
+# takes about 1 us and 260 bytes to list on that VM, so the listing stays
+# under 0.1 s and 15 MB; four 3-dimensional members at p=31 list 3972.
+LINE_BUDGET = 50_000
 
 
 def comss_exhaustive(gems: GemSet, budget: int = SEARCH_BUDGET) -> int:
@@ -253,12 +257,19 @@ def minimal_exact_spanner(gems: GemSet, budget: int = SEARCH_BUDGET) -> List[Vec
     cuts drop only subtrees without a solution at that depth, so the first
     spanner found, and its order, is that of the plain search.
 
-    A search that visits more than `budget` nodes, summed over its depths,
-    raises SearchSpaceTooLarge.
+    A search whose members hold more than LINE_BUDGET lines, or that
+    visits more than `budget` nodes summed over its depths, raises
+    SearchSpaceTooLarge.  The node count bounds the work past the listing:
+    of the lines a node scans, fewer than one in p lie in the span the
+    member already has, and each other line opens a counted node.
     """
     p = gems.field.p
-    lines = [subspace_lines(s) for s in gems.spans]
     targets = [gems.h(i) for i in range(gems.k)]
+    listed = sum((p ** h - 1) // (p - 1) for h in targets)
+    if listed > LINE_BUDGET:
+        raise SearchSpaceTooLarge(f"exact spanner search would list {listed} member lines, "
+                                  f"more than {LINE_BUDGET}")
+    lines = [subspace_lines(s) for s in gems.spans]
     inside: Dict[Vec, List[int]] = {}
     for i, member_lines in enumerate(lines):
         for v in member_lines:

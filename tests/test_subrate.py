@@ -33,6 +33,7 @@ from srlnc import (
     subspace_lines,
 )
 
+from srlnc import subrate
 from helpers import (
     GF2,
     GF3,
@@ -236,6 +237,28 @@ def test_minimal_spanner_respects_the_node_budget():
     wide = GemSet([mat_cols(GF5, *[tuple(1 if i == j else 0 for i in range(6))
                                    for j in range(2)])], rate=6)
     assert len(minimal_exact_spanner(wide, budget=2)) == 2
+
+
+def _unlisted(S):
+    raise AssertionError("a refused search listed member lines")
+
+
+def test_minimal_spanner_refuses_more_member_lines_than_its_budget(monkeypatch):
+    g = gems_four_planes()   # four planes over GF(3), 4 lines each
+    V = minimal_exact_spanner(g)
+    monkeypatch.setattr(subrate, "LINE_BUDGET", 16)
+    assert minimal_exact_spanner(g) == V
+    monkeypatch.setattr(subrate, "LINE_BUDGET", 15)
+    monkeypatch.setattr(subrate, "subspace_lines", _unlisted)
+    with pytest.raises(SearchSpaceTooLarge, match="would list 16 member lines, more than 15"):
+        minimal_exact_spanner(g)
+    monkeypatch.undo()
+    # a plane over a large field holds p + 1 lines: refused at once
+    big = FieldSpec(1_000_003)
+    plane = GemSet([mat_cols(big, (1, 0, 0), (0, 1, 0))], rate=3)
+    monkeypatch.setattr(subrate, "subspace_lines", _unlisted)
+    with pytest.raises(SearchSpaceTooLarge, match="would list 1000004 member lines"):
+        minimal_exact_spanner(plane)
 
 
 def test_build_spanner_collects_intersection_lines():
