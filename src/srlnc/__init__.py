@@ -46,7 +46,6 @@ from .subrate import (
     fsrd_check,
     is_exact_spanner,
     minimal_exact_spanner,
-    projective_rep,
     subspace_lines,
 )
 from .blockcode import (
@@ -84,7 +83,7 @@ __all__ = [
     "ConstructionFailed", "GemSet", "NotFullyDecodable", "SearchSpaceTooLarge",
     "build_spanner", "comd", "compol", "comss_c",
     "comss_exhaustive", "fsrd_check", "is_exact_spanner",
-    "minimal_exact_spanner", "projective_rep", "subspace_lines",
+    "minimal_exact_spanner", "subspace_lines",
     "BlockDesign", "BlockPlan", "BlockSinkPlan", "InfeasibleDesign", "SpannerRejected",
     "block_decoder_for", "build_block_plan", "build_partial_general",
     "build_precoder", "lift_block", "optimize_block_plan",

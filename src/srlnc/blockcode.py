@@ -8,9 +8,9 @@ longer block still recovers a share.  Rates are exact rationals.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import add
 from typing import List, Optional, Sequence, Tuple
 
 from .linalg import (
@@ -28,6 +28,7 @@ from .subrate import (
     GemSet,
     NotFullyDecodable,
     SearchSpaceTooLarge,
+    _reduce,
     build_spanner,
     fsrd_check,
     is_exact_spanner,
@@ -107,31 +108,30 @@ def build_block_plan(gems: GemSet, design: BlockDesign) -> BlockPlan:
         cols = vecs + padding.columns()
         p_blocks.append(invert(Mat.from_cols(field, cols, nrows=r)))
     P_hat = _block_diag(field, p_blocks)
-    sinks = tuple(_sink_block_plan(field, V, design.blocks, P_hat, B, l)
-                  for B in gems.mats)
+    sinks = tuple(_sink_block_plan(field, V, design.blocks, P_hat, B, l, span)
+                  for B, span in zip(gems.mats, gems.spans))
     return BlockPlan(l=l, P_hat=P_hat, sinks=sinks, design=design)
 
 
 def _sink_block_plan(field, V: List[Vec], blocks: Sequence[Tuple[int, ...]],
-                     P_hat: Mat, B: Mat, l: int) -> BlockSinkPlan:
+                     P_hat: Mat, B: Mat, l: int, span: Subspace) -> BlockSinkPlan:
     r = B.rows
     h = B.cols
-    span = Subspace.span_of(B)
-    lift_eye = Mat.identity(field, l * r)
+    holds = {j: span.contains(V[j]) for j in set().union(*blocks)}
     d_blocks: List[Mat] = []
     r_cols: List[Vec] = []
     decoded: List[int] = []
     for bi, blk in enumerate(blocks):
-        members = [(pos, V[j]) for pos, j in enumerate(blk) if span.contains(V[j])]
+        members = [(pos, V[j]) for pos, j in enumerate(blk) if holds[j]]
         if members:
             targets = Mat.from_cols(field, [v for _, v in members], nrows=r)
             D_part = solve_columns(B, targets)
         else:
             D_part = Mat.zeros(field, h, 0)
         d_blocks.append(D_part.hstack(Mat.zeros(field, h, h - len(members))))
-        r_cols.extend(lift_eye.col(bi * r + pos) for pos, _ in members)
-        r_cols.extend([(0,) * (l * r)] * (h - len(members)))
         decoded.extend(bi * r + pos for pos, _ in members)
+        r_cols.extend(tuple(int(x == bi * r + pos) for x in range(l * r)) for pos, _ in members)
+        r_cols.extend([(0,) * (l * r)] * (h - len(members)))
     D_hat = _block_diag(field, d_blocks)
     R_hat = Mat.from_cols(field, r_cols, nrows=l * r)
     if P_hat @ lift_block(B, l) @ D_hat != R_hat:
@@ -147,7 +147,8 @@ def block_decoder_for(plan: BlockPlan, index: int, B: Mat) -> BlockSinkPlan:
     reuse the plan: same decoded coordinates, its own D_hat.
     """
     V = [tuple(v) for v in plan.design.spanner]
-    got = _sink_block_plan(B.field, V, plan.design.blocks, plan.P_hat, B, plan.l)
+    got = _sink_block_plan(B.field, V, plan.design.blocks, plan.P_hat, B, plan.l,
+                           Subspace.span_of(B))
     entry = plan.sinks[index]
     if got.decoded_indices != entry.decoded_indices:
         raise ContractViolation("same-span matrix decodes different block coordinates")
@@ -183,8 +184,10 @@ def build_precoder(gems: GemSet, full_rate: Sequence[Mat] = (),
             # The r columns of an inverse precoder would themselves be an
             # exact spanner, so a larger minimum rules a precoder out.
             if len(V) > r:
-                raise NotFullyDecodable(f"the minimal exact spanner has {len(V)} vectors, "
+                exc = NotFullyDecodable(f"the minimal exact spanner has {len(V)} vectors, "
                                         f"more than the rate {r}")
+                exc.spanner = tuple(V)
+                raise exc
     plan = build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=(tuple(range(len(V))),)))
     for FB in full_rate:
         if rank(plan.P_hat @ FB) != r:
@@ -197,60 +200,81 @@ def build_partial_general(gems: GemSet, max_blocks: int = 10_000) -> BlockPlan:
     d(V)-subset of an exact spanner V.  Guarantees d_t >= h_t."""
     try:
         V = minimal_exact_spanner(gems)
-    except SearchSpaceTooLarge:
-        V = _bases_union(gems)
-    field = gems.field
-    d = rank_of_vectors(field, V)
-    subsets = [c for c in itertools.combinations(range(len(V)), d)
-               if rank_of_vectors(field, [V[j] for j in c]) == d]
+    except SearchSpaceTooLarge:   # the union of the member bases
+        V = list(dict.fromkeys(v for s in gems.spans for v in s.basis.columns()))
+    d = rank_of_vectors(gems.field, V)
+    subsets = [c for c, _ in _independent_subsets(gems, V) if len(c) == d]
     if len(subsets) > max_blocks:
         raise SearchSpaceTooLarge(f"{len(subsets)} blocks exceed cap {max_blocks}")
-    design = BlockDesign(spanner=tuple(V), blocks=tuple(subsets))
-    return build_block_plan(gems, design)
+    return build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=tuple(subsets)))
 
 
-def _bases_union(gems: GemSet) -> List[Vec]:
-    out: List[Vec] = []
-    for s in gems.spans:
-        for v in s.basis.columns():
-            if v not in out:
-                out.append(v)
-    return out
+def _independent_subsets(gems: GemSet, V: Sequence[Vec]) -> List[Tuple[Tuple[int, ...], Vec]]:
+    """The independent subsets of V, sorted by (size, indices), each with
+    how many of its vectors each member span holds: one DFS over V on
+    echelon rows that drops a dependent prefix with all its extensions."""
+    p = gems.field.p
+    holds = [tuple(int(span.contains(v)) for span in gems.spans) for v in V]
+    out: List[Tuple[Tuple[int, ...], Vec]] = []
+    rows: List[Tuple[int, List[int]]] = []
+
+    def grow(start: int, chosen: Tuple[int, ...], counts: Vec) -> None:
+        for j in range(start, len(V)):
+            row = _reduce(V[j], rows, p)
+            if row is not None:
+                out.append((chosen + (j,), tuple(map(add, counts, holds[j]))))
+                rows.append(row)
+                grow(j + 1, *out[-1])
+                rows.pop()
+
+    grow(0, (), (0,) * gems.k)
+    return sorted(out, key=lambda e: (len(e[0]), e[0]))
 
 
-def optimize_block_plan(gems: GemSet, l_max: int, max_designs: int = 200_000) -> BlockPlan:
-    """Best min-rate design over multisets of independent spanner subsets.
+def optimize_block_plan(gems: GemSet, l_max: int, max_designs: int = 200_000,
+                        spanner: Optional[Sequence[Vec]] = None) -> BlockPlan:
+    """Best min-rate design over multisets of independent subsets of a
+    minimal exact spanner (`spanner`, such as `NotFullyDecodable.spanner`,
+    or a fresh search), found by exact branch-and-bound.
 
-    Scoring needs only membership counts, so the search is cheap; the full
-    plan is built once for the winner.  Ties keep the earliest design,
-    which is the lexicographically smallest at the smallest block count.
+    Designs are visited as non-decreasing subset-index tuples in lex order,
+    l ascending.  Scores min_i(total_i) / l, total_i counting the design's
+    vectors in member i's span, are compared as integer cross products, and
+    only a strictly better one replaces the best, so ties keep the first
+    design at the smallest l.  A prefix with `left` blocks to go ends its
+    level once min_i(total_i + left * sufmax_i) cannot beat the best,
+    sufmax_i being the most member i gets from one subset at or past the
+    next index.  No design scores above min h_i per use, so reaching it
+    stops the search.  More than `max_designs` search nodes, prefixes and
+    full designs alike, raise SearchSpaceTooLarge.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    V = minimal_exact_spanner(gems)
-    field = gems.field
-    r = gems.rate
-    subsets: List[Tuple[int, ...]] = []
-    for size in range(1, min(r, len(V)) + 1):
-        for c in itertools.combinations(range(len(V)), size):
-            if rank_of_vectors(field, [V[j] for j in c]) == size:
-                subsets.append(c)
-    holds = [[span.contains(v) for span in gems.spans] for v in V]
-    counts = [tuple(sum(holds[j][i] for j in c) for i in range(gems.k)) for c in subsets]
-    best: Optional[Tuple[Fraction, int, Tuple[Tuple[int, ...], ...]]] = None
-    examined = 0
-    for l in range(1, l_max + 1):
-        for design in itertools.combinations_with_replacement(range(len(subsets)), l):
-            examined += 1
-            if examined > max_designs:
+    V = list(spanner) if spanner is not None else minimal_exact_spanner(gems)
+    listed = _independent_subsets(gems, V)
+    sufmax = [(0,) * gems.k] * (len(listed) + 1)
+    for s in reversed(range(len(listed))):
+        sufmax[s] = tuple(map(max, listed[s][1], sufmax[s + 1]))
+    best = (-1, 1, ())           # (min total, l, design); any design beats it
+    nodes = 0
+
+    def dfs(start: int, left: int, l: int, totals: Vec, design: Tuple[int, ...]) -> None:
+        nonlocal best, nodes
+        for s in range(start, len(listed)):
+            if min(t + left * m for t, m in zip(totals, sufmax[s])) * best[1] <= best[0] * l:
+                return
+            nodes += 1
+            if nodes > max_designs:
                 raise SearchSpaceTooLarge(f"more than {max_designs} candidate designs")
-            totals = [0] * gems.k
-            for si in design:
-                for i, n in enumerate(counts[si]):
-                    totals[i] += n
-            score = Fraction(min(totals), l)
-            if best is None or score > best[0]:
-                best = (score, l, tuple(subsets[si] for si in design))
-    if best is None:
-        raise ContractViolation("no block design scored, though l_max >= 1")
-    return build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=best[2]))
+            got = tuple(map(add, totals, listed[s][1]))
+            if left > 1:
+                dfs(s, left - 1, l, got, design + (s,))
+            elif min(got) * best[1] > best[0] * l:
+                best = (min(got), l, design + (s,))
+
+    for l in range(1, l_max + 1):
+        if best[0] == min(sufmax[0]) * best[1]:
+            break
+        dfs(0, l, l, (0,) * gems.k, ())
+    blocks = tuple(listed[s][0] for s in best[2])
+    return build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=blocks))

@@ -348,10 +348,10 @@ def cmd_precode(args) -> int:
 
     try:
         plan = build_precoder(gems, full_rate=full_rate, spanner=spanner)
-    except NotFullyDecodable:
+    except NotFullyDecodable as exc:
         if args.block is None:
             raise
-        plan = optimize_block_plan(gems, l_max=args.block)
+        plan = optimize_block_plan(gems, l_max=args.block, spanner=exc.spanner)
     except SpannerRejected as exc:
         raise ValueError(f"{args.gems}: spanner: {exc}") from None
 

@@ -81,9 +81,6 @@ class Mat:
     def columns(self) -> List[Vec]:
         return [self.col(j) for j in range(self.cols)]
 
-    def transpose(self) -> "Mat":
-        return Mat(self.field, [self.col(j) for j in range(self.cols)], cols=self.rows)
-
     def hstack(self, other: "Mat") -> "Mat":
         if other.rows != self.rows or other.field != self.field:
             raise ValueError("hstack shape or field mismatch")

@@ -21,13 +21,14 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from .fields import FieldSpec
 
 Vec = Tuple[int, ...]
 
 
 class NotFullyDecodable(ValueError):
     """The feasibility conditions fail; no full sub-rate precoder exists here."""
+
+    spanner: Optional[Tuple[Vec, ...]] = None   # a minimal exact spanner, when one was found
 
 
 class ConstructionFailed(RuntimeError):
@@ -36,17 +37,6 @@ class ConstructionFailed(RuntimeError):
 
 class SearchSpaceTooLarge(RuntimeError):
     """A search ran past its budget, or would have, before it found a result."""
-
-
-def projective_rep(field: FieldSpec, v: Sequence[int]) -> Vec:
-    """Scale so the first nonzero coordinate is 1."""
-    p = field.p
-    w = tuple(x % p for x in v)
-    for x in w:
-        if x:
-            f = pow(x, p - 2, p)
-            return tuple((f * y) % p for y in w)
-    raise ValueError("zero vector has no projective representative")
 
 
 def subspace_lines(S: Subspace) -> List[Vec]:

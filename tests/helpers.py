@@ -471,11 +471,20 @@ def reference_fsrd_check(gems: GemSet) -> Optional[Tuple[int, ...]]:
     return None
 
 
+def projective_rep(field: FieldSpec, v: Sequence[int]) -> Vec:
+    """Scale so the first nonzero coordinate is 1."""
+    p = field.p
+    w = tuple(x % p for x in v)
+    for x in w:
+        if x:
+            f = pow(x, p - 2, p)
+            return tuple((f * y) % p for y in w)
+    raise ValueError("zero vector has no projective representative")
+
+
 def reference_subspace_lines(S: Subspace) -> List[Vec]:
     """Every vector of S listed, scaled to its projective representative,
     deduplicated and sorted."""
-    from srlnc import projective_rep
-
     return sorted({projective_rep(S.field, v) for v in S.vectors()})
 
 
@@ -512,6 +521,46 @@ def reference_build_spanner(gems: GemSet, i_bar: Sequence[int]) -> List[Vec]:
     if not is_exact_spanner(V, gems):
         raise ConstructionFailed("collected vectors do not form an exact spanner")
     return V
+
+
+def reference_optimize_block_plan(gems: GemSet, l_max: int, max_designs: int = 200_000):
+    """The design search that `optimize_block_plan` must reproduce: score
+    every multiset of independent spanner subsets, l ascending, keeping
+    the first strictly best.  Past `max_designs` scored designs it raises
+    SearchSpaceTooLarge."""
+    from fractions import Fraction
+
+    from srlnc import BlockDesign, SearchSpaceTooLarge, build_block_plan, minimal_exact_spanner
+
+    if l_max < 1:
+        raise ValueError("l_max must be >= 1")
+    V = minimal_exact_spanner(gems)
+    field = gems.field
+    r = gems.rate
+    subsets: List[Tuple[int, ...]] = []
+    for size in range(1, min(r, len(V)) + 1):
+        for c in itertools.combinations(range(len(V)), size):
+            if rank_of_vectors(field, [V[j] for j in c]) == size:
+                subsets.append(c)
+    holds = [[span.contains(v) for span in gems.spans] for v in V]
+    counts = [tuple(sum(holds[j][i] for j in c) for i in range(gems.k)) for c in subsets]
+    best: Optional[Tuple[Fraction, int, Tuple[Tuple[int, ...], ...]]] = None
+    examined = 0
+    for l in range(1, l_max + 1):
+        for design in itertools.combinations_with_replacement(range(len(subsets)), l):
+            examined += 1
+            if examined > max_designs:
+                raise SearchSpaceTooLarge(f"more than {max_designs} candidate designs")
+            totals = [0] * gems.k
+            for si in design:
+                for i, n in enumerate(counts[si]):
+                    totals[i] += n
+            score = Fraction(min(totals), l)
+            if best is None or score > best[0]:
+                best = (score, l, tuple(subsets[si] for si in design))
+    if best is None:
+        raise ContractViolation("no block design scored, though l_max >= 1")
+    return build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=best[2]))
 
 
 def reference_simulate(net: Network, code, v: Sequence[int]) -> Dict[int, int]:

@@ -1,12 +1,16 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from srlnc import blockcode, subrate
 from srlnc import (
     BlockDesign,
+    FieldSpec,
     GemSet,
     InfeasibleDesign,
     Mat,
@@ -28,6 +32,7 @@ from helpers import (
     gems_three_planes,
     mat_cols,
     random_gemset,
+    reference_optimize_block_plan,
 )
 
 AXIS_DESIGN = BlockDesign(
@@ -169,6 +174,37 @@ def test_optimizer_argument_validation():
         optimize_block_plan(gems_shared_axis(), l_max=0)
     with pytest.raises(SearchSpaceTooLarge):
         optimize_block_plan(gems_shared_axis(), l_max=3, max_designs=10)
+
+
+def test_optimizer_node_budget_boundary():
+    g = gems_shared_axis()   # the best, 5/3 per use, needs l = 3
+    want = optimize_block_plan(g, l_max=3)
+    assert optimize_block_plan(g, l_max=3, max_designs=97) == want
+    with pytest.raises(SearchSpaceTooLarge, match="more than 96 candidate designs"):
+        optimize_block_plan(g, l_max=3, max_designs=96)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([2, 3, 5]),
+       r=st.sampled_from([3, 4]), k_max=st.integers(1, 5), l_max=st.integers(1, 3))
+def test_optimizer_matches_the_exhaustive_reference(seed, p, r, k_max, l_max):
+    g = random_gemset(random.Random(seed), FieldSpec(p), r, k_max)
+    try:
+        subrate.minimal_exact_spanner(g, budget=20_000)
+        want = reference_optimize_block_plan(g, l_max)
+    except SearchSpaceTooLarge:
+        assume(False)
+    assert optimize_block_plan(g, l_max) == want
+
+
+def test_build_partial_general_blocks_are_the_independent_d_subsets():
+    for g in (gems_shared_axis(), gems_four_planes(), gems_three_planes()):
+        plan = build_partial_general(g)
+        V = plan.design.spanner
+        d = rank(Mat.from_cols(g.field, V))
+        want = tuple(c for c in itertools.combinations(range(len(V)), d)
+                     if rank(Mat.from_cols(g.field, [V[j] for j in c])) == d)
+        assert plan.design.blocks == want
 
 
 def test_block_rates_never_exceed_member_dimension():

@@ -8,17 +8,18 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srlnc import FieldSpec, Mat, lift_block
+from srlnc import FieldSpec, GemSet, Mat, lift_block
 from srlnc import blockcode, cli, subrate
 from srlnc.cli import CHUNK, main
 
-from helpers import generalized_butterfly
+from helpers import generalized_butterfly, reference_optimize_block_plan
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -64,6 +65,23 @@ FIVE_VECTOR_GEMS = {
         [[2, 1], [0, 0], [1, 1], [0, 1]],
         [[0, 0], [2, 0], [0, 2], [1, 1]],
         [[0], [2], [2], [2]],
+    ],
+}
+
+# a random set over GF(3) (tests/helpers.random_gemset, random.Random(5),
+# r=4, k_max=6: the first drawn with k=5 and a minimal spanner of 5 or 6
+# vectors); its multisets of up to four independent spanner subsets number
+# more than 200 000, but a single subset already reaches min h = 1 per use,
+# which no design can beat, so the search stops at l = 1
+BLOCK_PROBE_GEMS = {
+    "p": 3,
+    "rate": 4,
+    "mats": [
+        [[2, 2], [1, 2], [2, 0], [2, 1]],
+        [[2], [0], [0], [0]],
+        [[1, 0], [0, 2], [1, 0], [2, 0]],
+        [[0, 1, 2], [1, 0, 2], [1, 0, 1], [0, 0, 0]],
+        [[0], [0], [1], [1]],
     ],
 }
 
@@ -221,6 +239,41 @@ def test_precode_gems_with_a_spanner_longer_than_the_rate(tmp_path, capsys):
         D_hat = Mat(field, member["D_hat"], cols=l * h)
         R_hat = Mat(field, member["R_hat"], cols=l * h)
         assert P_hat @ lifted @ D_hat == R_hat
+
+
+def test_precode_block_searches_for_the_spanner_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(gems, **kwargs):
+        calls.append(gems)
+        return subrate.minimal_exact_spanner(gems, **kwargs)
+
+    monkeypatch.setattr(blockcode, "minimal_exact_spanner", counted)
+    gems = write(tmp_path, "gems.json", FIVE_VECTOR_GEMS)
+    out = tmp_path / "plan.json"
+    assert main(["precode", "--gems", gems, "--block", "2", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    g = GemSet([Mat(FieldSpec(3), m) for m in FIVE_VECTOR_GEMS["mats"]], rate=4)
+    want = cli.plan_to_obj(3, 4, reference_optimize_block_plan(g, l_max=2))
+    assert out.read_text() == cli.canonical_json(want)
+
+
+def test_precode_block_4_stops_once_a_design_reaches_min_h(tmp_path):
+    gems = write(tmp_path, "gems.json", BLOCK_PROBE_GEMS)
+    out = str(tmp_path / "plan.json")
+    t0 = time.perf_counter()
+    assert main(["precode", "--gems", gems, "--block", "4", "--out", out]) == 0
+    assert time.perf_counter() - t0 < 5
+    obj = read(out)
+    assert (obj["kind"], obj["l"]) == ("block", 1)
+    field = FieldSpec(3)
+    P_hat = Mat(field, obj["P_hat"])
+    assert min(Fraction(m["rate"]) for m in obj["members"]) == 1
+    for grid, member in zip(BLOCK_PROBE_GEMS["mats"], obj["members"]):
+        h = len(grid[0])
+        D_hat = Mat(field, member["D_hat"], cols=h)
+        R_hat = Mat(field, member["R_hat"], cols=h)
+        assert P_hat @ Mat(field, grid) @ D_hat == R_hat
 
 
 def test_precode_exits_3_when_the_spanner_search_runs_past_its_budget(tmp_path, capsys,

@@ -25,7 +25,6 @@ from srlnc import (
     fsrd_check,
     is_exact_spanner,
     minimal_exact_spanner,
-    projective_rep,
     rank,
     rank_of_vectors,
     row_times,
@@ -46,6 +45,7 @@ from helpers import (
     gems_shared_axis,
     gems_three_planes,
     mat_cols,
+    projective_rep,
     random_gemset,
     reference_build_spanner,
     reference_comss_c,

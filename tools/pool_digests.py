@@ -19,6 +19,14 @@ The pools hold at most five weak sinks, so each tree also runs `precode
 `gen.feasible_gemset(random.Random(1000 * k + s), 5, 8, k)` of its own
 `perfbench/gen.py`, for k in 8, 10, 12 and s in 1, 2.
 
+No pool plans past l = 2, so each tree also runs `precode --gems --block 3`
+on the sets `gen.random_gemset(random.Random(s), 3, 4, 5)` for the first
+ten seeds s whose best design has l = 3 (40 of the seeds 0..299 do, 243
+stop at l = 1) and whose designs of up to three blocks number at most
+200 000, so that scoring every design, as
+`tests/helpers.reference_optimize_block_plan` does, also finishes within
+its default budget.  Seed 60, left out, has 596 903 such designs.
+
 Each tree also runs code, `precode --block 2` and simulate on
 `gen.generalized_butterfly(31, 4, 4)`, whose weak sinks need the longest
 exact spanner search of the butterfly family.
@@ -43,6 +51,8 @@ from typing import Dict, List
 POOLS = [("net-pipeline", 701), ("sim-stream", 701), ("gem-precode", 701),
          ("gem-block", 701), ("gem-block", 711)]
 MANY_SINKS = [(k, s) for k in (8, 10, 12) for s in (1, 2)]
+# gen.random_gemset(random.Random(s), 3, 4, 5) under --block 3: best design has l = 3
+BLOCK3_SEEDS = (15, 16, 18, 23, 45, 65, 78, 79, 85, 94)
 BUTTERFLY = (31, 4, 4)   # p, r, weak sinks
 # srlnc.cli.CHUNK is 256; the parent tree may not define it
 CHUNK_TRIALS = (0, 2 * 256 + 1)
@@ -113,6 +123,15 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
             rc, msg = runner.call(["precode", "--gems", str(gems), *block, "--out", str(plan)])
             out[f"many-sinks k={k} s={s} {' '.join(block)}".rstrip()] = {
                 "stages": [[rc, msg]], "outputs": {plan.name: _sha(plan)}}
+    for s in BLOCK3_SEEDS:
+        gems = run._write(many / f"random-{s}.json",
+                          gen.random_gemset(random.Random(s), 3, 4, 5))
+        plan = many / "plan.json"
+        plan.unlink(missing_ok=True)
+        rc, msg = runner.call(["precode", "--gems", str(gems), "--block", "3",
+                               "--out", str(plan)])
+        out[f"random p=3 r=4 k=5 s={s} --block 3"] = {
+            "stages": [[rc, msg]], "outputs": {plan.name: _sha(plan)}}
     net = run._write(many / "bfly.net.json", gen.generalized_butterfly(*BUTTERFLY)[0])
     code, plan, report = (many / f"bfly.{name}.json" for name in ("code", "plan", "report"))
     stages = []
