@@ -13,7 +13,6 @@ from .linalg import (
     Subspace,
     complete_basis,
     invert,
-    kernel_columns,
     rank,
     rank_of_vectors,
     row_times,
@@ -65,7 +64,6 @@ from .advisor import (
     PREFER_SINK,
     PREFER_SUB_RATE,
     SinkAdvice,
-    consequential_maxflow,
     field_bits,
     rate_ratio_curve,
     rate_ratio_verdict,
@@ -74,7 +72,7 @@ from .advisor import (
 __all__ = [
     "FieldSpec", "is_prime", "smallest_prime_greater_than",
     "ContractViolation", "Mat", "Singular", "Subspace",
-    "complete_basis", "invert", "kernel_columns", "rank", "rank_of_vectors",
+    "complete_basis", "invert", "rank", "rank_of_vectors",
     "row_times", "solve_columns", "subspace_intersect", "subspace_sum",
     "CycleDetected", "FlowResult", "Network", "max_flow", "topo_order",
     "CodeInvalidForSink", "FieldTooSmall", "Gem", "LinearCode",
@@ -87,7 +85,7 @@ __all__ = [
     "BlockDesign", "BlockPlan", "BlockSinkPlan", "InfeasibleDesign", "SpannerRejected",
     "block_decoder_for", "build_block_plan", "build_partial_general",
     "build_precoder", "lift_block", "optimize_block_plan",
-    "PREFER_SINK", "PREFER_SUB_RATE", "SinkAdvice", "consequential_maxflow",
+    "PREFER_SINK", "PREFER_SUB_RATE", "SinkAdvice",
     "field_bits", "rate_ratio_curve", "rate_ratio_verdict",
 ]
 

@@ -12,9 +12,6 @@ from fractions import Fraction
 from typing import Hashable, List, Optional, Tuple
 
 from .fields import smallest_prime_greater_than
-from .linalg import Mat, rank
-from .multicast import LinearCode
-from .netgraph import Network
 
 PREFER_SUB_RATE = "prefer-sub-rate"
 PREFER_SINK = "prefer-sink"
@@ -33,20 +30,6 @@ class SinkAdvice:
 def field_bits(p: int) -> int:
     """ceil(log2 p); exact for primes since 2 is the only prime power of two."""
     return (p - 1).bit_length()
-
-
-def consequential_maxflow(net: Network, code: LinearCode, t) -> int:
-    """Rank of all incoming global kernels at t.
-
-    This counts independent symbols actually arriving, which a precoder
-    may or may not turn into decodable ones.
-    """
-    if t == net.source:
-        raise ValueError("the source has no incoming kernels")
-    cols = [code.gek[e] for e in net.in_edges[t] if e >= 0]
-    if not cols:
-        return 0
-    return rank(Mat.from_cols(net.field, cols, nrows=code.rate))
 
 
 def rate_ratio_verdict(h_t: int, r_t: int, num_sinks: int, node=None) -> SinkAdvice:

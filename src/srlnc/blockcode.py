@@ -13,10 +13,12 @@ from fractions import Fraction
 from operator import add
 from typing import List, Optional, Sequence, Tuple
 
+from . import subrate
 from .linalg import (
     ContractViolation,
     Mat,
     Subspace,
+    _reduce,
     complete_basis,
     invert,
     rank,
@@ -28,7 +30,6 @@ from .subrate import (
     GemSet,
     NotFullyDecodable,
     SearchSpaceTooLarge,
-    _reduce,
     build_spanner,
     fsrd_check,
     is_exact_spanner,
@@ -102,11 +103,10 @@ def build_block_plan(gems: GemSet, design: BlockDesign) -> BlockPlan:
     p_blocks: List[Mat] = []
     for blk in design.blocks:
         vecs = [V[j] for j in blk]
-        if rank_of_vectors(field, vecs) != len(vecs):
+        span = Subspace.from_columns(field, r, vecs)
+        if span.dim != len(vecs):
             raise InfeasibleDesign(f"block {blk} is linearly dependent")
-        padding = complete_basis(Subspace.from_columns(field, r, vecs))
-        cols = vecs + padding.columns()
-        p_blocks.append(invert(Mat.from_cols(field, cols, nrows=r)))
+        p_blocks.append(invert(Mat.from_cols(field, vecs + complete_basis(span), nrows=r)))
     P_hat = _block_diag(field, p_blocks)
     sinks = tuple(_sink_block_plan(field, V, design.blocks, P_hat, B, l, span)
                   for B, span in zip(gems.mats, gems.spans))
@@ -195,17 +195,20 @@ def build_precoder(gems: GemSet, full_rate: Sequence[Mat] = (),
     return replace(plan, i_bar=i_bar)
 
 
-def build_partial_general(gems: GemSet, max_blocks: int = 10_000) -> BlockPlan:
+MAX_BLOCKS = 10_000   # most blocks, one per independent d(V)-subset, in a partial plan
+
+
+def build_partial_general(gems: GemSet) -> BlockPlan:
     """The always-applicable construction: one block per independent
     d(V)-subset of an exact spanner V.  Guarantees d_t >= h_t."""
     try:
         V = minimal_exact_spanner(gems)
     except SearchSpaceTooLarge:   # the union of the member bases
-        V = list(dict.fromkeys(v for s in gems.spans for v in s.basis.columns()))
+        V = list(dict.fromkeys(v for s in gems.spans for v in s.basis))
     d = rank_of_vectors(gems.field, V)
     subsets = [c for c, _ in _independent_subsets(gems, V) if len(c) == d]
-    if len(subsets) > max_blocks:
-        raise SearchSpaceTooLarge(f"{len(subsets)} blocks exceed cap {max_blocks}")
+    if len(subsets) > MAX_BLOCKS:
+        raise SearchSpaceTooLarge(f"{len(subsets)} blocks exceed cap {MAX_BLOCKS}")
     return build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=tuple(subsets)))
 
 
@@ -231,7 +234,7 @@ def _independent_subsets(gems: GemSet, V: Sequence[Vec]) -> List[Tuple[Tuple[int
     return sorted(out, key=lambda e: (len(e[0]), e[0]))
 
 
-def optimize_block_plan(gems: GemSet, l_max: int, max_designs: int = 200_000,
+def optimize_block_plan(gems: GemSet, l_max: int,
                         spanner: Optional[Sequence[Vec]] = None) -> BlockPlan:
     """Best min-rate design over multisets of independent subsets of a
     minimal exact spanner (`spanner`, such as `NotFullyDecodable.spanner`,
@@ -245,8 +248,8 @@ def optimize_block_plan(gems: GemSet, l_max: int, max_designs: int = 200_000,
     level once min_i(total_i + left * sufmax_i) cannot beat the best,
     sufmax_i being the most member i gets from one subset at or past the
     next index.  No design scores above min h_i per use, so reaching it
-    stops the search.  More than `max_designs` search nodes, prefixes and
-    full designs alike, raise SearchSpaceTooLarge.
+    stops the search.  More than `subrate.SEARCH_BUDGET` search nodes,
+    prefixes and full designs alike, raise SearchSpaceTooLarge.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -256,7 +259,7 @@ def optimize_block_plan(gems: GemSet, l_max: int, max_designs: int = 200_000,
     for s in reversed(range(len(listed))):
         sufmax[s] = tuple(map(max, listed[s][1], sufmax[s + 1]))
     best = (-1, 1, ())           # (min total, l, design); any design beats it
-    nodes = 0
+    nodes, budget = 0, subrate.SEARCH_BUDGET
 
     def dfs(start: int, left: int, l: int, totals: Vec, design: Tuple[int, ...]) -> None:
         nonlocal best, nodes
@@ -264,8 +267,8 @@ def optimize_block_plan(gems: GemSet, l_max: int, max_designs: int = 200_000,
             if min(t + left * m for t, m in zip(totals, sufmax[s])) * best[1] <= best[0] * l:
                 return
             nodes += 1
-            if nodes > max_designs:
-                raise SearchSpaceTooLarge(f"more than {max_designs} candidate designs")
+            if nodes > budget:
+                raise SearchSpaceTooLarge(f"more than {budget} candidate designs")
             got = tuple(map(add, totals, listed[s][1]))
             if left > 1:
                 dfs(s, left - 1, l, got, design + (s,))

@@ -1,14 +1,17 @@
 """Exact matrix and subspace algebra over GF(p).
 
 Matrices are immutable, row-major, with plain-int entries in [0, p).
-Subspaces are kept in a canonical reduced column echelon form so that
-equality of spans is literal equality of basis entries.
+Spans are kept as echelon rows (pivot, vector), each vector 0 before its
+pivot, 1 at it and 0 at the earlier rows' pivots.  `_reduce` tests a
+vector against such rows and returns the row it adds, if any, so one call
+decides membership and incremental rank.  A Subspace keeps the reduced
+rows of any spanning list, so equal spans have literally equal rows.
 """
 
 from __future__ import annotations
 
 from operator import mul
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .fields import FieldSpec
 
@@ -197,49 +200,50 @@ def solve_columns(A: Mat, B: Mat) -> Mat:
     return Mat(A.field, [red[i][n:] for i in range(n)], cols=B.cols)
 
 
-def kernel_columns(A: Mat) -> List[Vec]:
-    """Basis of the right null space, one vector per free column."""
-    red, pivots = _rref(A.field, [list(r) for r in A.data])
-    p = A.field.p
-    pivot_set = set(pivots)
-    free = [j for j in range(A.cols) if j not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [0] * A.cols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-red[r][fc]) % p
-        basis.append(tuple(v))
-    return basis
+def _reduce(v: Sequence[int], rows: Sequence[Tuple[int, Sequence[int]]],
+            p: int) -> Optional[Tuple[int, List[int]]]:
+    """v, with entries in [0, p), reduced against echelon rows, as the
+    echelon row it adds after them; None when v lies in their span."""
+    w = list(v)
+    for piv, row in rows:
+        c = w[piv]
+        if c:
+            w = [(a - c * b) % p for a, b in zip(w, row)]
+    for piv, x in enumerate(w):
+        if x:
+            f = pow(x, p - 2, p)
+            return piv, [(f * y) % p for y in w]
+    return None
 
 
 class Subspace:
-    """A subspace of F^n in canonical reduced column echelon form.
+    """A subspace of F^n as its reduced row echelon rows (pivot, vector),
+    pivots ascending.
 
-    Two Subspace values span the same space iff their basis entries are
-    identical, so __eq__ is literal comparison.
+    Every spanning list reduces to the same rows, so two Subspace values
+    span the same space iff their rows are identical, and __eq__ is
+    literal comparison.  `basis` is the vectors of those rows, in order.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "rows")
 
-    def __init__(self, field: FieldSpec, ambient_dim: int, basis: Mat):
+    def __init__(self, field: FieldSpec, ambient_dim: int, rows: Tuple[Tuple[int, Vec], ...]):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.rows = rows
 
     @classmethod
     def from_columns(cls, field: FieldSpec, ambient_dim: int, vectors: Sequence[Sequence[int]]) -> "Subspace":
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("vector length != ambient_dim")
-        red, pivots = _rref(field, [list(v) for v in vectors]) if vectors else ([], [])
-        rows = [red[i] for i in range(len(pivots))]
-        basis = Mat.from_cols(field, rows, nrows=ambient_dim)
-        return cls(field, ambient_dim, basis)
+        p = field.p
+        red, pivots = _rref(field, [[x % p for x in v] for v in vectors])
+        return cls(field, ambient_dim, tuple(zip(pivots, map(tuple, red))))
 
     @classmethod
     def zero(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return cls.from_columns(field, ambient_dim, [])
+        return cls(field, ambient_dim, ())
 
     @classmethod
     def span_of(cls, A: Mat) -> "Subspace":
@@ -247,28 +251,23 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.rows)
+
+    @property
+    def basis(self) -> List[Vec]:
+        return [v for _, v in self.rows]
 
     def contains(self, v: Sequence[int]) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("vector length != ambient_dim")
-        # The basis is column echelon with unit pivots, so one reduction
-        # pass per basis column decides membership.
         p = self.field.p
-        w = [x % p for x in v]
-        for j in range(self.basis.cols):
-            col = self.basis.col(j)
-            pr = next(i for i, x in enumerate(col) if x)
-            f = w[pr]
-            if f:
-                w = [(a - f * b) % p for a, b in zip(w, col)]
-        return not any(w)
+        return _reduce([x % p for x in v], self.rows, p) is None
 
     def vectors(self):
         """All nonzero vectors of the subspace, deterministically ordered."""
         from itertools import product
 
-        cols = self.basis.columns()
+        cols = self.basis
         p = self.field.p
         out = []
         for coeffs in product(range(p), repeat=len(cols)):
@@ -283,14 +282,14 @@ class Subspace:
             isinstance(other, Subspace)
             and other.field == self.field
             and other.ambient_dim == self.ambient_dim
-            and other.basis == self.basis
+            and other.rows == self.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.p, self.ambient_dim, self.basis))
+        return hash((self.field.p, self.ambient_dim, self.rows))
 
     def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, basis={self.basis.to_lists()})"
+        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim}, basis={self.basis})"
 
 
 def _check_ambient(U: Subspace, W: Subspace) -> None:
@@ -300,43 +299,36 @@ def _check_ambient(U: Subspace, W: Subspace) -> None:
 
 def subspace_sum(U: Subspace, W: Subspace) -> Subspace:
     _check_ambient(U, W)
-    return Subspace.from_columns(U.field, U.ambient_dim, U.basis.columns() + W.basis.columns())
+    return Subspace.from_columns(U.field, U.ambient_dim, U.basis + W.basis)
 
 
 def subspace_intersect(U: Subspace, W: Subspace) -> Subspace:
-    """Kernel-of-concatenation: solve (U | -W) x = 0 and map back through U."""
+    """Zassenhaus: the echelon rows of [u | u] for U's basis and [w | 0]
+    for W's whose pivots fall in the right half are 0 on the left, and
+    their right halves span the intersection."""
     _check_ambient(U, W)
-    p = U.field.p
-    ucols = U.basis.columns()
-    wcols = W.basis.columns()
-    if not ucols or not wcols:
-        return Subspace.zero(U.field, U.ambient_dim)
-    concat = Mat.from_cols(U.field, list(ucols) + [tuple((-x) % p for x in c) for c in wcols])
-    vectors = []
-    for ker in kernel_columns(concat):
-        a = ker[: len(ucols)]
-        v = tuple(sum(ci * col[i] for ci, col in zip(a, ucols)) % p for i in range(U.ambient_dim))
-        vectors.append(v)
-    return Subspace.from_columns(U.field, U.ambient_dim, vectors)
+    n = U.ambient_dim
+    rows = [list(u) * 2 for u in U.basis] + [list(w) + [0] * n for w in W.basis]
+    red, pivots = _rref(U.field, rows)
+    return Subspace.from_columns(U.field, n, [row[n:] for row, piv in zip(red, pivots) if piv >= n])
 
 
-def complete_basis(V: Subspace) -> Mat:
-    """Columns extending V's basis to a full basis of the ambient space.
+def complete_basis(V: Subspace) -> List[Vec]:
+    """Vectors extending V's basis to a basis of the ambient space.
 
-    Standard basis vectors are scanned in index order, so the result is
-    deterministic.
+    Standard basis vectors are scanned in index order, and each one
+    outside the span so far is kept, so the result is deterministic.
     """
-    field = V.field
     n = V.ambient_dim
-    chosen = list(V.basis.columns())
+    p = V.field.p
+    rows = list(V.rows)
     added = []
-    r = len(chosen)
     for i in range(n):
-        if r == n:
+        if len(rows) == n:
             break
-        e = tuple(1 if j == i else 0 for j in range(n))
-        if rank_of_vectors(field, chosen + [e]) > r:
-            chosen.append(e)
+        e = tuple(int(j == i) for j in range(n))
+        row = _reduce(e, rows, p)
+        if row is not None:
+            rows.append(row)
             added.append(e)
-            r += 1
-    return Mat.from_cols(field, added, nrows=n)
+    return added

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from .linalg import ContractViolation, Mat, rank_of_vectors, invert, row_times
+from .linalg import ContractViolation, Mat, _reduce, rank_of_vectors, invert, row_times
 from .netgraph import Network, max_flow
 
 Node = Hashable
@@ -170,21 +170,22 @@ def extract_gem(code: LinearCode, net: Network, t: Node) -> Gem:
     the rank, so the choice is deterministic.
     """
     r = code.rate
+    p = net.field.p
     h = max_flow(net, t).value
     target = min(h, r)
     chosen: List[int] = []
-    vecs: List[Vec] = []
+    rows: List[Tuple[int, List[int]]] = []
     for e in net.in_edges[t]:
         if len(chosen) == target:
             break
-        v = code.gek[e]
-        if rank_of_vectors(net.field, vecs + [v]) > len(vecs):
+        row = _reduce([x % p for x in code.gek[e]], rows, p)
+        if row is not None:
             chosen.append(e)
-            vecs.append(v)
+            rows.append(row)
     if len(chosen) < target:
         raise CodeInvalidForSink(f"sink {t}: {len(chosen)} independent inputs, need {target}")
-    return Gem(sink=t, matrix=Mat.from_cols(net.field, vecs, nrows=r), used_edges=tuple(chosen),
-               h=h)
+    return Gem(sink=t, matrix=Mat.from_cols(net.field, [code.gek[e] for e in chosen], nrows=r),
+               used_edges=tuple(chosen), h=h)
 
 
 def simulate(net: Network, code: LinearCode, X: Sequence[Sequence[int]]) -> Dict[int, Vec]:

@@ -16,7 +16,7 @@ from .linalg import (
     ContractViolation,
     Mat,
     Subspace,
-    rank,
+    _reduce,
     rank_of_vectors,
     subspace_intersect,
     subspace_sum,
@@ -48,15 +48,15 @@ def _lines(S: Subspace, top: Optional[int] = None) -> Iterator[Vec]:
     """The projective representatives of S's lines, in sorted order, from
     the leading basis index `top` (default: the last) down.
 
-    The basis b_0..b_{d-1} is reduced column echelon with ascending pivot
-    rows, so a line's first nonzero coordinate sits at the pivot of the
-    first basis vector it uses.  Its representative is b_j plus a
-    combination of b_{j+1}..b_{d-1}, whose coefficients are read off at
-    those pivots.  A later leading index j therefore gives smaller
+    The basis b_0..b_{d-1} is S's reduced echelon rows, pivots ascending,
+    each 1 at its own pivot and 0 at the others; so a line's first nonzero
+    coordinate sits at the pivot of the first basis vector it uses.  Its
+    representative is b_j plus a combination of b_{j+1}..b_{d-1}, whose
+    coefficients are read off at those pivots.  A later leading index j therefore gives smaller
     vectors, and within one j the vectors sort as their coefficients do
     in lex order.
     """
-    cols = S.basis.columns()
+    cols = S.basis
     p = S.field.p
     for j in range(len(cols) - 1 if top is None else top, -1, -1):
         yield from _lex_sums(cols[j], cols[j + 1:], p)
@@ -97,9 +97,9 @@ class GemSet:
                 raise ValueError(f"matrix has {m.rows} rows, rate is {rate}")
             if not (0 < m.cols < rate):
                 raise ValueError("sub-rate matrices need 0 < cols < rate")
-            if rank(m) != m.cols:
-                raise ValueError("matrix columns are dependent")
             span = Subspace.span_of(m)
+            if span.dim != m.cols:
+                raise ValueError("matrix columns are dependent")
             try:
                 source_map.append(spans.index(span))
             except ValueError:
@@ -163,12 +163,30 @@ def is_exact_spanner(V: Sequence[Sequence[int]], gems: GemSet) -> bool:
     return True
 
 
+# Work that one search may do, read at each call: the nodes of the
+# exact-spanner search (summed over its depths) and of the block-design
+# search in `blockcode`, and the member intersections that `_comss`
+# tabulates.  A node of the long spanner searches (p=3, r=5 or 6) costs
+# about 15 us on a 2-vCPU x86_64 VM, so such a search gives up after about
+# 3 s; 2^k - 1 intersections fit for up to k = 17 members.
+SEARCH_BUDGET = 200_000
+# Member lines that one spanner search may list before its first node.  A
+# line takes about 1 us and 260 bytes to list on that VM, so the listing
+# stays under 0.1 s and 15 MB; four 3-dimensional members at p=31 list 3972.
+LINE_BUDGET = 50_000
+
+
 def _comss(gems: GemSet) -> Tuple[int, ...]:
     """comss_1..comss_k in one pass.  The bracket of a member set S, the
     signed sum of dim(intersection of T) over the supersets T of S, is the
     superset Moebius transform of the intersection dimensions by bit mask;
-    comss_c sums the c-member brackets, each clamped at 0."""
+    comss_c sums the c-member brackets, each clamped at 0.  A table of
+    more than SEARCH_BUDGET member sets raises SearchSpaceTooLarge before
+    any intersection is computed."""
     k, full = gems.k, 1 << gems.k
+    if full - 1 > SEARCH_BUDGET:
+        raise SearchSpaceTooLarge(f"commonality levels need {full - 1} member intersections, "
+                                  f"more than {SEARCH_BUDGET}")
     f = [0] + [gems.intersection(frozenset(i for i in range(k) if m >> i & 1)).dim
                for m in range(1, full)]
     for bit in (1 << i for i in range(k)):
@@ -208,22 +226,12 @@ def fsrd_check(gems: GemSet) -> Optional[Tuple[int, ...]]:
     return tuple(i_bar) if compol(gems, i_bar) >= sum(gems.h(i) for i in range(gems.k)) else None
 
 
-# DFS nodes that one exact-spanner search may visit, summed over its
-# depths.  A node of the long searches (p=3, r=5 or 6) costs about 15 us
-# on a 2-vCPU x86_64 VM, so such a search gives up after about 3 s.
-SEARCH_BUDGET = 200_000
-# Member lines that one search may list before its first node.  A line
-# takes about 1 us and 260 bytes to list on that VM, so the listing stays
-# under 0.1 s and 15 MB; four 3-dimensional members at p=31 list 3972.
-LINE_BUDGET = 50_000
-
-
-def comss_exhaustive(gems: GemSet, budget: int = SEARCH_BUDGET) -> int:
+def comss_exhaustive(gems: GemSet) -> int:
     """Exact minimum exact-spanner size by iterative-deepening search."""
-    return len(minimal_exact_spanner(gems, budget=budget))
+    return len(minimal_exact_spanner(gems))
 
 
-def minimal_exact_spanner(gems: GemSet, budget: int = SEARCH_BUDGET) -> List[Vec]:
+def minimal_exact_spanner(gems: GemSet) -> List[Vec]:
     """A minimum-cardinality exact spanner.
 
     Candidates are the projective lines of the member spans: a vector
@@ -248,7 +256,7 @@ def minimal_exact_spanner(gems: GemSet, budget: int = SEARCH_BUDGET) -> List[Vec
     spanner found, and its order, is that of the plain search.
 
     A search whose members hold more than LINE_BUDGET lines, or that
-    visits more than `budget` nodes summed over its depths, raises
+    visits more than SEARCH_BUDGET nodes summed over its depths, raises
     SearchSpaceTooLarge.  The node count bounds the work past the listing:
     of the lines a node scans, fewer than one in p lie in the span the
     member already has, and each other line opens a counted node.
@@ -270,7 +278,7 @@ def minimal_exact_spanner(gems: GemSet, budget: int = SEARCH_BUDGET) -> List[Vec
     need = sum(targets)
     stacks: List[List[Tuple[int, List[int]]]] = [[] for _ in targets]
     V: List[Vec] = []
-    nodes = 0
+    nodes, budget = 0, SEARCH_BUDGET
 
     def cover(short: int, deficit: int) -> int:
         """The fewest distinct lines whose degrees, the number of members
@@ -331,21 +339,6 @@ def minimal_exact_spanner(gems: GemSet, budget: int = SEARCH_BUDGET) -> List[Vec
     raise ContractViolation("unreachable: the union of member bases is an exact spanner")
 
 
-def _reduce(v: Vec, rows: List[Tuple[int, List[int]]], p: int) -> Optional[Tuple[int, List[int]]]:
-    """v reduced against echelon rows (pivot, row with a unit pivot), as a
-    new such row; None when v lies in their span."""
-    w = list(v)
-    for piv, row in rows:
-        c = w[piv]
-        if c:
-            w = [(a - c * b) % p for a, b in zip(w, row)]
-    for piv, x in enumerate(w):
-        if x:
-            f = pow(x, p - 2, p)
-            return piv, [(f * y) % p for y in w]
-    return None
-
-
 def build_spanner(gems: GemSet, i_bar: Sequence[int]) -> Tuple[Vec, ...]:
     """Collect i_bar[c] independent vectors of commonality degree c, walking
     c downward, the c-member intersections in complement-ascending order
@@ -375,7 +368,7 @@ def build_spanner(gems: GemSet, i_bar: Sequence[int]) -> Tuple[Vec, ...]:
         for removed in itertools.combinations(range(k), k - c):
             comp = frozenset(i for i in range(k) if i not in removed)
             inter = gems.intersection(comp)
-            basis = inter.basis.columns()
+            basis = inter.basis
             outside = [j for j, b in enumerate(basis) if _reduce(b, rows, p) is not None]
             if not outside:
                 continue

@@ -20,6 +20,7 @@ from srlnc import (
     Mat,
     Network,
     Subspace,
+    max_flow,
     rank_of_vectors,
 )
 
@@ -486,6 +487,43 @@ def reference_subspace_lines(S: Subspace) -> List[Vec]:
     """Every vector of S listed, scaled to its projective representative,
     deduplicated and sorted."""
     return sorted({projective_rep(S.field, v) for v in S.vectors()})
+
+
+def reference_complete_basis(V: Subspace) -> List[Vec]:
+    """The standard basis vectors that `complete_basis` must return: scanned
+    in index order, each kept when it raises the rank of V's basis and the
+    vectors kept so far."""
+    n = V.ambient_dim
+    chosen = list(V.basis)
+    added = []
+    r = len(chosen)
+    for i in range(n):
+        if r == n:
+            break
+        e = tuple(1 if j == i else 0 for j in range(n))
+        if rank_of_vectors(V.field, chosen + [e]) > r:
+            chosen.append(e)
+            added.append(e)
+            r += 1
+    return added
+
+
+def reference_gem_edges(code, net: Network, t) -> Tuple[int, ...]:
+    """The incoming edges of t that `extract_gem` must keep: scanned by
+    ascending id, each kept when it raises the rank of the kernels kept so
+    far, up to min(max-flow, rate) of them.  Fewer means the sink is
+    deficient."""
+    target = min(max_flow(net, t).value, code.rate)
+    chosen: List[int] = []
+    vecs: List[Vec] = []
+    for e in net.in_edges[t]:
+        if len(chosen) == target:
+            break
+        v = code.gek[e]
+        if rank_of_vectors(net.field, vecs + [v]) > len(vecs):
+            chosen.append(e)
+            vecs.append(v)
+    return tuple(chosen)
 
 
 def reference_build_spanner(gems: GemSet, i_bar: Sequence[int]) -> List[Vec]:

@@ -5,39 +5,14 @@ import pytest
 from srlnc import (
     PREFER_SINK,
     PREFER_SUB_RATE,
-    Network,
-    consequential_maxflow,
     field_bits,
     rate_ratio_curve,
     rate_ratio_verdict,
 )
 
-from helpers import GF3, butterfly, classic_butterfly_code
-
 
 def test_field_bits():
     assert [field_bits(p) for p in (2, 3, 5, 7, 11, 13)] == [1, 2, 3, 3, 4, 4]
-
-
-def test_consequential_maxflow_under_the_relay_code():
-    net = butterfly(weak_sink=True)
-    code = classic_butterfly_code(net)
-    assert consequential_maxflow(net, code, 6) == 2
-    assert consequential_maxflow(net, code, 7) == 2
-    assert consequential_maxflow(net, code, 8) == 1
-    assert consequential_maxflow(net, code, 5) == 1
-    with pytest.raises(ValueError):
-        consequential_maxflow(net, code, 1)
-
-
-def test_consequential_maxflow_without_incoming_edges():
-    net = Network(nodes=[1, 2, 3], edges=[(1, 2), (3, 2)], source=1, sinks=[2], rate=1, field=GF3)
-
-    class Stub:
-        gek = {0: (1,), 1: (0,)}
-        rate = 1
-
-    assert consequential_maxflow(net, Stub(), 3) == 0
 
 
 def test_rate_ratio_verdict():

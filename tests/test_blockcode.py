@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 from fractions import Fraction
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from srlnc import blockcode, subrate
+from srlnc import subrate
 from srlnc import (
     BlockDesign,
     FieldSpec,
@@ -133,10 +132,9 @@ def test_build_partial_general_guarantees():
 
 def test_build_partial_general_falls_back_to_the_member_bases(monkeypatch):
     g = gems_shared_axis()
-    monkeypatch.setattr(blockcode, "minimal_exact_spanner",
-                        functools.partial(subrate.minimal_exact_spanner, budget=1))
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 1)
     plan = build_partial_general(g)
-    bases = [v for s in g.spans for v in s.basis.columns()]
+    bases = [v for s in g.spans for v in s.basis]
     assert plan.design.spanner == tuple(dict.fromkeys(bases))
     for i, sp in enumerate(plan.sinks):
         assert len(sp.decoded_indices) >= g.h(i)
@@ -169,19 +167,22 @@ def test_optimizer_prefers_single_use_when_fully_decodable():
     assert [sp.rate for sp in plan.sinks] == [Fraction(2, 1)] * 3
 
 
-def test_optimizer_argument_validation():
+def test_optimizer_argument_validation(monkeypatch):
     with pytest.raises(ValueError):
         optimize_block_plan(gems_shared_axis(), l_max=0)
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 10)
     with pytest.raises(SearchSpaceTooLarge):
-        optimize_block_plan(gems_shared_axis(), l_max=3, max_designs=10)
+        optimize_block_plan(gems_shared_axis(), l_max=3)
 
 
-def test_optimizer_node_budget_boundary():
+def test_optimizer_node_budget_boundary(monkeypatch):
     g = gems_shared_axis()   # the best, 5/3 per use, needs l = 3
     want = optimize_block_plan(g, l_max=3)
-    assert optimize_block_plan(g, l_max=3, max_designs=97) == want
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 97)
+    assert optimize_block_plan(g, l_max=3) == want
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 96)
     with pytest.raises(SearchSpaceTooLarge, match="more than 96 candidate designs"):
-        optimize_block_plan(g, l_max=3, max_designs=96)
+        optimize_block_plan(g, l_max=3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,7 +191,9 @@ def test_optimizer_node_budget_boundary():
 def test_optimizer_matches_the_exhaustive_reference(seed, p, r, k_max, l_max):
     g = random_gemset(random.Random(seed), FieldSpec(p), r, k_max)
     try:
-        subrate.minimal_exact_spanner(g, budget=20_000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subrate, "SEARCH_BUDGET", 20_000)
+            subrate.minimal_exact_spanner(g)
         want = reference_optimize_block_plan(g, l_max)
     except SearchSpaceTooLarge:
         assume(False)

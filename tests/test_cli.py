@@ -1,7 +1,7 @@
 import argparse
 import contextlib
-import functools
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -278,12 +278,30 @@ def test_precode_block_4_stops_once_a_design_reaches_min_h(tmp_path):
 
 def test_precode_exits_3_when_the_spanner_search_runs_past_its_budget(tmp_path, capsys,
                                                                        monkeypatch):
-    gems = write(tmp_path, "gems.json", SHARED_AXIS_GEMS)
-    monkeypatch.setattr(blockcode, "minimal_exact_spanner",
-                        functools.partial(subrate.minimal_exact_spanner, budget=3))
+    # the spanner search needs 57 nodes and the commonality table 2^4 - 1 = 15,
+    # so a budget of 20 stops the search
+    gems = write(tmp_path, "gems.json", FIVE_VECTOR_GEMS)
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 20)
     assert main(["precode", "--gems", gems, "--block", "2"]) == 3
     assert capsys.readouterr().err.splitlines() == [
-        "infeasible: exact spanner search stopped after 3 nodes"]
+        "infeasible: exact spanner search stopped after 20 nodes"]
+
+
+def test_precode_exits_3_when_many_weak_sinks_outrun_the_commonality_table(tmp_path, capsys,
+                                                                          monkeypatch):
+    # 18 distinct coordinate subspaces of GF(2)^5: 2^18 - 1 member sets
+    subsets = [c for d in range(1, 5) for c in itertools.combinations(range(5), d)][:18]
+    mats = [[[int(i == j) for j in c] for i in range(5)] for c in subsets]
+    gems = write(tmp_path, "gems.json", {"p": 2, "rate": 5, "mats": mats})
+
+    def unused(U, W):
+        raise AssertionError("a refused commonality table computed an intersection")
+
+    monkeypatch.setattr(subrate, "subspace_intersect", unused)
+    for block in ([], ["--block", "2"]):
+        assert main(["precode", "--gems", gems, *block]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "infeasible: commonality levels need 262143 member intersections, more than 200000"]
 
 
 def test_precode_exits_3_before_listing_too_many_member_lines(tmp_path, capsys, monkeypatch):
@@ -302,9 +320,8 @@ def test_precode_exits_3_before_listing_too_many_member_lines(tmp_path, capsys, 
 @pytest.mark.parametrize("r, p, weak", [(3, 31, 3), (4, 13, 4), (4, 23, 4), (4, 31, 4)])
 def test_weak_butterfly_sinks_get_a_block_plan(tmp_path, monkeypatch, r, p, weak):
     # p^r is 29 791 to 923 521 here, but the weak sinks' exact spanner
-    # search visits a few dozen nodes at most
-    monkeypatch.setattr(blockcode, "minimal_exact_spanner",
-                        functools.partial(subrate.minimal_exact_spanner, budget=100))
+    # search and the block-design search visit a few hundred nodes at most
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 300)
     net = generalized_butterfly(FieldSpec(p), r, weak)
     obj = {"field": p, "rate": r, "nodes": list(net.nodes),
            "edges": [list(e) for e in net.edges], "source": net.source,

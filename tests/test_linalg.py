@@ -1,14 +1,22 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srlnc import (
+    CodeInvalidForSink,
+    FieldSpec,
+    LinearCode,
     Mat,
+    Network,
     Singular,
     Subspace,
+    build_multicast,
     complete_basis,
+    extract_gem,
     invert,
-    kernel_columns,
+    max_flow,
     rank,
     rank_of_vectors,
     row_times,
@@ -17,7 +25,17 @@ from srlnc import (
     subspace_sum,
 )
 
-from helpers import GF2, GF3, GF5, mat_cols, sympy_invert, sympy_rank
+from helpers import (
+    GF2,
+    GF3,
+    GF5,
+    generalized_butterfly,
+    mat_cols,
+    reference_complete_basis,
+    reference_gem_edges,
+    sympy_invert,
+    sympy_rank,
+)
 
 
 @st.composite
@@ -129,15 +147,6 @@ def test_solve_columns():
         solve_columns(a, Mat.from_cols(GF3, [(1, 0, 0)]))  # outside the span
 
 
-def test_kernel_columns():
-    a = Mat(GF3, [[1, 2, 0], [0, 0, 1]])
-    ks = kernel_columns(a)
-    assert len(ks) == a.cols - rank(a) == 1
-    for k in ks:
-        assert (a @ Mat.from_cols(GF3, [k])).col(0) == (0, 0)
-    assert kernel_columns(Mat.identity(GF3, 2)) == []
-
-
 @given(matrices())
 def test_rank_matches_transpose(a):
     # a's rows as columns: its transpose
@@ -222,7 +231,7 @@ def test_dimension_formula(pair):
 @given(subspace_pairs())
 def test_intersection_inside_both(pair):
     u, w = pair
-    for v in subspace_intersect(u, w).basis.columns():
+    for v in subspace_intersect(u, w).basis:
         assert u.contains(v) and w.contains(v)
 
 
@@ -243,7 +252,81 @@ def test_span_unchanged_by_generator_shuffling(data):
 
 def test_complete_basis_examples():
     pad = complete_basis(Subspace.from_columns(GF2, 3, [(1, 1, 0)]))
-    assert pad.columns() == [(1, 0, 0), (0, 0, 1)]
-    assert complete_basis(Subspace.from_columns(GF3, 2, [(1, 0), (0, 1)])).cols == 0
+    assert pad == [(1, 0, 0), (0, 0, 1)]
+    assert complete_basis(Subspace.from_columns(GF3, 2, [(1, 0), (0, 1)])) == []
     full = complete_basis(Subspace.zero(GF3, 2))
-    assert full == Mat.identity(GF3, 2)
+    assert full == [(1, 0), (0, 1)]
+
+
+@st.composite
+def spans_and_vectors(draw, max_dim=4):
+    """Spanning lists and a vector, entries from [-2p, 3p]: half the time
+    the vector is a combination of the list, shifted by multiples of p."""
+    field = draw(st.sampled_from([GF2, GF3, GF5]))
+    p = field.p
+    n = draw(st.integers(1, max_dim))
+    entry = st.integers(-2 * p, 3 * p)
+    vecs = draw(st.lists(st.tuples(*[entry] * n), max_size=n + 1))
+    if vecs and draw(st.booleans()):
+        coeffs = draw(st.tuples(*[entry] * len(vecs)))
+        v = tuple(sum(c * u[i] for c, u in zip(coeffs, vecs)) + p * draw(entry)
+                  for i in range(n))
+    else:
+        v = draw(st.tuples(*[entry] * n))
+    return field, n, vecs, v
+
+
+@given(spans_and_vectors())
+def test_subspace_rows_are_reduced_echelon_and_contains_is_a_rank_test(case):
+    field, n, vecs, v = case
+    p = field.p
+    S = Subspace.from_columns(field, n, vecs)
+    assert S == Subspace.from_columns(field, n, [[x % p for x in u] for u in vecs])
+    pivots = [piv for piv, _ in S.rows]
+    assert pivots == sorted(set(pivots)) and S.dim == rank_of_vectors(field, vecs)
+    for piv, row in S.rows:
+        assert all(0 <= x < p for x in row) and not any(row[:piv])
+        assert [row[q] for q in pivots] == [int(q == piv) for q in pivots]
+    assert S.contains(v) == (rank_of_vectors(field, S.basis + [v]) == S.dim)
+
+
+@given(spans_and_vectors())
+def test_complete_basis_matches_the_rank_loop(case):
+    field, n, vecs, _ = case
+    S = Subspace.from_columns(field, n, vecs)
+    pad = complete_basis(S)
+    assert pad == reference_complete_basis(S)
+    assert rank_of_vectors(field, S.basis + pad) == n
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([7, 11]), r=st.integers(3, 4), weak=st.integers(0, 3),
+       extra=st.booleans(), seed=st.integers(0, 3), noise=st.integers(0, 2 ** 32 - 1),
+       redraw=st.booleans())
+def test_extract_gem_keeps_the_edges_of_the_rank_scan(p, r, weak, extra, seed, noise, redraw):
+    net = generalized_butterfly(FieldSpec(p), r, weak)
+    if extra:
+        # one more input per sink, last in id order: s_j hears a_j too, w_k hears B
+        more = [(j + 1, s) for j, s in enumerate(net.sinks[:r])]
+        more += [(r + 1, w) for w in net.sinks[r:]]
+        net = Network(nodes=list(net.nodes), edges=list(net.edges) + more, source=0,
+                      sinks=list(net.sinks), rate=r, field=net.field)
+    code = build_multicast(net, list(net.sinks), seed=seed)
+    rng = random.Random(noise)
+    gek = dict(code.gek)
+    if redraw:
+        # kernels from a few vectors, so that inputs repeat or vanish and
+        # the scan skips some of them
+        pool = [(0,) * r] + [tuple(rng.randrange(p) for _ in range(r)) for _ in range(r)]
+        gek.update({e: rng.choice(pool) for e in gek if e >= 0})
+    shifted = LinearCode(rate=r, lek=code.lek, gek={
+        e: tuple(x + p * rng.randrange(-2, 3) for x in v) for e, v in gek.items()})
+    for t in net.sinks:
+        want = reference_gem_edges(shifted, net, t)
+        if len(want) < min(max_flow(net, t).value, r):
+            with pytest.raises(CodeInvalidForSink):
+                extract_gem(shifted, net, t)
+            continue
+        gem = extract_gem(shifted, net, t)
+        assert gem.used_edges == want
+        assert gem.matrix == Mat.from_cols(net.field, [gek[e] for e in want], nrows=r)

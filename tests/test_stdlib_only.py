@@ -1,0 +1,30 @@
+"""The runtime is standard-library only: every import in `src/srlnc` is
+relative or names a standard-library module."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "srlnc"
+
+
+def _imported_modules(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+
+
+def test_the_package_has_modules():
+    assert (PACKAGE / "__init__.py").is_file()
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_imports_are_relative_or_standard_library(path):
+    outside = [name for name in _imported_modules(path)
+               if not name.startswith(".")
+               and name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

@@ -224,19 +224,22 @@ def test_precoder_refused_when_the_minimal_spanner_exceeds_the_rate():
         build_precoder(g)
 
 
-def test_minimal_spanner_respects_the_node_budget():
+def test_minimal_spanner_respects_the_node_budget(monkeypatch):
     g = gems_four_planes()   # the search visits 7 nodes
     V = minimal_exact_spanner(g)
-    assert minimal_exact_spanner(g, budget=7) == V
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 7)
+    assert minimal_exact_spanner(g) == V
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 6)
     with pytest.raises(SearchSpaceTooLarge, match="stopped after 6 nodes"):
-        minimal_exact_spanner(g, budget=6)
+        minimal_exact_spanner(g)
     with pytest.raises(SearchSpaceTooLarge, match="stopped after 6 nodes"):
-        comss_exhaustive(g, budget=6)
+        comss_exhaustive(g)
     # the budget counts nodes, not the 5^6 vectors of the ambient space:
     # one node per vector that a lone plane still lacks
     wide = GemSet([mat_cols(GF5, *[tuple(1 if i == j else 0 for i in range(6))
                                    for j in range(2)])], rate=6)
-    assert len(minimal_exact_spanner(wide, budget=2)) == 2
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 2)
+    assert len(minimal_exact_spanner(wide)) == 2
 
 
 def _unlisted(S):
@@ -259,6 +262,35 @@ def test_minimal_spanner_refuses_more_member_lines_than_its_budget(monkeypatch):
     monkeypatch.setattr(subrate, "subspace_lines", _unlisted)
     with pytest.raises(SearchSpaceTooLarge, match="would list 1000004 member lines"):
         minimal_exact_spanner(plane)
+
+
+def coordinate_gemset(k: int) -> GemSet:
+    """k distinct coordinate subspaces of GF(2)^5, of dimension 1 to 4."""
+    subsets = [c for d in range(1, 5) for c in itertools.combinations(range(5), d)][:k]
+    unit = lambda i: tuple(int(j == i) for j in range(5))
+    return GemSet([mat_cols(GF2, *map(unit, c)) for c in subsets], rate=5)
+
+
+def _no_intersections(U, W):
+    raise AssertionError("a refused commonality table computed an intersection")
+
+
+def test_commonality_levels_refuse_more_member_sets_than_the_budget(monkeypatch):
+    g = coordinate_gemset(18)   # 2^18 - 1 = 262 143 member sets
+    assert g.k == 18
+    monkeypatch.setattr(subrate, "subspace_intersect", _no_intersections)
+    for levels in (fsrd_check, lambda g: comss_c(g, 1), lambda g: build_spanner(g, [0] * 18)):
+        with pytest.raises(SearchSpaceTooLarge,
+                           match="need 262143 member intersections, more than 200000"):
+            levels(g)
+    monkeypatch.undo()
+    three = gems_three_planes()   # 2^3 - 1 = 7 member sets
+    want = fsrd_check(three)
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 7)
+    assert fsrd_check(gems_three_planes()) == want
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 6)
+    with pytest.raises(SearchSpaceTooLarge, match="need 7 member intersections, more than 6"):
+        fsrd_check(gems_three_planes())
 
 
 def test_build_spanner_collects_intersection_lines():

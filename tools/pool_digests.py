@@ -34,6 +34,7 @@ exact spanner search of the butterfly family.
 Compared per op: each stage's exit code and stderr, and the sha256 of each
 output file; per pool, the set-up's CLI calls and the files it left.  Every
 op that differs is printed, and the exit status is 1 if any op differs.
+The verdict line also gives each tree's `src/srlnc` line count.
 """
 
 from __future__ import annotations
@@ -147,6 +148,11 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
     return out
 
 
+def _src_lines(tree: Path) -> int:
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in (tree / "src" / "srlnc").glob("*.py"))
+
+
 def _run_tree(tree: Path, work: Path) -> Dict[str, dict]:
     proc = subprocess.run([sys.executable, __file__, "--digest", str(tree), str(work)],
                           capture_output=True, text=True, cwd=tree)
@@ -173,7 +179,9 @@ def main(argv: List[str]) -> int:
             differ += 1
             print(f"differs: {key}\n  parent:  {json.dumps(parent.get(key))}\n"
                   f"  changed: {json.dumps(changed.get(key))}")
-    print(f"{len(parent)} parent and {len(changed)} changed entries compared, {differ} differ")
+    lines = " and ".join(f"{_src_lines(Path(t))} {name}" for t, name in zip(argv, ("parent", "changed")))
+    print(f"{len(parent)} parent and {len(changed)} changed entries compared, {differ} differ; "
+          f"src/srlnc lines: {lines}")
     return 1 if differ else 0
 
 
