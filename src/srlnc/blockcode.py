@@ -55,15 +55,11 @@ def lift_block(B_t: Mat, l: int) -> Mat:
 
 
 def _block_diag(field, mats: Sequence[Mat]) -> Mat:
-    rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
-    out = [[0] * cols for _ in range(rows)]
-    ro = co = 0
+    out: List[Vec] = []
+    co = 0
     for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[ro + i][co + j] = m.data[i][j]
-        ro += m.rows
+        out.extend((0,) * co + row + (0,) * (cols - co - m.cols) for row in m.data)
         co += m.cols
     return Mat(field, out, cols=cols)
 
@@ -94,9 +90,7 @@ class BlockPlan:
 def build_block_plan(gems: GemSet, design: BlockDesign) -> BlockPlan:
     """Assemble P_hat from per-block completed bases and per-sink, per-block
     decoders; undecoded columns stay zero."""
-    field = gems.field
-    r = gems.rate
-    l = len(design.blocks)
+    field, r, l = gems.field, gems.rate, len(design.blocks)
     if l < 1:
         raise InfeasibleDesign("design needs at least one block")
     V = [tuple(v) for v in design.spanner]
@@ -107,48 +101,47 @@ def build_block_plan(gems: GemSet, design: BlockDesign) -> BlockPlan:
         if span.dim != len(vecs):
             raise InfeasibleDesign(f"block {blk} is linearly dependent")
         p_blocks.append(invert(Mat.from_cols(field, vecs + complete_basis(span), nrows=r)))
-    P_hat = _block_diag(field, p_blocks)
-    sinks = tuple(_sink_block_plan(field, V, design.blocks, P_hat, B, l, span)
+    sinks = tuple(_sink_block_plan(V, design.blocks, p_blocks, B, span)
                   for B, span in zip(gems.mats, gems.spans))
-    return BlockPlan(l=l, P_hat=P_hat, sinks=sinks, design=design)
+    return BlockPlan(l=l, P_hat=_block_diag(field, p_blocks), sinks=sinks, design=design)
 
 
-def _sink_block_plan(field, V: List[Vec], blocks: Sequence[Tuple[int, ...]],
-                     P_hat: Mat, B: Mat, l: int, span: Subspace) -> BlockSinkPlan:
-    r = B.rows
-    h = B.cols
+def _sink_block_plan(V: List[Vec], blocks: Sequence[Tuple[int, ...]],
+                     p_blocks: Sequence[Mat], B: Mat, span: Subspace) -> BlockSinkPlan:
+    """One sink's decoders, block by block: B @ D_b = the block's vectors in
+    `span` and R_b = their unit vectors, both padded with zero columns to h,
+    checked as P_b @ B @ D_b = R_b without lifting B to l*r rows."""
+    field, r, h = B.field, B.rows, B.cols
     holds = {j: span.contains(V[j]) for j in set().union(*blocks)}
-    d_blocks: List[Mat] = []
-    r_cols: List[Vec] = []
+    units = Mat.identity(field, r).columns()
+    parts: List[Tuple[Mat, Mat]] = []
     decoded: List[int] = []
-    for bi, blk in enumerate(blocks):
-        members = [(pos, V[j]) for pos, j in enumerate(blk) if holds[j]]
-        if members:
-            targets = Mat.from_cols(field, [v for _, v in members], nrows=r)
-            D_part = solve_columns(B, targets)
-        else:
-            D_part = Mat.zeros(field, h, 0)
-        d_blocks.append(D_part.hstack(Mat.zeros(field, h, h - len(members))))
-        decoded.extend(bi * r + pos for pos, _ in members)
-        r_cols.extend(tuple(int(x == bi * r + pos) for x in range(l * r)) for pos, _ in members)
-        r_cols.extend([(0,) * (l * r)] * (h - len(members)))
-    D_hat = _block_diag(field, d_blocks)
-    R_hat = Mat.from_cols(field, r_cols, nrows=l * r)
-    if P_hat @ lift_block(B, l) @ D_hat != R_hat:
-        raise ContractViolation("block decoding contract violated")
+    for bi, (blk, P_b) in enumerate(zip(blocks, p_blocks)):
+        held = [pos for pos, j in enumerate(blk) if holds[j]]
+        pad = [(0,) * r] * (h - len(held))
+        D_b = solve_columns(B, Mat.from_cols(field, [V[blk[pos]] for pos in held] + pad, nrows=r))
+        R_b = Mat.from_cols(field, [units[pos] for pos in held] + pad, nrows=r)
+        if P_b @ B @ D_b != R_b:
+            raise ContractViolation(f"block decoding contract violated in block {bi}")
+        parts.append((D_b, R_b))
+        decoded.extend(bi * r + pos for pos in held)
+    D_hat, R_hat = (_block_diag(field, mats) for mats in zip(*parts))
     return BlockSinkPlan(D_hat=D_hat, R_hat=R_hat, decoded_indices=tuple(decoded),
-                         rate=Fraction(len(decoded), l))
+                         rate=Fraction(len(decoded), len(blocks)))
 
 
 def block_decoder_for(plan: BlockPlan, index: int, B: Mat) -> BlockSinkPlan:
     """Block decoders for a matrix whose span equals member `index`.
 
     Lets a sink that was deduplicated away (same span, different basis)
-    reuse the plan: same decoded coordinates, its own D_hat.
+    reuse the plan: same decoded coordinates, its own D_hat.  P_hat is
+    block diagonal, so the P_b are read off its diagonal.
     """
-    V = [tuple(v) for v in plan.design.spanner]
-    got = _sink_block_plan(B.field, V, plan.design.blocks, plan.P_hat, B, plan.l,
-                           Subspace.span_of(B))
+    r = B.rows
+    p_blocks = [Mat(B.field, [row[o:o + r] for row in plan.P_hat.data[o:o + r]])
+                for o in range(0, plan.l * r, r)]
+    got = _sink_block_plan([tuple(v) for v in plan.design.spanner], plan.design.blocks,
+                           p_blocks, B, Subspace.span_of(B))
     entry = plan.sinks[index]
     if got.decoded_indices != entry.decoded_indices:
         raise ContractViolation("same-span matrix decodes different block coordinates")
@@ -165,9 +158,6 @@ def build_precoder(gems: GemSet, full_rate: Sequence[Mat] = (),
     is used, with the exhaustive minimal spanner as fallback.  Any supplied
     full-rate matrices are checked to stay invertible under P_hat.
     """
-    i_bar = fsrd_check(gems)
-    if i_bar is None:
-        raise NotFullyDecodable("no degree profile satisfies the feasibility conditions")
     r = gems.rate
     field = gems.field
     if spanner is not None:
@@ -176,7 +166,10 @@ def build_precoder(gems: GemSet, full_rate: Sequence[Mat] = (),
             raise SpannerRejected("supplied vectors are not an exact spanner")
         if rank_of_vectors(field, V) != len(V):
             raise SpannerRejected("supplied spanner vectors must be independent")
-    else:
+    i_bar = fsrd_check(gems)
+    if i_bar is None:
+        raise NotFullyDecodable("no degree profile satisfies the feasibility conditions")
+    if spanner is None:
         try:
             V = list(build_spanner(gems, i_bar))
         except ConstructionFailed:
@@ -215,8 +208,9 @@ def build_partial_general(gems: GemSet) -> BlockPlan:
 def _independent_subsets(gems: GemSet, V: Sequence[Vec]) -> List[Tuple[Tuple[int, ...], Vec]]:
     """The independent subsets of V, sorted by (size, indices), each with
     how many of its vectors each member span holds: one DFS over V on
-    echelon rows that drops a dependent prefix with all its extensions."""
-    p = gems.field.p
+    echelon rows that drops a dependent prefix with all its extensions.
+    More than `subrate.SEARCH_BUDGET` subsets raise SearchSpaceTooLarge."""
+    p, budget = gems.field.p, subrate.SEARCH_BUDGET
     holds = [tuple(int(span.contains(v)) for span in gems.spans) for v in V]
     out: List[Tuple[Tuple[int, ...], Vec]] = []
     rows: List[Tuple[int, List[int]]] = []
@@ -225,6 +219,8 @@ def _independent_subsets(gems: GemSet, V: Sequence[Vec]) -> List[Tuple[Tuple[int
         for j in range(start, len(V)):
             row = _reduce(V[j], rows, p)
             if row is not None:
+                if len(out) == budget:
+                    raise SearchSpaceTooLarge(f"more than {budget} independent spanner subsets")
                 out.append((chosen + (j,), tuple(map(add, counts, holds[j]))))
                 rows.append(row)
                 grow(j + 1, *out[-1])

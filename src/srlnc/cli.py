@@ -30,6 +30,7 @@ from .blockcode import (
 from .fields import FieldSpec
 from .linalg import ContractViolation, Mat, Singular, invert, row_times
 from .multicast import (
+    CodeInvalidForSink,
     FieldTooSmall,
     Gem,
     LinearCode,
@@ -282,13 +283,16 @@ def plan_to_obj(p: int, rate: int, plan: BlockPlan, sink_entries: Optional[dict]
     return obj
 
 
-def _sink_gems(path: str, net: Network, code: LinearCode, sinks: Sequence,
+def _sink_gems(path: str, code_path: str, net: Network, code: LinearCode, sinks: Sequence,
                subrate_sinks: Sequence) -> Dict[object, Gem]:
     """Each sink's gem; a sink must reach the rate, a subrate sink must not.
-    `path` names the network file that lists them."""
+    Errors name the network file `path`, or the code file for a starved sink."""
     gems = {}
     for t in sinks + subrate_sinks:
-        gems[t] = extract_gem(code, net, t)
+        try:
+            gems[t] = extract_gem(code, net, t)
+        except CodeInvalidForSink as exc:
+            raise ValueError(f"{code_path}: {exc}") from None
         if t in sinks and gems[t].matrix.cols < net.rate:
             raise ValueError(f"{path}: sinks: sink {t!r} has max-flow below the rate; "
                              f"list it under subrate_sinks")
@@ -335,7 +339,7 @@ def cmd_precode(args) -> int:
             raise ValueError("precode needs a network file and a code file, or --gems")
         net, sinks, subrate_sinks = load_network(args.file)
         code = load_code(args.code, net)
-        gem_of = _sink_gems(args.file, net, code, sinks, subrate_sinks)
+        gem_of = _sink_gems(args.file, args.code, net, code, sinks, subrate_sinks)
         if not subrate_sinks:
             raise ValueError(f"{args.file}: subrate_sinks: no subrate sinks to precode for")
         sub_gems = [gem_of[t] for t in subrate_sinks]
@@ -452,7 +456,7 @@ def cmd_simulate(args) -> int:
     code = load_code(args.code, net)
     field = net.field
     r = net.rate
-    gems = _sink_gems(args.file, net, code, sinks, subrate_sinks)
+    gems = _sink_gems(args.file, args.code, net, code, sinks, subrate_sinks)
     if args.plan is None:
         # one use of the network, messages sent uncoded, no sub-rate decoders
         l, P_hat, entries = 1, Mat.identity(field, r), {}

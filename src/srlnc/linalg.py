@@ -84,11 +84,6 @@ class Mat:
     def columns(self) -> List[Vec]:
         return [self.col(j) for j in range(self.cols)]
 
-    def hstack(self, other: "Mat") -> "Mat":
-        if other.rows != self.rows or other.field != self.field:
-            raise ValueError("hstack shape or field mismatch")
-        return Mat(self.field, [a + b for a, b in zip(self.data, other.data)])
-
     def __matmul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
             return NotImplemented

@@ -601,6 +601,45 @@ def reference_optimize_block_plan(gems: GemSet, l_max: int, max_designs: int = 2
     return build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=best[2]))
 
 
+def reference_sink_block_plan(field: FieldSpec, V: Sequence[Vec],
+                              blocks: Sequence[Tuple[int, ...]], P_hat: Mat, B: Mat,
+                              l: int, span: Subspace):
+    """One sink's block decoders built densely: D_hat from per-block
+    solutions padded with zero columns, R_hat from l*r-long unit columns,
+    and the whole contract checked as P_hat @ lift(B) @ D_hat = R_hat on
+    the lifted l*r matrices.  `blockcode` works one block at a time and
+    must give the same result."""
+    from fractions import Fraction
+
+    from srlnc import BlockSinkPlan, lift_block, solve_columns
+    from srlnc.blockcode import _block_diag
+
+    r = B.rows
+    h = B.cols
+    holds = {j: span.contains(V[j]) for j in set().union(*blocks)}
+    d_blocks: List[Mat] = []
+    r_cols: List[Vec] = []
+    decoded: List[int] = []
+    for bi, blk in enumerate(blocks):
+        members = [(pos, V[j]) for pos, j in enumerate(blk) if holds[j]]
+        if members:
+            targets = Mat.from_cols(field, [v for _, v in members], nrows=r)
+            D_part = solve_columns(B, targets)
+        else:
+            D_part = Mat.zeros(field, h, 0)
+        pad = (0,) * (h - len(members))
+        d_blocks.append(Mat(field, [row + pad for row in D_part.data], cols=h))
+        decoded.extend(bi * r + pos for pos, _ in members)
+        r_cols.extend(tuple(int(x == bi * r + pos) for x in range(l * r)) for pos, _ in members)
+        r_cols.extend([(0,) * (l * r)] * (h - len(members)))
+    D_hat = _block_diag(field, d_blocks)
+    R_hat = Mat.from_cols(field, r_cols, nrows=l * r)
+    if P_hat @ lift_block(B, l) @ D_hat != R_hat:
+        raise ContractViolation("block decoding contract violated")
+    return BlockSinkPlan(D_hat=D_hat, R_hat=R_hat, decoded_indices=tuple(decoded),
+                         rate=Fraction(len(decoded), l))
+
+
 def reference_simulate(net: Network, code, v: Sequence[int]) -> Dict[int, int]:
     """One message through the network, one symbol per edge: the former
     single-message `simulate` body, without its precoder argument."""

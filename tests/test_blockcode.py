@@ -1,12 +1,13 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from srlnc import subrate
+from srlnc import blockcode, subrate
 from srlnc import (
     BlockDesign,
     FieldSpec,
@@ -18,6 +19,7 @@ from srlnc import (
     build_block_plan,
     build_partial_general,
     build_precoder,
+    complete_basis,
     lift_block,
     optimize_block_plan,
     rank,
@@ -25,6 +27,7 @@ from srlnc import (
 )
 
 from helpers import (
+    GF2,
     GF3,
     gems_four_planes,
     gems_shared_axis,
@@ -32,6 +35,7 @@ from helpers import (
     mat_cols,
     random_gemset,
     reference_optimize_block_plan,
+    reference_sink_block_plan,
 )
 
 AXIS_DESIGN = BlockDesign(
@@ -132,7 +136,11 @@ def test_build_partial_general_guarantees():
 
 def test_build_partial_general_falls_back_to_the_member_bases(monkeypatch):
     g = gems_shared_axis()
-    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 1)
+
+    def give_up(gems):
+        raise SearchSpaceTooLarge("no spanner search here")
+
+    monkeypatch.setattr(blockcode, "minimal_exact_spanner", give_up)
     plan = build_partial_general(g)
     bases = [v for s in g.spans for v in s.basis]
     assert plan.design.spanner == tuple(dict.fromkeys(bases))
@@ -219,3 +227,100 @@ def test_block_rates_never_exceed_member_dimension():
             assert sp.rate <= g.h(i)
             rank_idx = len(set(sp.decoded_indices))
             assert rank_idx == len(sp.decoded_indices)
+
+
+def _distinct_nonzero(rng, field, r, n):
+    """The first n distinct nonzero vectors that rng draws."""
+    out = []
+    while len(out) < n:
+        v = tuple(rng.randrange(field.p) for _ in range(r))
+        if any(v) and v not in out:
+            out.append(v)
+    return out
+
+
+def _random_invertible(rng, field, n):
+    while True:
+        M = Mat(field, [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)])
+        if rank(M) == n:
+            return M
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([2, 3, 5]),
+       r=st.integers(3, 5), l=st.integers(1, 4))
+def test_block_plans_match_the_dense_reference(seed, p, r, l):
+    """Every sink's decoders, built and checked block by block, equal the
+    dense l*r construction, for the member bases and for other bases of
+    the same spans through `block_decoder_for`."""
+    rng = random.Random(seed)
+    field = FieldSpec(p)
+    g = random_gemset(rng, field, r, 4)
+    # the member bases, a vector outside member 0's span, and two random
+    # vectors, which mostly lie in no member span
+    V = list(dict.fromkeys([v for s in g.spans for v in s.basis]
+                           + complete_basis(g.spans[0])[:1]
+                           + _distinct_nonzero(rng, field, r, 2)))
+    outside = [j for j, v in enumerate(V) if not g.spans[0].contains(v)]
+    blocks = [(rng.choice(outside),)]      # a block that member 0 holds none of
+    while len(blocks) < l:
+        picked = []
+        for j in rng.sample(range(len(V)), len(V)):
+            if len(picked) < rng.randint(1, r) and \
+                    rank(Mat.from_cols(field, [V[i] for i in picked + [j]])) > len(picked):
+                picked.append(j)
+        blocks.append(tuple(picked))
+    plan = build_block_plan(g, BlockDesign(spanner=tuple(V), blocks=tuple(blocks)))
+    assert all(j >= r for j in plan.sinks[0].decoded_indices)
+    for i, (B, span) in enumerate(zip(g.mats, g.spans)):
+        assert plan.sinks[i] == reference_sink_block_plan(field, V, blocks, plan.P_hat, B, l, span)
+        other = B @ _random_invertible(rng, field, B.cols)
+        assert block_decoder_for(plan, i, other) == \
+            reference_sink_block_plan(field, V, blocks, plan.P_hat, other, l, span)
+
+
+def test_build_partial_general_on_194_blocks_finishes_quickly():
+    # eleven one-column members over GF(2) at r = 6: each independent
+    # 6-subset of the eleven vectors is a block
+    vs = _distinct_nonzero(random.Random(611), GF2, 6, 11)
+    g = GemSet([Mat.from_cols(GF2, [v]) for v in vs], rate=6)
+    start = time.perf_counter()
+    plan = build_partial_general(g)
+    assert time.perf_counter() - start < 5
+    assert plan.l == 194
+    assert all(len(sp.decoded_indices) >= 1 for sp in plan.sinks)
+
+
+def test_independent_subset_listing_budget_boundary(monkeypatch):
+    g = gems_shared_axis()
+    V = subrate.minimal_exact_spanner(g)
+    listed = blockcode._independent_subsets(g, V)
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", len(listed))
+    assert blockcode._independent_subsets(g, V) == listed
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", len(listed) - 1)
+    with pytest.raises(SearchSpaceTooLarge,
+                       match=f"more than {len(listed) - 1} independent spanner subsets"):
+        blockcode._independent_subsets(g, V)
+
+
+def test_optimizer_stops_listing_subsets_at_the_budget():
+    # twelve planes of GF(2)^10: a 23-vector minimal spanner with 1 689 167
+    # independent subsets, more than the budget, so the listing gives up
+    # before any design is scored
+    rng = random.Random(4)
+    mats, spans = [], []
+    while len(mats) < 12:
+        m = Mat.from_cols(GF2, [tuple(rng.randrange(2) for _ in range(10)) for _ in range(2)])
+        try:
+            span = GemSet([m], rate=10).spans[0]
+        except ValueError:
+            continue
+        if span not in spans:
+            mats.append(m)
+            spans.append(span)
+    g = GemSet(mats, rate=10)
+    V = subrate.minimal_exact_spanner(g)
+    assert len(V) == 23
+    with pytest.raises(SearchSpaceTooLarge,
+                       match=f"more than {subrate.SEARCH_BUDGET} independent spanner subsets"):
+        optimize_block_plan(g, 2, spanner=V)

@@ -895,6 +895,42 @@ def test_malformed_gems_exit_2(tmp_path, capsys, change, fragment):
     _one_error_line(capsys, f"{gems}: {fragment}")
 
 
+# fails fsrd_check: the supplied spanner is checked before it, so the
+# answer is exit 2, not exit 3 or, under --block, a plan that ignores it
+NOT_DECODABLE_WITH_A_BAD_SPANNER = {
+    "p": 3,
+    "rate": 3,
+    "mats": [[[1], [0], [0]], [[0], [1], [0]], [[0], [0], [1]], [[1], [1], [0]]],
+    "spanner": [[1, 1, 1]],
+}
+
+
+@pytest.mark.parametrize("block", [[], ["--block", "2"]], ids=["single-use", "block"])
+def test_a_supplied_spanner_is_checked_before_feasibility(tmp_path, capsys, block):
+    gems = write(tmp_path, "gems.json", NOT_DECODABLE_WITH_A_BAD_SPANNER)
+    out = str(tmp_path / "plan.json")
+    assert main(["precode", "--gems", gems, *block, "--out", out]) == 2
+    _one_error_line(capsys, f"{gems}: spanner: supplied vectors are not an exact spanner")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["precode", "simulate"])
+def test_a_code_that_starves_a_sink_names_the_code_file(tmp_path, capsys, command):
+    # node 5 forwards nothing, which is consistent but leaves sink 6 with
+    # only its edge from node 2
+    net, code, plan = _pipeline_files(tmp_path, block=False)
+
+    def starve(obj):
+        obj["lek"]["5"]["k"] = [[0, 0, 0]]
+        for e in obj["lek"]["5"]["out"]:
+            obj["gek"][str(e)] = [0, 0]
+
+    _edit(code, starve)
+    capsys.readouterr()
+    assert main([command, net, code]) == 2
+    _one_error_line(capsys, f"{code}: sink 6: 1 independent inputs, need 2")
+
+
 @pytest.mark.parametrize("where, value", [
     ("gek", 1.5), ("gek", True), ("gek", "1"), ("lek", 1.5), ("lek", "a"),
 ])

@@ -1,5 +1,6 @@
 """The runtime is standard-library only: every import in `src/srlnc` is
-relative or names a standard-library module."""
+relative or names a standard-library module.  And no module there uses
+`assert`, so its checks also run under `python -O`."""
 
 import ast
 import sys
@@ -28,3 +29,12 @@ def test_imports_are_relative_or_standard_library(path):
                if not name.startswith(".")
                and name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_assert_statements(path):
+    """Contracts must hold under `python -O`, which strips `assert`; they
+    raise `ContractViolation` instead."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []
