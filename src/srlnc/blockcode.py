@@ -87,9 +87,11 @@ class BlockPlan:
     i_bar: Optional[Tuple[int, ...]] = None   # set on the single-use precoder
 
 
-def build_block_plan(gems: GemSet, design: BlockDesign) -> BlockPlan:
+def build_block_plan(gems: GemSet, design: BlockDesign, *,
+                     _holds: Optional[Sequence[Vec]] = None) -> BlockPlan:
     """Assemble P_hat from per-block completed bases and per-sink, per-block
-    decoders; undecoded columns stay zero."""
+    decoders; undecoded columns stay zero.  `_holds`, private, is the
+    caller's `_membership(gems, design.spanner)`, so it is not built twice."""
     field, r, l = gems.field, gems.rate, len(design.blocks)
     if l < 1:
         raise InfeasibleDesign("design needs at least one block")
@@ -101,18 +103,24 @@ def build_block_plan(gems: GemSet, design: BlockDesign) -> BlockPlan:
         if span.dim != len(vecs):
             raise InfeasibleDesign(f"block {blk} is linearly dependent")
         p_blocks.append(invert(Mat.from_cols(field, vecs + complete_basis(span), nrows=r)))
-    sinks = tuple(_sink_block_plan(V, design.blocks, p_blocks, B, span)
-                  for B, span in zip(gems.mats, gems.spans))
+    holds = _membership(gems, V) if _holds is None else _holds
+    sinks = tuple(_sink_block_plan(V, design.blocks, p_blocks, B, [row[i] for row in holds])
+                  for i, B in enumerate(gems.mats))
     return BlockPlan(l=l, P_hat=_block_diag(field, p_blocks), sinks=sinks, design=design)
 
 
+def _membership(gems: GemSet, V: Sequence[Vec]) -> List[Vec]:
+    """holds[j][i] is 1 if member span i contains V[j], else 0."""
+    return [tuple(int(span.contains(v)) for span in gems.spans) for v in V]
+
+
 def _sink_block_plan(V: List[Vec], blocks: Sequence[Tuple[int, ...]],
-                     p_blocks: Sequence[Mat], B: Mat, span: Subspace) -> BlockSinkPlan:
-    """One sink's decoders, block by block: B @ D_b = the block's vectors in
-    `span` and R_b = their unit vectors, both padded with zero columns to h,
-    checked as P_b @ B @ D_b = R_b without lifting B to l*r rows."""
+                     p_blocks: Sequence[Mat], B: Mat, holds: Sequence[int]) -> BlockSinkPlan:
+    """One sink's decoders, block by block: B @ D_b = the block's vectors
+    that span(B) holds (`holds[j]`) and R_b = their unit vectors, both
+    padded with zero columns to h, checked as P_b @ B @ D_b = R_b without
+    lifting B to l*r rows."""
     field, r, h = B.field, B.rows, B.cols
-    holds = {j: span.contains(V[j]) for j in set().union(*blocks)}
     units = Mat.identity(field, r).columns()
     parts: List[Tuple[Mat, Mat]] = []
     decoded: List[int] = []
@@ -140,8 +148,9 @@ def block_decoder_for(plan: BlockPlan, index: int, B: Mat) -> BlockSinkPlan:
     r = B.rows
     p_blocks = [Mat(B.field, [row[o:o + r] for row in plan.P_hat.data[o:o + r]])
                 for o in range(0, plan.l * r, r)]
-    got = _sink_block_plan([tuple(v) for v in plan.design.spanner], plan.design.blocks,
-                           p_blocks, B, Subspace.span_of(B))
+    V = [tuple(v) for v in plan.design.spanner]
+    span = Subspace.span_of(B)
+    got = _sink_block_plan(V, plan.design.blocks, p_blocks, B, [span.contains(v) for v in V])
     entry = plan.sinks[index]
     if got.decoded_indices != entry.decoded_indices:
         raise ContractViolation("same-span matrix decodes different block coordinates")
@@ -199,19 +208,22 @@ def build_partial_general(gems: GemSet) -> BlockPlan:
     except SearchSpaceTooLarge:   # the union of the member bases
         V = list(dict.fromkeys(v for s in gems.spans for v in s.basis))
     d = rank_of_vectors(gems.field, V)
-    subsets = [c for c, _ in _independent_subsets(gems, V) if len(c) == d]
+    holds = _membership(gems, V)
+    subsets = [c for c, _ in _independent_subsets(gems, V, holds) if len(c) == d]
     if len(subsets) > MAX_BLOCKS:
         raise SearchSpaceTooLarge(f"{len(subsets)} blocks exceed cap {MAX_BLOCKS}")
-    return build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=tuple(subsets)))
+    return build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=tuple(subsets)),
+                            _holds=holds)
 
 
-def _independent_subsets(gems: GemSet, V: Sequence[Vec]) -> List[Tuple[Tuple[int, ...], Vec]]:
+def _independent_subsets(gems: GemSet, V: Sequence[Vec],
+                         holds: Sequence[Vec]) -> List[Tuple[Tuple[int, ...], Vec]]:
     """The independent subsets of V, sorted by (size, indices), each with
-    how many of its vectors each member span holds: one DFS over V on
-    echelon rows that drops a dependent prefix with all its extensions.
-    More than `subrate.SEARCH_BUDGET` subsets raise SearchSpaceTooLarge."""
+    how many of its vectors each member span holds (`holds`, the
+    `_membership` table): one DFS over V on echelon rows that drops a
+    dependent prefix with all its extensions.  More than
+    `subrate.SEARCH_BUDGET` subsets raise SearchSpaceTooLarge."""
     p, budget = gems.field.p, subrate.SEARCH_BUDGET
-    holds = [tuple(int(span.contains(v)) for span in gems.spans) for v in V]
     out: List[Tuple[Tuple[int, ...], Vec]] = []
     rows: List[Tuple[int, List[int]]] = []
 
@@ -250,7 +262,8 @@ def optimize_block_plan(gems: GemSet, l_max: int,
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     V = list(spanner) if spanner is not None else minimal_exact_spanner(gems)
-    listed = _independent_subsets(gems, V)
+    holds = _membership(gems, V)
+    listed = _independent_subsets(gems, V, holds)
     sufmax = [(0,) * gems.k] * (len(listed) + 1)
     for s in reversed(range(len(listed))):
         sufmax[s] = tuple(map(max, listed[s][1], sufmax[s + 1]))
@@ -276,4 +289,4 @@ def optimize_block_plan(gems: GemSet, l_max: int,
             break
         dfs(0, l, l, (0,) * gems.k, ())
     blocks = tuple(listed[s][0] for s in best[2])
-    return build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=blocks))
+    return build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=blocks), _holds=holds)

@@ -11,7 +11,9 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import random
+import stat
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -52,8 +54,13 @@ from .subrate import (
 # ---------------------------------------------------------------- loading
 
 def _load_json(path: str):
+    """Syntax errors, trailing data, invalid UTF-8 and nesting too deep to
+    decode all raise ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _check_keys(path: str, obj, required: Sequence[str], optional: Sequence[str],
@@ -238,11 +245,21 @@ def canonical_json(obj) -> str:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    """Write `text` to stdout, or to the file `out` in place and then cut to
+    length.  Opening an existing file with O_TRUNC would make ext4 start
+    writeback on close (its auto_da_alloc heuristic), about ten times the
+    cost of the write itself.  Not atomic: a process killed between the
+    write and the cut leaves the new text followed by the old tail, which
+    every loader refuses.  Pipes and devices such as /dev/null are written
+    only; they cannot be cut."""
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    with os.fdopen(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            os.ftruncate(fh.fileno(), fh.tell())
 
 
 def _digest(path: Optional[str]) -> Optional[str]:

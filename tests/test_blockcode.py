@@ -15,6 +15,7 @@ from srlnc import (
     InfeasibleDesign,
     Mat,
     SearchSpaceTooLarge,
+    Subspace,
     block_decoder_for,
     build_block_plan,
     build_partial_general,
@@ -294,13 +295,30 @@ def test_build_partial_general_on_194_blocks_finishes_quickly():
 def test_independent_subset_listing_budget_boundary(monkeypatch):
     g = gems_shared_axis()
     V = subrate.minimal_exact_spanner(g)
-    listed = blockcode._independent_subsets(g, V)
+    holds = blockcode._membership(g, V)
+    listed = blockcode._independent_subsets(g, V, holds)
     monkeypatch.setattr(subrate, "SEARCH_BUDGET", len(listed))
-    assert blockcode._independent_subsets(g, V) == listed
+    assert blockcode._independent_subsets(g, V, holds) == listed
     monkeypatch.setattr(subrate, "SEARCH_BUDGET", len(listed) - 1)
     with pytest.raises(SearchSpaceTooLarge,
                        match=f"more than {len(listed) - 1} independent spanner subsets"):
-        blockcode._independent_subsets(g, V)
+        blockcode._independent_subsets(g, V, holds)
+
+
+@pytest.mark.parametrize("build", ["optimize", "partial"])
+def test_each_spanner_membership_is_tested_once_per_plan(monkeypatch, build):
+    """The subset listing and the sink decoders share one membership table."""
+    g = gems_shared_axis()
+    V = subrate.minimal_exact_spanner(g)
+    monkeypatch.setattr(blockcode, "minimal_exact_spanner", lambda gems: V)
+    tested = []
+    contains = Subspace.contains
+    monkeypatch.setattr(Subspace, "contains",
+                        lambda span, v: tested.append(v) or contains(span, v))
+    plan = optimize_block_plan(g, 2) if build == "optimize" else build_partial_general(g)
+    assert len(tested) == g.k * len(V)
+    monkeypatch.undo()
+    assert plan == build_block_plan(g, plan.design)
 
 
 def test_optimizer_stops_listing_subsets_at_the_budget():

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -1018,6 +1019,84 @@ def test_precode_coordinate_hyperplanes_over_large_fields(tmp_path, p, r, omit, 
     assert obj["i_bar"] == [2, r - 2]
 
 
+# ---------------------------------------------------------------- output files
+
+def _out_commands(tmp_path):
+    """One argv, without --out, for each command that writes an output."""
+    net, code, plan = _pipeline_files(tmp_path, False)
+    return {"code": ["code", net], "precode": ["precode", net, code],
+            "simulate": ["simulate", net, code, plan, "--trials", "3"],
+            "maxflow": ["maxflow", net, "6"], "rate-ratio": ["rate-ratio", "--max-sinks", "4"]}
+
+
+@pytest.mark.parametrize("command", ["code", "precode", "simulate", "maxflow", "rate-ratio"])
+def test_out_overwrites_a_longer_file_in_place(tmp_path, command):
+    out = tmp_path / "out"
+    argv = _out_commands(tmp_path)[command] + ["--out", str(out)]
+    assert main(argv) == 0
+    fresh = out.read_bytes()
+    out.write_bytes(b"x" * 65536)
+    inode = out.stat().st_ino
+    assert main(argv) == 0
+    assert out.read_bytes() == fresh
+    assert out.stat().st_ino == inode
+
+
+def test_out_file_modes(tmp_path):
+    """A new output gets 0o666 less the umask; an existing one keeps its mode."""
+    out = tmp_path / "curve.csv"
+    argv = ["rate-ratio", "--max-sinks", "2", "--out", str(out)]
+    old = os.umask(0o027)
+    try:
+        assert main(argv) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    out.chmod(0o600)
+    assert main(argv) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path):
+    argv = ["rate-ratio", "--max-sinks", "4", "--out"]
+    fresh = tmp_path / "fresh.csv"
+    assert main(argv + [str(fresh)]) == 0
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"x" * 65536)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(argv + [str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["rate-ratio", "code"])
+def test_out_to_the_null_device(tmp_path, command):
+    """A device cannot be cut to length; it is only written."""
+    assert main(_out_commands(tmp_path)[command] + ["--out", os.devnull]) == 0
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_an_out_that_cannot_be_opened_exits_2(tmp_path, capsys, where):
+    out = str(tmp_path / "missing" / "out.csv" if where == "missing-dir" else tmp_path)
+    assert main(["rate-ratio", "--max-sinks", "2", "--out", out]) == 2
+    _one_error_line(capsys, out)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("command", ["rate-ratio", "maxflow"])
+def test_out_to_dev_stdout_through_a_pipe(tmp_path, command):
+    argv = _out_commands(tmp_path)[command]
+    fresh = tmp_path / "fresh"
+    assert main(argv + ["--out", str(fresh)]) == 0
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "srlnc.cli", *argv, "--out", "/dev/stdout"],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == fresh.read_bytes()
+
+
 # ---------------------------------------------------------------- mutated inputs
 
 _MUTANTS = [None, 0, 5, -1, 10 ** 6, "x", "1", "", 1.5, True, [], [1], [[1]], {}, {"a": 1}]
@@ -1046,28 +1125,60 @@ def fuzz_files(tmp_path_factory):
     return cases
 
 
+def _byte_mutant(data, obj, text: str) -> bytes:
+    """`text`, the file's JSON, broken at the byte level so that no decoder
+    accepts it: cut short; followed by the tail of a longer output, as an
+    in-place rewrite killed before its cut leaves it; with a control byte
+    (never valid in or between JSON tokens) or a non-ASCII byte (never
+    valid UTF-8 between ASCII bytes) inserted; or nested 100 000 lists deep."""
+    how = data.draw(st.sampled_from(["cut", "torn", "stray", "utf-8", "deep"]))
+    raw = text.encode()
+    at = data.draw(st.integers(0, len(raw)))
+    if how == "cut":
+        return raw[:min(at, len(raw) - 1)]
+    if how == "torn":
+        old = cli.canonical_json(obj).encode()
+        assert len(old) >= len(raw) + 2 and old.endswith(b"}\n")
+        return raw + old[data.draw(st.integers(len(raw), len(old) - 2)):]
+    if how == "deep":
+        return b"[" * 100_000 + raw + b"]" * 100_000
+    byte = data.draw(st.sampled_from(sorted(set(range(32)) - set(b"\t\n\r"))
+                                     if how == "stray" else range(0x80, 0x100)))
+    return raw[:at] + bytes([byte]) + raw[at:]
+
+
 @given(st.data())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 def test_mutated_inputs_end_in_one_line_and_a_known_exit_code(fuzz_files, data):
+    """A value swapped anywhere in a file, or the file broken below JSON;
+    the latter must end in exit 2 naming the file."""
     obj, argvs = data.draw(st.sampled_from(fuzz_files))
-    mutant = json.loads(json.dumps(obj))
-    # walk down from the root, stopping at each level with even odds, and
-    # replace the value reached
     holder, key = None, None
-    node = mutant
-    while isinstance(node, (dict, list)) and node and (holder is None
-                                                       or data.draw(st.booleans())):
-        holder = node
-        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
-                                        else range(len(node))))
-        node = holder[key]
-    holder[key] = data.draw(st.sampled_from(_MUTANTS))
+    broken = data.draw(st.booleans())
+    if broken:
+        raw = _byte_mutant(data, obj, json.dumps(obj))
+    else:
+        mutant = json.loads(json.dumps(obj))
+        # walk down from the root, stopping at each level with even odds, and
+        # replace the value reached
+        node = mutant
+        while isinstance(node, (dict, list)) and node and (holder is None
+                                                           or data.draw(st.booleans())):
+            holder = node
+            key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                            else range(len(node))))
+            node = holder[key]
+        holder[key] = data.draw(st.sampled_from(_MUTANTS))
+        raw = json.dumps(mutant).encode()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "mutant.json")
-        Path(path).write_text(json.dumps(mutant))
+        Path(path).write_bytes(raw)
         for argv in argvs:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 rc = main([path if a == "FILE" else a for a in argv])
             assert rc in (0, 2, 3, 4), (argv, key, rc)
             assert len(err.getvalue().splitlines()) == (rc != 0), (argv, key, err.getvalue())
+            if broken:
+                assert rc == 2 and err.getvalue().startswith(f"error: {path}: not valid JSON: "), \
+                    (argv, err.getvalue())
