@@ -8,6 +8,7 @@ linear algebra stack) so they cannot share bugs with the library.
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from sympy.polys.domains import GF as _sympy_GF
@@ -22,6 +23,8 @@ from srlnc import (
     Subspace,
     max_flow,
     rank_of_vectors,
+    row_times,
+    simulate,
 )
 
 GF2 = FieldSpec(2)
@@ -655,6 +658,30 @@ def reference_simulate(net: Network, code, v: Sequence[int]) -> Dict[int, int]:
         for jc, e in enumerate(net.out_edges[node]):
             sym[e] = sum(k.data[ji][jc] * sym[d] for ji, d in enumerate(ins)) % p
     return sym
+
+
+def reference_simulate_failures(net: Network, code, l: int, P_hat: Mat, gems: Dict,
+                                decoders: Dict, trials: int, seed: int) -> Dict:
+    """The former `cli.cmd_simulate` trial loop, with the signature of
+    `cli._count_failures`: every message goes through every edge, 256 per
+    `simulate` batch, and each sink checks y @ D_hat = x_hat @ R_hat on the
+    symbols y it received."""
+    CHUNK = 256
+    field = net.field
+    r = net.rate
+    failures = {t: 0 for t in decoders}
+    rng = random.Random(seed)
+    for start in range(0, trials, CHUNK):
+        x_hats = [tuple(rng.randrange(field.p) for _ in range(l * r))
+                  for _ in range(min(CHUNK, trials - start))]
+        xs = [row_times(x_hat, P_hat) for x_hat in x_hats]
+        uses = [simulate(net, code, [x[bi * r:(bi + 1) * r] for x in xs]) for bi in range(l)]
+        for t, (D_hat, R_hat) in decoders.items():
+            for m, x_hat in enumerate(x_hats):
+                y = [sym[e][m] for sym in uses for e in gems[t].used_edges]
+                if row_times(y, D_hat) != row_times(x_hat, R_hat):
+                    failures[t] += 1
+    return failures
 
 
 def reference_check_consistent(net: Network, code) -> None:

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 from srlnc import FieldSpec, GemSet, Mat, lift_block
 from srlnc import blockcode, cli, subrate
-from srlnc.cli import CHUNK, main
+from srlnc.cli import main
 
-from helpers import generalized_butterfly, reference_optimize_block_plan
+from helpers import (generalized_butterfly, reference_optimize_block_plan,
+                     reference_simulate_failures)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -154,6 +155,13 @@ def test_maxflow_prints_to_stdout(tmp_path, capsys):
     assert main(["maxflow", net, "7"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["value"] == 2
+
+
+@pytest.mark.parametrize("sink", ["99", "1"], ids=["unknown", "source"])
+def test_maxflow_names_the_file_and_its_sink_argument(tmp_path, capsys, sink):
+    net = write(tmp_path, "net.json", BUTTERFLY)
+    assert main(["maxflow", net, sink]) == 2
+    _one_error_line(capsys, f"{net}: sink argument '{sink}' is not a node other than the source")
 
 
 def test_bad_inputs_exit_2(tmp_path, capsys):
@@ -400,13 +408,9 @@ def test_simulate_rejects_a_plan_without_sink_decoders(tmp_path, capsys):
     assert "per-sink decoders" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("block, name", [
-    (False, "D"), (False, "R"), (True, "D_hat"), (True, "R_hat"),
-], ids=["subrate-D", "subrate-R", "block-D_hat", "block-R_hat"])
-def test_simulate_counts_failures_of_a_corrupted_plan(tmp_path, block, name):
-    # both kinds are checked as y . D_hat = x . R_hat, so a wrong R counts too
-    net, code, plan = _pipeline_files(tmp_path, block)
-    sink, full = ("11", "10") if block else ("8", "6")
+def _corrupt_decoder(sink, name):
+    """A plan edit: one entry of the sink's D or D_hat changed, or its first
+    decoded coordinate moved in R or R_hat and in decoded_indices alike."""
 
     def change(obj):
         entry = obj["sinks"][sink]
@@ -422,7 +426,23 @@ def test_simulate_counts_failures_of_a_corrupted_plan(tmp_path, block, name):
         grid[idxs[0]][col], grid[k][col] = 0, 1
         idxs[0] = k
 
-    _edit(plan, change)
+    return change
+
+
+def _corrupt_precoder(obj):
+    # an entry off P_hat's diagonal blocks mixes the l = 3 uses of the fan
+    # network's block plan
+    obj["P_hat"][0][3] = (obj["P_hat"][0][3] + 1) % 3
+
+
+@pytest.mark.parametrize("block, name", [
+    (False, "D"), (False, "R"), (True, "D_hat"), (True, "R_hat"),
+], ids=["subrate-D", "subrate-R", "block-D_hat", "block-R_hat"])
+def test_simulate_counts_failures_of_a_corrupted_plan(tmp_path, block, name):
+    # both kinds are checked as y . D_hat = x . R_hat, so a wrong R counts too
+    net, code, plan = _pipeline_files(tmp_path, block)
+    sink, full = ("11", "10") if block else ("8", "6")
+    _edit(plan, _corrupt_decoder(sink, name))
     report = str(tmp_path / "report.json")
     assert main(["simulate", net, code, plan, "--trials", "90", "--out", report]) == 0
     rows = {row["sink"]: row for row in read(report)["sinks"]}
@@ -465,25 +485,46 @@ def test_a_subrate_plan_simulates_as_the_single_block_plan(tmp_path):
     assert [row["rate"] for row in rows[0]] == ["2/1", "2/1", "1/1"]
 
 
-@pytest.mark.parametrize("trials", [0, 1, CHUNK, CHUNK + 1])
-@pytest.mark.parametrize("block", [False, True])
-def test_simulate_sends_messages_in_chunks(tmp_path, monkeypatch, block, trials):
+@pytest.mark.parametrize("trials", [0, 1, 257, 513])
+@pytest.mark.parametrize("block, change", [
+    (False, None), (False, _corrupt_decoder("8", "D")), (False, _corrupt_decoder("8", "R")),
+    (True, None), (True, _corrupt_decoder("11", "D_hat")), (True, _corrupt_decoder("11", "R_hat")),
+    (True, _corrupt_precoder),
+], ids=["subrate", "subrate-D", "subrate-R", "block", "block-D_hat", "block-R_hat",
+        "block-P_hat"])
+def test_simulate_reports_as_the_per_message_oracle(tmp_path, monkeypatch, block, change,
+                                                    trials):
+    # the oracle sends every message through every edge and decodes it at
+    # every sink; the report, failure counts included, must not change
     net, code, plan = _pipeline_files(tmp_path, block)
-    l = read(plan).get("l", 1)
-    sizes = []
-    send = cli.simulate
+    if change is not None:
+        _edit(plan, change)
+    report = tmp_path / "report.json"
+    argv = ["simulate", net, code, plan, "--trials", str(trials), "--seed", "3",
+            "--out", str(report)]
+    assert main(argv) == 0
+    counted = report.read_bytes()
+    network, _, _ = cli.load_network(net)
+    loaded = cli.load_code(code, network)
+    monkeypatch.setattr(cli, "_count_failures",
+                        lambda *args: reference_simulate_failures(network, loaded, *args))
+    assert main(argv) == 0
+    assert report.read_bytes() == counted
+    if change is not None and trials > 256:
+        assert any(row["failures"] for row in json.loads(counted)["sinks"])
 
-    def counted(net, code, X):
-        sizes.append(len(X))
-        return send(net, code, X)
 
-    monkeypatch.setattr(cli, "simulate", counted)
+def test_simulate_time_does_not_grow_with_trials_on_a_correct_plan(tmp_path):
+    # the per-message path took 5.7 s for 200 000 trials on this network
+    net, code, plan = _pipeline_files(tmp_path, block=False)
     report = str(tmp_path / "report.json")
-    assert main(["simulate", net, code, plan, "--trials", str(trials), "--out", report]) == 0
-    assert len(sizes) == l * -(-trials // CHUNK)
-    assert all(1 <= n <= CHUNK for n in sizes)
-    assert sum(sizes) == l * trials
-    assert all(row["failures"] == 0 for row in read(report)["sinks"])
+    start = time.perf_counter()
+    assert main(["simulate", net, code, plan, "--trials", str(10**9), "--out", report]) == 0
+    assert time.perf_counter() - start < 5
+    robj = read(report)
+    assert robj["trials"] == 10**9
+    assert [(row["sink"], row["failures"]) for row in robj["sinks"]] == [
+        ("6", 0), ("7", 0), ("8", 0)]
 
 
 def _inconsistent_code(tmp_path):
@@ -712,6 +753,20 @@ def test_node_ids_need_distinct_names(tmp_path, capsys, nodes, edges, named):
     _one_error_line(capsys, "net.json: nodes: node ids must have distinct names, ", named)
 
 
+@pytest.mark.parametrize("key, listed", [("sinks", [6, 6, 7]), ("subrate_sinks", [8, 8])],
+                         ids=["sinks", "subrate_sinks"])
+@pytest.mark.parametrize("command", ["code", "precode", "simulate"])
+def test_sinks_must_not_repeat(tmp_path, capsys, command, key, listed):
+    # [6, 6, 7] used to exit 3 as three sinks at rate 2 over GF(3), and
+    # [8, 8] ran every command and reported sink 8 twice
+    net, code, plan = _pipeline_files(tmp_path, block=False)
+    _edit(net, _set(key, listed))
+    argv = {"code": [net], "precode": [net, code], "simulate": [net, code, plan]}[command]
+    capsys.readouterr()
+    assert main([command, *argv]) == 2
+    _one_error_line(capsys, f"{net}: {key}: {listed[0]} repeats")
+
+
 @pytest.mark.parametrize("block", [False, True])
 def test_non_square_precoder_exits_2(tmp_path, capsys, block):
     net, code, plan = _pipeline_files(tmp_path, block)
@@ -751,14 +806,9 @@ def test_decoders_must_fit_the_sink_and_its_indices(tmp_path, capsys, field, cha
 
 
 def test_simulate_sends_the_whole_block_precoder(tmp_path):
-    # an entry off P_hat's diagonal blocks mixes the l = 3 uses; the weak
-    # sinks' decoders no longer fit, the full-rate sink decodes through it
+    # the weak sinks' decoders no longer fit, the full-rate sink decodes through it
     net, code, plan = _pipeline_files(tmp_path, block=True)
-
-    def change(obj):
-        obj["P_hat"][0][3] = (obj["P_hat"][0][3] + 1) % 3
-
-    _edit(plan, change)
+    _edit(plan, _corrupt_precoder)
     report = str(tmp_path / "report.json")
     assert main(["simulate", net, code, plan, "--trials", "30", "--out", report]) == 0
     rows = {row["sink"]: row for row in read(report)["sinks"]}

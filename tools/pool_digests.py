@@ -9,10 +9,11 @@ gem-block also at 711), and runs each op's stages through `Runner.call`,
 after writing its inputs with `_write`.  Both trees use the same fixed work
 directory, because the simulate report embeds its `--out` path.
 
-Pool ops send 20 to 40 messages, fewer than the 256 that `srlnc.cli`
-sends per `simulate` call, so each tree also runs `simulate` on the
-sim-stream set-up's single-use and l=2 plans with `--trials` 0 and
-2 * 256 + 1, which crosses two chunk boundaries.
+Pool ops send 20 to 40 messages on correct plans, so every pool report
+counts 0 failures.  Each tree therefore also runs `simulate` on the
+sim-stream set-up's single-use and l=2 plans with `--trials` 0 and 513,
+and with `--trials` 513 on that l=2 plan with one `D_hat` entry changed,
+so that nonzero failure counts are compared too.
 
 The pools hold at most five weak sinks, so each tree also runs `precode
 --gems`, with and without `--block 2`, on the many-sink sets
@@ -55,8 +56,7 @@ MANY_SINKS = [(k, s) for k in (8, 10, 12) for s in (1, 2)]
 # gen.random_gemset(random.Random(s), 3, 4, 5) under --block 3: best design has l = 3
 BLOCK3_SEEDS = (15, 16, 18, 23, 45, 65, 78, 79, 85, 94)
 BUTTERFLY = (31, 4, 4)   # p, r, weak sinks
-# srlnc.cli.CHUNK is 256; the parent tree may not define it
-CHUNK_TRIALS = (0, 2 * 256 + 1)
+SIM_TRIALS = (0, 513)
 
 
 def _sha(path: Path):
@@ -88,17 +88,23 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
         out[f"{name}@{seed} set-up"] = {
             "calls": calls, "files": {p.name: _sha(p) for p in sorted(pool_dir.iterdir())}}
         if name == "sim-stream":
-            for kind in ("single", "block"):
-                for trials in CHUNK_TRIALS:
-                    report = pool_dir / "chunks.report.json"
-                    report.unlink(missing_ok=True)
-                    rc, msg = runner.call(
-                        ["simulate", str(pool_dir / f"stream-{kind}.net.json"),
-                         str(pool_dir / "stream.code.json"),
-                         str(pool_dir / f"stream-{kind}.plan.json"),
-                         "--trials", str(trials), "--out", str(report)])
-                    out[f"{name}@{seed} {kind} --trials {trials}"] = {
-                        "stages": [[rc, msg]], "outputs": {report.name: _sha(report)}}
+            corrupt = json.loads((pool_dir / "stream-block.plan.json").read_text())
+            entry = corrupt["sinks"][min(corrupt["sinks"])]
+            entry["D_hat"][0][0] = (entry["D_hat"][0][0] + 1) % corrupt["p"]
+            run._write(pool_dir / "stream-corrupt.plan.json", corrupt)
+            # (network, plan, trials)
+            runs = [(kind, kind, trials) for kind in ("single", "block") for trials in SIM_TRIALS]
+            runs.append(("block", "corrupt", 513))
+            for net_kind, kind, trials in runs:
+                report = pool_dir / "trials.report.json"
+                report.unlink(missing_ok=True)
+                rc, msg = runner.call(
+                    ["simulate", str(pool_dir / f"stream-{net_kind}.net.json"),
+                     str(pool_dir / "stream.code.json"),
+                     str(pool_dir / f"stream-{kind}.plan.json"),
+                     "--trials", str(trials), "--out", str(report)])
+                out[f"{name}@{seed} {kind} --trials {trials}"] = {
+                    "stages": [[rc, msg]], "outputs": {report.name: _sha(report)}}
         for i, op in enumerate(ops):
             for path in op.outputs:
                 path.unlink(missing_ok=True)
