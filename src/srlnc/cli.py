@@ -208,7 +208,9 @@ def load_code(path: str, net: Network) -> LinearCode:
             raise ValueError(f"{path}: lek: code has no local kernel for node {n!r}")
         _check_keys(path, entry, ["in", "out", "k"], [], f"lek.{n}")
         ins, outs = net.in_edges[n], net.out_edges[n]
-        if entry["in"] != ins or entry["out"] != outs:
+        # == alone would take 1.0 or true for the edge id 1
+        if (entry["in"] != ins or entry["out"] != outs
+                or not all(type(e) is int for e in entry["in"] + entry["out"])):
             raise ValueError(f"{path}: lek.{n}: local kernel of {n!r} lists different edges "
                              f"than the network")
         rows = _matrix(path, f"lek.{n}.k", entry["k"])
@@ -216,6 +218,10 @@ def load_code(path: str, net: Network) -> LinearCode:
             raise ValueError(f"{path}: lek.{n}.k must have {len(ins)} rows, one per input, "
                              f"of {len(outs)} entries, one per output")
         lek[n] = Mat(net.field, rows, cols=len(outs))
+    if len(obj["lek"]) != len(lek):
+        extra = min(set(obj["lek"]) - {str(n) for n in net.nodes})
+        raise ValueError(f"{path}: lek.{extra}: code has a local kernel for {extra!r}, "
+                         f"which is not a node")
     code = LinearCode(rate=r, gek=gek, lek=lek)
     _check_consistent(net, code)
     return code
@@ -350,6 +356,9 @@ def cmd_precode(args) -> int:
     if args.block is not None and args.block < 1:
         raise ValueError(f"--block must be at least 1, got {args.block}")
     if args.gems is not None:
+        if args.file is not None or args.code is not None:
+            raise ValueError("precode takes a network file and a code file, or --gems, "
+                             "not both")
         gems, spanner = load_gems(args.gems)
         p = gems.field.p
         rate = gems.rate
@@ -400,8 +409,9 @@ def _load_plan(path: str, net: Network, widths: Dict[str, int]) -> Tuple[int, Ma
     case, its P, D and R read as P_hat, D_hat and R_hat.
 
     P_hat must be invertible, of side l * rate; every matrix entry an
-    integer; the decoded indices distinct coordinates of the l * rate
-    block message; D_hat (l * h) by (l * h) and R_hat (l * rate) by
+    integer; each sink entry's keys those `precode` writes, its member an
+    index into `members`; the decoded indices distinct coordinates of the
+    l * rate block message; D_hat (l * h) by (l * h) and R_hat (l * rate) by
     (l * h), with the unit vectors of the decoded indices, in order, as
     its nonzero columns."""
     obj = _load_json(path)
@@ -412,11 +422,13 @@ def _load_plan(path: str, net: Network, widths: Dict[str, int]) -> Tuple[int, Ma
                     ["sinks"], "plan file")
         l = 1
         precoder, dec, ret = "P", "D", "R"
+        entry_keys = ["member", "D", "R", "decoded_indices"]
     else:
         _check_keys(path, obj, ["kind", "p", "rate", "l", "P_hat", "spanner", "blocks",
                                 "members"], ["sinks"], "plan file")
         l = _integer(path, "l", obj["l"])
         precoder, dec, ret = "P_hat", "D_hat", "R_hat"
+        entry_keys = ["member", "D_hat", "R_hat", "decoded_indices", "rate"]
         if l < 1:
             raise ValueError(f"{path}: l: block plan needs l >= 1")
     field = net.field
@@ -437,14 +449,17 @@ def _load_plan(path: str, net: Network, widths: Dict[str, int]) -> Tuple[int, Ma
         raise ValueError(f"{path}: {precoder} must be invertible") from None
     if not isinstance(obj["sinks"], dict):
         raise ValueError(f"{path}: sinks must be a JSON object")
+    members = len(_list(path, "members", obj["members"]))
     units = Mat.identity(field, width)
     sinks = {}
     for t, entry in obj["sinks"].items():
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}: sinks.{t} must be a JSON object")
-        D_rows = _matrix(path, f"sinks.{t}.{dec}", entry.get(dec))
-        R_rows = _matrix(path, f"sinks.{t}.{ret}", entry.get(ret))
-        idxs = _integers(path, f"sinks.{t}.decoded_indices", entry.get("decoded_indices"))
+        _check_keys(path, entry, entry_keys, [], f"sinks.{t}")
+        if not 0 <= _integer(path, f"sinks.{t}.member", entry["member"]) < members:
+            raise ValueError(f"{path}: sinks.{t}.member must be in range({members}), "
+                             f"got {entry['member']}")
+        D_rows = _matrix(path, f"sinks.{t}.{dec}", entry[dec])
+        R_rows = _matrix(path, f"sinks.{t}.{ret}", entry[ret])
+        idxs = _integers(path, f"sinks.{t}.decoded_indices", entry["decoded_indices"])
         if len(set(idxs)) != len(idxs) or not all(0 <= j < width for j in idxs):
             raise ValueError(f"{path}: sinks.{t}.decoded_indices must be distinct "
                              f"and in range({width}), got {json.dumps(idxs)}")

@@ -71,10 +71,6 @@ class Mat:
     def identity(cls, field: FieldSpec, n: int) -> "Mat":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "Mat":
-        return cls(field, [[0] * ncols for _ in range(nrows)])
-
     def row(self, i: int) -> Vec:
         return self.data[i]
 
@@ -90,12 +86,11 @@ class Mat:
         if other.field != self.field or self.cols != other.rows:
             raise ValueError("matmul shape or field mismatch")
         p = self.field.p
-        ocols = list(zip(*other.data)) if other.data and other.cols else []
+        # with no rows, zip gives no columns; each is then the empty tuple
+        ocols = list(zip(*other.data)) if other.rows else [()] * other.cols
         out = []
         for r in self.data:
             out.append([sum(a * b for a, b in zip(r, c)) % p for c in ocols])
-        if other.cols == 0:
-            out = [[] for _ in range(self.rows)]
         return Mat(self.field, out, cols=other.cols)
 
     def to_lists(self) -> List[List[int]]:
@@ -235,10 +230,6 @@ class Subspace:
         p = field.p
         red, pivots = _rref(field, [[x % p for x in v] for v in vectors])
         return cls(field, ambient_dim, tuple(zip(pivots, map(tuple, red))))
-
-    @classmethod
-    def zero(cls, field: FieldSpec, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, ())
 
     @classmethod
     def span_of(cls, A: Mat) -> "Subspace":

@@ -42,7 +42,6 @@ class LinearCode:
 
 @dataclass(frozen=True)
 class Gem:
-    sink: Node
     matrix: Mat                  # r x min(h_t, r)
     used_edges: Tuple[int, ...]
     h: int                       # max-flow to the sink
@@ -184,7 +183,7 @@ def extract_gem(code: LinearCode, net: Network, t: Node) -> Gem:
             rows.append(row)
     if len(chosen) < target:
         raise CodeInvalidForSink(f"sink {t}: {len(chosen)} independent inputs, need {target}")
-    return Gem(sink=t, matrix=Mat.from_cols(net.field, [code.gek[e] for e in chosen], nrows=r),
+    return Gem(matrix=Mat.from_cols(net.field, [code.gek[e] for e in chosen], nrows=r),
                used_edges=tuple(chosen), h=h)
 
 

@@ -9,29 +9,29 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from sympy.polys.domains import GF as _sympy_GF
 from sympy.polys.matrices import DomainMatrix
 
-from srlnc import (
-    ContractViolation,
-    FieldSpec,
-    GemSet,
-    Mat,
-    Network,
-    Subspace,
-    max_flow,
-    rank_of_vectors,
-    row_times,
-    simulate,
-)
+from srlnc import FieldSpec, GemSet, Mat, Network, max_flow, row_times, simulate
+from srlnc.linalg import ContractViolation, Subspace, rank_of_vectors
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
 
 Vec = Tuple[int, ...]
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_python_blocks() -> List[str]:
+    """The README's ```python code blocks, in order."""
+    return re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      re.DOTALL | re.MULTILINE)
 
 
 # ---------------------------------------------------------------- networks
@@ -80,7 +80,7 @@ def classic_butterfly_code(net: Network):
     Written out by hand, kernel by kernel, so construction code is not
     in the loop.  Works for both butterfly variants.
     """
-    from srlnc import LinearCode
+    from srlnc.multicast import LinearCode
 
     f = net.field
     weak = len(net.edges) == 10
@@ -114,6 +114,10 @@ def diamond(field: FieldSpec = GF3) -> Network:
 
 def mat_cols(field: FieldSpec, *cols: Sequence[int]) -> Mat:
     return Mat.from_cols(field, list(cols))
+
+
+def zeros(field: FieldSpec, nrows: int, ncols: int) -> Mat:
+    return Mat(field, [[0] * ncols for _ in range(nrows)], cols=ncols)
 
 
 def gems_three_planes() -> GemSet:
@@ -353,7 +357,7 @@ def brute_is_exact_spanner(V: Sequence[Vec], gems: GemSet) -> bool:
 def brute_min_spanner_size(gems: GemSet) -> int:
     """Smallest exact spanner by exhausting subsets of the total span's
     projective lines, smallest size first.  Tiny inputs only."""
-    from srlnc import subspace_lines
+    from srlnc.subrate import subspace_lines
 
     cand = subspace_lines(gems.total_span())
     lo = gems.total_span().dim
@@ -377,7 +381,7 @@ def reference_minimal_exact_spanner(gems: GemSet,
     `max_nodes` caps the nodes it visits, summed over all depths; past
     the cap it returns None.
     """
-    from srlnc import subspace_lines
+    from srlnc.subrate import subspace_lines
 
     field = gems.field
     lines = [subspace_lines(s) for s in gems.spans]
@@ -461,7 +465,7 @@ def reference_fsrd_check(gems: GemSet) -> Optional[Tuple[int, ...]]:
     Feasible means compol(i_bar) >= sum of member dimensions and
     sum(i_bar) <= dim of the total span.
     """
-    from srlnc import compol
+    from srlnc.subrate import compol
 
     k = gems.k
     caps = [reference_comss_c(gems, c) for c in range(1, k + 1)]
@@ -535,7 +539,7 @@ def reference_build_spanner(gems: GemSet, i_bar: Sequence[int]) -> List[Vec]:
     order and all of their sorted lines, taking a line of degree c that
     raises the rank of the vectors taken so far.  Raises
     ConstructionFailed as `build_spanner` does."""
-    from srlnc import ConstructionFailed, comd, is_exact_spanner
+    from srlnc.subrate import ConstructionFailed, comd, is_exact_spanner
 
     k = gems.k
     V: List[Vec] = []
@@ -571,7 +575,8 @@ def reference_optimize_block_plan(gems: GemSet, l_max: int, max_designs: int = 2
     SearchSpaceTooLarge."""
     from fractions import Fraction
 
-    from srlnc import BlockDesign, SearchSpaceTooLarge, build_block_plan, minimal_exact_spanner
+    from srlnc.subrate import SearchSpaceTooLarge, minimal_exact_spanner
+    from srlnc.blockcode import BlockDesign, build_block_plan
 
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -614,8 +619,9 @@ def reference_sink_block_plan(field: FieldSpec, V: Sequence[Vec],
     must give the same result."""
     from fractions import Fraction
 
-    from srlnc import BlockSinkPlan, lift_block, solve_columns
-    from srlnc.blockcode import _block_diag
+    from srlnc import lift_block
+    from srlnc.linalg import solve_columns
+    from srlnc.blockcode import BlockSinkPlan, _block_diag
 
     r = B.rows
     h = B.cols
@@ -629,7 +635,7 @@ def reference_sink_block_plan(field: FieldSpec, V: Sequence[Vec],
             targets = Mat.from_cols(field, [v for _, v in members], nrows=r)
             D_part = solve_columns(B, targets)
         else:
-            D_part = Mat.zeros(field, h, 0)
+            D_part = zeros(field, h, 0)
         pad = (0,) * (h - len(members))
         d_blocks.append(Mat(field, [row + pad for row in D_part.data], cols=h))
         decoded.extend(bi * r + pos for pos, _ in members)
@@ -711,6 +717,12 @@ def sympy_dm(A: Mat) -> DomainMatrix:
 
 def sympy_rank(A: Mat) -> int:
     return sympy_dm(A).rank()
+
+
+def sympy_matmul(A: Mat, B: Mat) -> Mat:
+    p = A.field.p
+    prod = (sympy_dm(A) * sympy_dm(B)).to_list()
+    return Mat(A.field, [[int(x) % p for x in row] for row in prod], cols=B.cols)
 
 
 def sympy_invert(A: Mat) -> Mat:

@@ -225,7 +225,7 @@ def test_acceptance_7_rate_ratio_curve():
         for h in range(1, 7):
             for r in range(0, h + 1):
                 want = "prefer-sub-rate" if Fraction(r, h) >= bound else "prefer-sink"
-                assert rate_ratio_verdict(h, r, num_sinks=n).verdict == want
+                assert rate_ratio_verdict(h, r, num_sinks=n) == want
 
     dt = time.monotonic() - t0
     print(f"ACCEPTANCE 7 PASS: 50 exact curve entries, verdicts flip at the "

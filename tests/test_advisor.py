@@ -2,13 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from srlnc import (
-    PREFER_SINK,
-    PREFER_SUB_RATE,
-    field_bits,
-    rate_ratio_curve,
-    rate_ratio_verdict,
-)
+from srlnc import rate_ratio_curve, rate_ratio_verdict
+from srlnc.advisor import PREFER_SINK, PREFER_SUB_RATE, field_bits
 
 
 def test_field_bits():
@@ -16,14 +11,12 @@ def test_field_bits():
 
 
 def test_rate_ratio_verdict():
-    adv = rate_ratio_verdict(3, 2, num_sinks=2, node="t1")
-    assert adv.node == "t1"
-    assert (adv.h_t, adv.r_t) == (3, 2)
-    assert (adv.F_bits, adv.F_prime_bits) == (2, 3)
-    assert adv.verdict == PREFER_SUB_RATE  # 2*3 == 3*2, tie goes to sub-rate
-    assert rate_ratio_verdict(3, 1, num_sinks=2).verdict == PREFER_SINK
-    assert rate_ratio_verdict(4, 4, num_sinks=9).verdict == PREFER_SUB_RATE
-    assert rate_ratio_verdict(1, 0, num_sinks=2).verdict == PREFER_SINK
+    # two sinks work over GF(3), 2 bits; a third needs GF(5), 3 bits
+    assert rate_ratio_verdict(3, 2, num_sinks=2) == PREFER_SUB_RATE  # 2*3 == 3*2, a tie
+    assert rate_ratio_verdict(3, 1, num_sinks=2) == PREFER_SINK
+    assert rate_ratio_verdict(4, 4, num_sinks=9) == PREFER_SUB_RATE
+    assert rate_ratio_verdict(1, 0, num_sinks=2) == PREFER_SINK
+    assert rate_ratio_verdict(0, 0, num_sinks=2) == PREFER_SUB_RATE  # no division by h_t
     with pytest.raises(ValueError):
         rate_ratio_verdict(2, 3, num_sinks=2)
     with pytest.raises(ValueError):
@@ -49,4 +42,4 @@ def test_verdict_matches_the_curve_threshold():
         for h in range(1, 5):
             for r in range(0, h + 1):
                 want = PREFER_SUB_RATE if Fraction(r, h) >= curve[n] else PREFER_SINK
-                assert rate_ratio_verdict(h, r, num_sinks=n).verdict == want
+                assert rate_ratio_verdict(h, r, num_sinks=n) == want

@@ -9,22 +9,23 @@ from hypothesis import strategies as st
 
 from srlnc import blockcode, subrate
 from srlnc import (
-    BlockDesign,
     FieldSpec,
     GemSet,
-    InfeasibleDesign,
     Mat,
-    SearchSpaceTooLarge,
-    Subspace,
-    block_decoder_for,
-    build_block_plan,
     build_partial_general,
     build_precoder,
-    complete_basis,
     lift_block,
     optimize_block_plan,
     rank,
     row_times,
+)
+from srlnc.linalg import Subspace, complete_basis
+from srlnc.subrate import SearchSpaceTooLarge
+from srlnc.blockcode import (
+    BlockDesign,
+    InfeasibleDesign,
+    block_decoder_for,
+    build_block_plan,
 )
 
 from helpers import (

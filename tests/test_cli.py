@@ -360,6 +360,18 @@ def test_precode_needs_a_network_or_gems(tmp_path, capsys):
     assert "needs a network file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("files", [2, 1], ids=["network-and-code", "network"])
+def test_precode_takes_a_network_or_gems_not_both(tmp_path, capsys, files):
+    net, code, _ = _pipeline_files(tmp_path, block=False)
+    gems = write(tmp_path, "gems.json", THREE_PLANES_GEMS)
+    out = str(tmp_path / "out.json")
+    capsys.readouterr()
+    assert main(["precode", *[net, code][:files], "--gems", gems, "--out", out]) == 2
+    _one_error_line(capsys, "precode takes a network file and a code file, or --gems, "
+                            "not both")
+    assert not os.path.exists(out)
+
+
 def test_subrate_pipeline(tmp_path):
     net = write(tmp_path, "net.json", BUTTERFLY)
     code = str(tmp_path / "code.json")
@@ -883,6 +895,12 @@ def _set(key, value):
     (False, "code", lambda obj: obj["lek"]["5"].update(x=1), "lek.5 has unknown keys: x"),
     (False, "code", lambda obj: obj["lek"]["5"].update({"in": [7]}),
      "lek.5: local kernel of 5 lists different edges"),
+    (False, "code", lambda obj: obj["lek"].update({"99": obj["lek"]["5"]}),
+     "lek.99: code has a local kernel for '99', which is not a node"),
+    (False, "code", lambda obj: obj["lek"]["1"].update({"in": [-2.0, -1.0]}),
+     "lek.1: local kernel of 1 lists different edges"),
+    (False, "code", lambda obj: obj["lek"]["3"].update({"in": [True]}),
+     "lek.3: local kernel of 3 lists different edges"),
     (False, "plan", _set("kind", "x"), 'kind: plan file must have "kind"'),
     (False, "plan", _set("extra", 1), "plan file has unknown keys: extra"),
     (True, "plan", _set("l", 0), "l: block plan needs l >= 1"),
@@ -890,6 +908,14 @@ def _set(key, value):
     (False, "plan", lambda obj: obj.pop("sinks"), "sinks: plan lacks per-sink decoders"),
     (True, "plan", lambda obj: obj["sinks"].pop("12"),
      "sinks: plan has no decoders for subrate sink 12"),
+    (False, "plan", lambda obj: obj["sinks"]["8"].update(bogus=1),
+     "sinks.8 has unknown keys: bogus"),
+    (True, "plan", lambda obj: obj["sinks"]["11"].pop("rate"), "sinks.11 is missing keys: rate"),
+    (False, "plan", lambda obj: obj["sinks"]["8"].update(member="x"),
+     'sinks.8.member must be an integer, got "x"'),
+    (True, "plan", lambda obj: obj["sinks"]["11"].update(member=3),
+     "sinks.11.member must be in range(3), got 3"),
+    (False, "plan", _set("members", {}), "members must be a list, got {}"),
     (False, "net", _set("field", 4), "field: field order must be prime, got 4"),
     (False, "net", _set("source", 9), "source: source is not a node"),
     (False, "net", lambda obj: obj["edges"].append([2, 9]),
@@ -902,8 +928,10 @@ def _set(key, value):
     (False, "net", _set("subrate_sinks", ["8"]),
      "subrate_sinks: '8' is not a node other than the source"),
 ], ids=["net-keys", "net-edge", "net-both", "code-field", "code-gek", "code-lek-missing",
-        "code-lek-keys", "code-lek-edges", "plan-kind", "plan-keys", "plan-l", "plan-field",
-        "plan-sinks", "plan-sink", "net-field", "net-source", "net-endpoint",
+        "code-lek-keys", "code-lek-edges", "code-lek-not-a-node", "code-lek-float-ids",
+        "code-lek-bool-ids", "plan-kind", "plan-keys", "plan-l", "plan-field",
+        "plan-sinks", "plan-sink", "plan-sink-keys", "plan-sink-missing-keys",
+        "plan-member", "plan-member-range", "plan-members", "net-field", "net-source", "net-endpoint",
         "net-into-source", "net-rate", "net-sink", "net-sink-is-source", "net-subrate-sink"])
 def test_load_errors_name_their_file_and_field(tmp_path, capsys, block, name, change,
                                                message):

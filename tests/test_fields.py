@@ -5,7 +5,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srlnc import FieldSpec, is_prime, smallest_prime_greater_than
+from srlnc import FieldSpec
+from srlnc.fields import is_prime, smallest_prime_greater_than
 
 from helpers import GF3, GF5
 

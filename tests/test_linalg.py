@@ -5,25 +5,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srlnc import (
-    CodeInvalidForSink,
     FieldSpec,
-    LinearCode,
     Mat,
     Network,
-    Singular,
-    Subspace,
     build_multicast,
-    complete_basis,
     extract_gem,
-    invert,
     max_flow,
     rank,
-    rank_of_vectors,
     row_times,
-    solve_columns,
     subspace_intersect,
     subspace_sum,
 )
+from srlnc.linalg import (
+    Singular,
+    Subspace,
+    complete_basis,
+    invert,
+    rank_of_vectors,
+    solve_columns,
+)
+from srlnc.multicast import CodeInvalidForSink, LinearCode
 
 from helpers import (
     GF2,
@@ -34,7 +35,9 @@ from helpers import (
     reference_complete_basis,
     reference_gem_edges,
     sympy_invert,
+    sympy_matmul,
     sympy_rank,
+    zeros,
 )
 
 
@@ -95,6 +98,17 @@ def test_matmul_and_vector_products():
     assert (a @ Mat.identity(GF3, 2)) == a
 
 
+@pytest.mark.parametrize("m, k, n", [(2, 0, 3), (1, 0, 1), (0, 0, 2), (2, 3, 0), (3, 1, 0),
+                                     (0, 2, 3), (0, 1, 0)])
+def test_matmul_with_an_empty_dimension(m, k, n):
+    rng = random.Random(m * 100 + k * 10 + n)
+    a = Mat(GF5, [[rng.randrange(5) for _ in range(k)] for _ in range(m)], cols=k)
+    b = Mat(GF5, [[rng.randrange(5) for _ in range(n)] for _ in range(k)], cols=n)
+    prod = a @ b
+    assert (prod.rows, prod.cols) == (m, n)
+    assert prod == sympy_matmul(a, b) == zeros(GF5, m, n)
+
+
 @given(matrices(), st.data())
 def test_row_times_matches_a_one_row_product(a, data):
     v = data.draw(st.lists(st.integers(-7, 7), min_size=a.rows, max_size=a.rows))
@@ -119,7 +133,7 @@ def test_matmul_mismatch():
 
 def test_rank_examples():
     assert rank(Mat.identity(GF3, 3)) == 3
-    assert rank(Mat.zeros(GF3, 3, 2)) == 0
+    assert rank(zeros(GF3, 3, 2)) == 0
     assert rank(mat_cols(GF3, (1, 1, 0), (1, 0, 1))) == 2
     assert rank_of_vectors(GF2, [(1, 1, 0), (1, 0, 0), (0, 1, 0)]) == 2
     assert rank_of_vectors(GF2, []) == 0
@@ -175,7 +189,7 @@ def test_subspace_dim_and_membership():
     assert s.contains((1, 1, 2))
     assert not s.contains((1, 0, 0))
     assert s.contains((0, 0, 0))
-    z = Subspace.zero(GF3, 3)
+    z = Subspace.from_columns(GF3, 3, [])
     assert z.dim == 0 and not z.contains((1, 0, 0)) and z.contains((0, 0, 0))
 
 
@@ -197,7 +211,7 @@ def test_sum_and_intersection_examples():
     yz = Subspace.from_columns(GF3, 3, [(0, 1, 0), (0, 0, 1)])
     assert subspace_sum(xy, yz).dim == 3
     assert subspace_intersect(xy, yz) == Subspace.from_columns(GF3, 3, [(0, 1, 0)])
-    z = Subspace.zero(GF3, 3)
+    z = Subspace.from_columns(GF3, 3, [])
     assert subspace_intersect(xy, z).dim == 0
     assert subspace_sum(xy, z) == xy
 
@@ -254,7 +268,7 @@ def test_complete_basis_examples():
     pad = complete_basis(Subspace.from_columns(GF2, 3, [(1, 1, 0)]))
     assert pad == [(1, 0, 0), (0, 0, 1)]
     assert complete_basis(Subspace.from_columns(GF3, 2, [(1, 0), (0, 1)])) == []
-    full = complete_basis(Subspace.zero(GF3, 2))
+    full = complete_basis(Subspace.from_columns(GF3, 2, []))
     assert full == [(1, 0), (0, 1)]
 
 

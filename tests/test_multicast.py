@@ -9,14 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srlnc import (
-    CodeInvalidForSink,
-    ContractViolation,
     FieldSpec,
-    FieldTooSmall,
-    LinearCode,
     Mat,
     Network,
-    RateExceedsSourceDegree,
     build_multicast,
     decode_full_rate,
     extract_gem,
@@ -24,8 +19,15 @@ from srlnc import (
     row_times,
     simulate,
 )
-
-from srlnc.multicast import _check_consistent, _shuffled_vectors
+from srlnc.linalg import ContractViolation
+from srlnc.multicast import (
+    CodeInvalidForSink,
+    FieldTooSmall,
+    LinearCode,
+    RateExceedsSourceDegree,
+    _check_consistent,
+    _shuffled_vectors,
+)
 
 from helpers import (
     GF2,

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srlnc import CycleDetected, Network, max_flow, topo_order
+from srlnc import Network, max_flow
+from srlnc.netgraph import CycleDetected, topo_order
 
 from helpers import GF2, GF3, brute_max_flow, butterfly, diamond
 

@@ -1,15 +1,21 @@
 """The runtime is standard-library only: every import in `src/srlnc` is
 relative or names a standard-library module.  No module there uses
-`assert`, so its checks also run under `python -O`.  And every file the
-package writes goes through `cli._emit`, the one write path."""
+`assert`, so its checks also run under `python -O`.  Every file the
+package writes goes through `cli._emit`, the one write path.  And the
+package exports only the names the README or the release gates use."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
+import srlnc
+from helpers import README, readme_python_blocks
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "srlnc"
+GATES = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def _imported_modules(path: Path):
@@ -89,3 +95,47 @@ def test_files_are_written_only_by_emit(path):
 ])
 def test_the_write_check_finds_writes(source, lines):
     assert _file_writes(source, "_emit") == lines
+
+
+def _srlnc_imports(source: str):
+    """The names `from srlnc import ...` statements in `source` import."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "srlnc"
+            for alias in node.names]
+
+
+def _unused_exports(exported, readme: str, gates: str):
+    """Exported names the gates do not import and the README never names,
+    except as a module's attribute (`srlnc.linalg.Subspace`)."""
+    imported = set(_srlnc_imports(gates))
+    return [name for name in exported if name not in imported
+            and not re.search(rf"(?<![\w.]){re.escape(name)}(?!\w)", readme)]
+
+
+def _not_exported(sources, exported):
+    return [name for source in sources for name in _srlnc_imports(source)
+            if name not in exported]
+
+
+def test_every_export_is_named_by_the_readme_or_imported_by_a_gate():
+    readme = README.read_text(encoding="utf-8")
+    gates = GATES.read_text(encoding="utf-8")
+    assert _unused_exports(srlnc.__all__, readme, gates) == []
+
+
+def test_the_readme_and_the_gates_import_only_exports():
+    sources = [*readme_python_blocks(), GATES.read_text(encoding="utf-8")]
+    assert all(_srlnc_imports(source) for source in sources)
+    assert _not_exported(sources, srlnc.__all__) == []
+    assert [name for name in srlnc.__all__ if not hasattr(srlnc, name)] == []
+
+
+def test_the_export_checks_find_a_planted_name():
+    readme = README.read_text(encoding="utf-8")
+    gates = GATES.read_text(encoding="utf-8")
+    planted = [*srlnc.__all__, "Subspace", "planted_name"]
+    assert _unused_exports(planted, readme, gates) == ["Subspace", "planted_name"]
+    assert _unused_exports(planted, readme, gates + "\nfrom srlnc import Subspace\n") == [
+        "planted_name"]
+    source = "from srlnc import Mat, Subspace\nfrom srlnc.linalg import invert\n"
+    assert _not_exported([source], srlnc.__all__) == ["Subspace"]

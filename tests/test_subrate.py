@@ -8,29 +8,30 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from srlnc import (
-    ConstructionFailed,
     FieldSpec,
     GemSet,
     Mat,
     NotFullyDecodable,
-    SearchSpaceTooLarge,
-    Subspace,
-    block_decoder_for,
     build_precoder,
-    build_spanner,
-    comd,
-    compol,
     comss_c,
     comss_exhaustive,
     fsrd_check,
-    is_exact_spanner,
-    minimal_exact_spanner,
     rank,
-    rank_of_vectors,
     row_times,
     subspace_intersect,
+)
+from srlnc.linalg import Subspace, rank_of_vectors
+from srlnc.subrate import (
+    ConstructionFailed,
+    SearchSpaceTooLarge,
+    build_spanner,
+    comd,
+    compol,
+    is_exact_spanner,
+    minimal_exact_spanner,
     subspace_lines,
 )
+from srlnc.blockcode import block_decoder_for
 
 from srlnc import subrate
 from helpers import (
