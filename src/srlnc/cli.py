@@ -16,6 +16,7 @@ import random
 import stat
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .advisor import rate_ratio_curve
@@ -181,6 +182,10 @@ def code_to_obj(net: Network, code: LinearCode) -> dict:
     }
 
 
+_INT = frozenset([int])
+_LEK_KEYS = frozenset(["in", "out", "k"])
+
+
 def load_code(path: str, net: Network) -> LinearCode:
     obj = _load_json(path)
     _check_keys(path, obj, ["p", "rate", "gek", "lek"], [], "code file")
@@ -195,9 +200,12 @@ def load_code(path: str, net: Network) -> LinearCode:
     edge_ids = {str(e): e for e in range(-r, len(net.edges))}
     if set(obj["gek"]) != set(edge_ids):
         raise ValueError(f"{path}: gek keys are not exactly the network's edge ids")
+    # Each row is tested in one sweep; only a row that fails goes through
+    # the helpers, which name its first bad entry.
     gek: Dict[int, Tuple[int, ...]] = {}
     for key, vec in obj["gek"].items():
-        if len(_integers(path, f"gek.{key}", vec)) != r:
+        if type(vec) is not list or len(vec) != r or not _INT.issuperset(map(type, vec)):
+            _integers(path, f"gek.{key}", vec)
             raise ValueError(f"{path}: gek.{key}: kernel for edge {key} has length "
                              f"{len(vec)}, want {r}")
         gek[edge_ids[key]] = tuple(x % p for x in vec)
@@ -206,15 +214,19 @@ def load_code(path: str, net: Network) -> LinearCode:
         entry = obj["lek"].get(str(n))
         if entry is None:
             raise ValueError(f"{path}: lek: code has no local kernel for node {n!r}")
-        _check_keys(path, entry, ["in", "out", "k"], [], f"lek.{n}")
+        if type(entry) is not dict or entry.keys() != _LEK_KEYS:
+            _check_keys(path, entry, ["in", "out", "k"], [], f"lek.{n}")
         ins, outs = net.in_edges[n], net.out_edges[n]
         # == alone would take 1.0 or true for the edge id 1
         if (entry["in"] != ins or entry["out"] != outs
-                or not all(type(e) is int for e in entry["in"] + entry["out"])):
+                or not _INT.issuperset(map(type, entry["in"] + entry["out"]))):
             raise ValueError(f"{path}: lek.{n}: local kernel of {n!r} lists different edges "
                              f"than the network")
-        rows = _matrix(path, f"lek.{n}.k", entry["k"])
-        if len(rows) != len(ins) or any(len(row) != len(outs) for row in rows):
+        rows = entry["k"]
+        if (type(rows) is not list or len(rows) != len(ins)
+                or not all(type(row) is list and len(row) == len(outs) for row in rows)
+                or not _INT.issuperset(map(type, chain.from_iterable(rows)))):
+            _matrix(path, f"lek.{n}.k", rows)
             raise ValueError(f"{path}: lek.{n}.k must have {len(ins)} rows, one per input, "
                              f"of {len(outs)} entries, one per output")
         lek[n] = Mat(net.field, rows, cols=len(outs))
@@ -409,8 +421,11 @@ def _load_plan(path: str, net: Network, widths: Dict[str, int]) -> Tuple[int, Ma
     case, its P, D and R read as P_hat, D_hat and R_hat.
 
     P_hat must be invertible, of side l * rate; every matrix entry an
-    integer; each sink entry's keys those `precode` writes, its member an
-    index into `members`; the decoded indices distinct coordinates of the
+    integer; `spanner` a list of length-rate integer vectors; `i_bar` a
+    list of integers, or `blocks` a list of integer lists; each entry of
+    `members` and of `sinks` holding the decoder keys `precode` writes, a
+    sink entry also its member, an index into `members`; the decoded
+    indices distinct coordinates of the
     l * rate block message; D_hat (l * h) by (l * h) and R_hat (l * rate) by
     (l * h), with the unit vectors of the decoded indices, in order, as
     its nonzero columns."""
@@ -438,6 +453,16 @@ def _load_plan(path: str, net: Network, widths: Dict[str, int]) -> Tuple[int, Ma
     if "sinks" not in obj:
         raise ValueError(f"{path}: sinks: plan lacks per-sink decoders; "
                          f"build it from a network file")
+    if any(len(v) != net.rate for v in _matrix(path, "spanner", obj["spanner"])):
+        raise ValueError(f"{path}: spanner vectors must have length {net.rate}")
+    if obj["kind"] == "subrate":
+        _integers(path, "i_bar", obj["i_bar"])
+    else:
+        for i, block in enumerate(_list(path, "blocks", obj["blocks"])):
+            _integers(path, f"blocks[{i}]", block)
+    for i, member in enumerate(_list(path, "members", obj["members"])):
+        # a sink entry's keys but "member"
+        _check_keys(path, member, entry_keys[1:], [], f"members[{i}]")
     width = l * net.rate
     P_rows = _matrix(path, precoder, obj[precoder])
     if len(P_rows) != width or any(len(row) != width for row in P_rows):
@@ -449,7 +474,7 @@ def _load_plan(path: str, net: Network, widths: Dict[str, int]) -> Tuple[int, Ma
         raise ValueError(f"{path}: {precoder} must be invertible") from None
     if not isinstance(obj["sinks"], dict):
         raise ValueError(f"{path}: sinks must be a JSON object")
-    members = len(_list(path, "members", obj["members"]))
+    members = len(obj["members"])
     units = Mat.identity(field, width)
     sinks = {}
     for t, entry in obj["sinks"].items():

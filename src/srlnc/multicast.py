@@ -15,7 +15,7 @@ from operator import mul
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import ContractViolation, Mat, _reduce, rank_of_vectors, invert, row_times
-from .netgraph import Network, max_flow
+from .netgraph import Network, max_flow, max_flow_value
 
 Node = Hashable
 Vec = Tuple[int, ...]
@@ -170,7 +170,7 @@ def extract_gem(code: LinearCode, net: Network, t: Node) -> Gem:
     """
     r = code.rate
     p = net.field.p
-    h = max_flow(net, t).value
+    h = max_flow_value(net, t)
     target = min(h, r)
     chosen: List[int] = []
     rows: List[Tuple[int, List[int]]] = []

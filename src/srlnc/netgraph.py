@@ -181,3 +181,54 @@ def max_flow(net: Network, t: Node) -> FlowResult:
         else:
             break
     return FlowResult(value=len(paths), paths=tuple(paths))
+
+
+def max_flow_value(net: Network, t: Node) -> int:
+    """`max_flow(net, t).value`, without building the paths.
+
+    Each augmenting path is searched depth-first back from t through the
+    unit-capacity residual graph, in O(V + E): from v to the tail of an
+    unused edge into v, or to the head of a used edge out of v, which
+    cancels that edge's flow.  A path usually reaches the source in about
+    as many steps as the network is deep.  The search stops at the same
+    bound as `max_flow`.
+    """
+    if t == net.source:
+        raise ValueError("sink must differ from the source")
+    if t not in net.in_edges:
+        raise ValueError(f"unknown node: {t}")
+    source, edges, in_edges, out_edges = net.source, net.edges, net.in_edges, net.out_edges
+    used = [False] * len(edges)
+    value = 0
+    full = min(len(out_edges[source]), len(in_edges[t]))
+    while value < full:
+        seen = {t}
+        path: List[int] = []    # the edge each stacked node but t was reached by
+        stack = [(iter(in_edges[t]), iter(out_edges[t]))]
+        while stack:
+            ins, outs = stack[-1]
+            for e in ins:
+                if not used[e] and edges[e][0] not in seen:
+                    u = edges[e][0]
+                    break
+            else:
+                for e in outs:
+                    if used[e] and edges[e][1] not in seen:
+                        u = edges[e][1]
+                        break
+                else:
+                    stack.pop()
+                    if path:
+                        path.pop()
+                    continue
+            seen.add(u)
+            path.append(e)
+            if u == source:
+                break
+            stack.append((iter(in_edges[u]), iter(out_edges[u])))
+        else:
+            break
+        value += 1
+        for e in path:
+            used[e] = not used[e]
+    return value

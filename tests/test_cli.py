@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srlnc import FieldSpec, GemSet, Mat, lift_block
-from srlnc import blockcode, cli, subrate
+from srlnc import blockcode, cli, netgraph, subrate
 from srlnc.cli import main
 
 from helpers import (generalized_butterfly, reference_optimize_block_plan,
@@ -162,6 +162,33 @@ def test_maxflow_names_the_file_and_its_sink_argument(tmp_path, capsys, sink):
     net = write(tmp_path, "net.json", BUTTERFLY)
     assert main(["maxflow", net, sink]) == 2
     _one_error_line(capsys, f"{net}: sink argument '{sink}' is not a node other than the source")
+
+
+def test_precode_and_simulate_take_h_without_the_max_flow_paths(tmp_path, monkeypatch):
+    # h decides each sink's role, and only `code` and `maxflow` need the paths
+    real = netgraph.max_flow
+    calls = []
+
+    def counted(net, t):
+        calls.append(t)
+        return real(net, t)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("srlnc") and getattr(module, "max_flow", None) is real:
+            monkeypatch.setattr(module, "max_flow", counted)
+    net = write(tmp_path, "net.json", BUTTERFLY)
+    code, plan, report = (str(tmp_path / f"{name}.json") for name in ("code", "plan", "report"))
+    assert main(["code", net, "--out", code]) == 0
+    assert calls == [6, 7, 8]
+    calls.clear()
+    assert main(["precode", net, code, "--out", plan]) == 0
+    assert main(["simulate", net, code, plan, "--out", report]) == 0
+    assert calls == []
+    assert main(["maxflow", net, "8", "--out", str(tmp_path / "mf.json")]) == 0
+    assert calls == [8]
+    loaded, _, _ = cli.load_network(net)
+    assert {row["sink"]: row["h"] for row in read(report)["sinks"]} == {
+        str(t): real(loaded, t).value for t in (6, 7, 8)}
 
 
 def test_bad_inputs_exit_2(tmp_path, capsys):
@@ -916,6 +943,12 @@ def _set(key, value):
     (True, "plan", lambda obj: obj["sinks"]["11"].update(member=3),
      "sinks.11.member must be in range(3), got 3"),
     (False, "plan", _set("members", {}), "members must be a list, got {}"),
+    (False, "plan", _set("members", [1, 2, 3]), "members[0] must be a JSON object"),
+    (True, "plan", lambda obj: obj["members"][1].pop("rate"), "members[1] is missing keys: rate"),
+    (False, "plan", _set("spanner", "x"), 'spanner must be a list, got "x"'),
+    (False, "plan", _set("spanner", [[1, 0, 0]]), "spanner vectors must have length 2"),
+    (False, "plan", _set("i_bar", {"a": 1}), 'i_bar must be a list, got {"a": 1}'),
+    (True, "plan", _set("blocks", [[0], ["a"]]), 'blocks[1] must be an integer, got "a"'),
     (False, "net", _set("field", 4), "field: field order must be prime, got 4"),
     (False, "net", _set("source", 9), "source: source is not a node"),
     (False, "net", lambda obj: obj["edges"].append([2, 9]),
@@ -931,7 +964,9 @@ def _set(key, value):
         "code-lek-keys", "code-lek-edges", "code-lek-not-a-node", "code-lek-float-ids",
         "code-lek-bool-ids", "plan-kind", "plan-keys", "plan-l", "plan-field",
         "plan-sinks", "plan-sink", "plan-sink-keys", "plan-sink-missing-keys",
-        "plan-member", "plan-member-range", "plan-members", "net-field", "net-source", "net-endpoint",
+        "plan-member", "plan-member-range", "plan-members", "plan-members-entries",
+        "plan-members-keys", "plan-spanner", "plan-spanner-length", "plan-i-bar",
+        "plan-blocks", "net-field", "net-source", "net-endpoint",
         "net-into-source", "net-rate", "net-sink", "net-sink-is-source", "net-subrate-sink"])
 def test_load_errors_name_their_file_and_field(tmp_path, capsys, block, name, change,
                                                message):

@@ -1,9 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srlnc import Network, max_flow
-from srlnc.netgraph import CycleDetected, topo_order
+from srlnc.netgraph import CycleDetected, max_flow_value, topo_order
 
 from helpers import GF2, GF3, brute_max_flow, butterfly, diamond
 
@@ -50,6 +52,8 @@ def test_max_flow_butterfly():
     assert max_flow(net, 7).value == 2
     assert max_flow(net, 8).value == 1
     assert max_flow(diamond(), 3).value == 2
+    assert [max_flow_value(net, t) for t in (6, 7, 8)] == [2, 2, 1]
+    assert max_flow_value(diamond(), 3) == 2
 
 
 def test_max_flow_paths_are_valid_and_disjoint():
@@ -70,7 +74,7 @@ def test_max_flow_parallel_edges():
     net = Network(nodes=[0, 1], edges=[(0, 1)] * 3, source=0, sinks=[1],
                   rate=1, field=GF3)
     res = max_flow(net, 1)
-    assert res.value == 3
+    assert res.value == 3 == max_flow_value(net, 1)
     assert sorted(p[0] for p in res.paths) == [0, 1, 2]
 
 
@@ -79,14 +83,16 @@ def test_max_flow_unreachable_sink():
                   rate=1, field=GF3)
     res = max_flow(net, 2)
     assert res.value == 0 and res.paths == ()
+    assert max_flow_value(net, 2) == 0
 
 
 def test_max_flow_argument_errors():
     net = butterfly()
-    with pytest.raises(ValueError):
-        max_flow(net, 1)
-    with pytest.raises(ValueError):
-        max_flow(net, 99)
+    for t in (1, 99):    # the source, and no node
+        with pytest.raises(ValueError) as want:
+            max_flow(net, t)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            max_flow_value(net, t)
 
 
 def test_max_flow_invariant_under_edge_order():
@@ -127,3 +133,37 @@ def test_max_flow_matches_brute_force(net):
     res = max_flow(net, t)
     assert res.value == brute_max_flow(net, t)
     assert res.value == len(res.paths)
+
+
+@st.composite
+def small_multigraphs(draw):
+    """`small_dags` widened: the source has at most three out-edges, and
+    every other drawn pair is repeated one to three times, so parallel
+    edges and nodes whose in-degree exceeds the source's out-degree are
+    common."""
+    n = draw(st.integers(2, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs[:n - 1]), max_size=3))
+    for pair in draw(st.lists(st.sampled_from(pairs[n - 1:] or pairs), max_size=4)):
+        edges += [pair] * draw(st.integers(1, 3))
+    return Network(nodes=list(range(n)), edges=edges, source=0, sinks=[],
+                   rate=1, field=GF2)
+
+
+@given(small_multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_max_flow_value_matches_brute_force_at_every_sink(net):
+    for t in net.nodes[1:]:
+        value = max_flow_value(net, t)
+        assert value == brute_max_flow(net, t) == max_flow(net, t).value, (net.edges, t)
+
+
+def test_max_flow_value_cancels_flow_when_it_must():
+    # The first path searched back from t is 0->1->3->t: t's lowest in-edge
+    # comes from 3, and 3's from 1.  It leaves 4->t reachable only through
+    # 1, whose in-edge it uses, so the second path must run 1->3 backwards:
+    # 0->2->3, cancel 1->3, 1->4->t.
+    net = Network(nodes=[0, 1, 2, 3, 4, 5],
+                  edges=[(3, 5), (1, 3), (2, 3), (0, 1), (0, 2), (1, 4), (4, 5)],
+                  source=0, sinks=[5], rate=1, field=GF2)
+    assert max_flow_value(net, 5) == 2 == max_flow(net, 5).value

@@ -30,7 +30,11 @@ its default budget.  Seed 60, left out, has 596 903 such designs.
 
 Each tree also runs code, `precode --block 2` and simulate on
 `gen.generalized_butterfly(31, 4, 4)`, whose weak sinks need the longest
-exact spanner search of the butterfly family.
+exact spanner search of the butterfly family, and maxflow to every sink,
+then the same three commands, on `REROUTE`, a literal network whose sink
+t1 has max-flow 2, below its in-degree and the source's out-degree (3),
+and is reached only by a second path that cancels flow on the first, so
+that a wrong max-flow value shows as a differing digest.
 
 Compared per op: each stage's exit code and stderr, and the sha256 of each
 output file; per pool, the set-up's CLI calls and the files it left.  Every
@@ -56,6 +60,18 @@ MANY_SINKS = [(k, s) for k in (8, 10, 12) for s in (1, 2)]
 # gen.random_gemset(random.Random(s), 3, 4, 5) under --block 3: best design has l = 3
 BLOCK3_SEEDS = (15, 16, 18, 23, 45, 65, 78, 79, 85, 94)
 BUTTERFLY = (31, 4, 4)   # p, r, weak sinks
+# Searched back from t1, in edge-id order, the first path is s-u1-v1-t1.
+# Both edges v2-t1 need u1, so the second path is s-u2-v1, back over
+# u1-v1, then u1-v2-t1; a search that cannot cancel flow stops at 1.  The
+# weak sink w2 has in-degree 2 and max-flow 1.
+REROUTE = {
+    "field": 5, "rate": 2,
+    "nodes": ["s", "u1", "u2", "u3", "v1", "v2", "t1", "t2", "w1", "w2", "w3"],
+    "edges": [["v1", "t1"], ["u1", "v1"], ["u2", "v1"], ["s", "u1"], ["s", "u2"],
+              ["u1", "v2"], ["v2", "t1"], ["s", "u3"], ["v2", "t1"], ["u3", "t2"],
+              ["v1", "t2"], ["u3", "w1"], ["v2", "w2"], ["v2", "w2"], ["u2", "w3"]],
+    "source": "s", "sinks": ["t1", "t2"], "subrate_sinks": ["w1", "w2", "w3"],
+}
 SIM_TRIALS = (0, 513)
 
 
@@ -139,19 +155,33 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
                                "--out", str(plan)])
         out[f"random p=3 r=4 k=5 s={s} --block 3"] = {
             "stages": [[rc, msg]], "outputs": {plan.name: _sha(plan)}}
-    net = run._write(many / "bfly.net.json", gen.generalized_butterfly(*BUTTERFLY)[0])
-    code, plan, report = (many / f"bfly.{name}.json" for name in ("code", "plan", "report"))
+    run._write(many / "bfly.net.json", gen.generalized_butterfly(*BUTTERFLY)[0])
+    out["butterfly p={} r={} w={}".format(*BUTTERFLY)] = _pipeline(runner, many, "bfly", [])
+    run._write(many / "reroute.net.json", REROUTE)
+    out["reroute"] = _pipeline(runner, many, "reroute",
+                               REROUTE["sinks"] + REROUTE["subrate_sinks"])
+    return out
+
+
+def _pipeline(runner, work: Path, name: str, maxflow_sinks: list) -> dict:
+    """maxflow to each of `maxflow_sinks`, then code, `precode --block 2`
+    and simulate on the network file `work/NAME.net.json`, up to the first
+    stage that fails."""
+    net = work / f"{name}.net.json"
+    code, plan, report = (work / f"{name}.{kind}.json" for kind in ("code", "plan", "report"))
+    flows = {t: work / f"{name}.maxflow-{t}.json" for t in maxflow_sinks}
+    argvs = [["maxflow", net, t, "--out", path] for t, path in flows.items()]
+    argvs += [["code", net, "--out", code],
+              ["precode", net, code, "--block", "2", "--out", plan],
+              ["simulate", net, code, plan, "--out", report]]
     stages = []
-    for argv in (["code", net, "--out", code],
-                 ["precode", net, code, "--block", "2", "--out", plan],
-                 ["simulate", net, code, plan, "--out", report]):
+    for argv in argvs:
         rc, msg = runner.call([str(a) for a in argv])
         stages.append([rc, msg])
         if rc != 0:
             break
-    out["butterfly p={} r={} w={}".format(*BUTTERFLY)] = {
-        "stages": stages, "outputs": {p.name: _sha(p) for p in (code, plan, report)}}
-    return out
+    return {"stages": stages,
+            "outputs": {p.name: _sha(p) for p in [*flows.values(), code, plan, report]}}
 
 
 def _src_lines(tree: Path) -> int:
