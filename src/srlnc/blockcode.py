@@ -55,13 +55,15 @@ def lift_block(B_t: Mat, l: int) -> Mat:
 
 
 def _block_diag(field, mats: Sequence[Mat]) -> Mat:
+    if len(mats) == 1:
+        return mats[0]
     cols = sum(m.cols for m in mats)
     out: List[Vec] = []
     co = 0
     for m in mats:
         out.extend((0,) * co + row + (0,) * (cols - co - m.cols) for row in m.data)
         co += m.cols
-    return Mat(field, out, cols=cols)
+    return Mat._of(field, tuple(out), cols)
 
 
 @dataclass(frozen=True)
@@ -95,14 +97,14 @@ def build_block_plan(gems: GemSet, design: BlockDesign, *,
     field, r, l = gems.field, gems.rate, len(design.blocks)
     if l < 1:
         raise InfeasibleDesign("design needs at least one block")
-    V = [tuple(v) for v in design.spanner]
+    V = [tuple(x % field.p for x in v) for v in design.spanner]
     p_blocks: List[Mat] = []
     for blk in design.blocks:
         vecs = [V[j] for j in blk]
         span = Subspace.from_columns(field, r, vecs)
         if span.dim != len(vecs):
             raise InfeasibleDesign(f"block {blk} is linearly dependent")
-        p_blocks.append(invert(Mat.from_cols(field, vecs + complete_basis(span), nrows=r)))
+        p_blocks.append(invert(Mat._of(field, tuple(zip(*vecs, *complete_basis(span))), r)))
     holds = _membership(gems, V) if _holds is None else _holds
     sinks = tuple(_sink_block_plan(V, design.blocks, p_blocks, B, [row[i] for row in holds])
                   for i, B in enumerate(gems.mats))
@@ -119,16 +121,18 @@ def _sink_block_plan(V: List[Vec], blocks: Sequence[Tuple[int, ...]],
     """One sink's decoders, block by block: B @ D_b = the block's vectors
     that span(B) holds (`holds[j]`) and R_b = their unit vectors, both
     padded with zero columns to h, checked as P_b @ B @ D_b = R_b without
-    lifting B to l*r rows."""
+    lifting B to l*r rows.  The vectors of V have entries in [0, p)."""
     field, r, h = B.field, B.rows, B.cols
-    units = Mat.identity(field, r).columns()
     parts: List[Tuple[Mat, Mat]] = []
     decoded: List[int] = []
     for bi, (blk, P_b) in enumerate(zip(blocks, p_blocks)):
         held = [pos for pos, j in enumerate(blk) if holds[j]]
-        pad = [(0,) * r] * (h - len(held))
-        D_b = solve_columns(B, Mat.from_cols(field, [V[blk[pos]] for pos in held] + pad, nrows=r))
-        R_b = Mat.from_cols(field, [units[pos] for pos in held] + pad, nrows=r)
+        pad = (0,) * (h - len(held))
+        vecs = [V[blk[pos]] for pos in held]
+        D_b = solve_columns(B, Mat._of(field, tuple(tuple(v[i] for v in vecs) + pad
+                                                    for i in range(r)), h))
+        R_b = Mat._of(field, tuple(tuple(int(pos == i) for pos in held) + pad
+                                   for i in range(r)), h)
         if P_b @ B @ D_b != R_b:
             raise ContractViolation(f"block decoding contract violated in block {bi}")
         parts.append((D_b, R_b))
@@ -148,7 +152,7 @@ def block_decoder_for(plan: BlockPlan, index: int, B: Mat) -> BlockSinkPlan:
     r = B.rows
     p_blocks = [Mat(B.field, [row[o:o + r] for row in plan.P_hat.data[o:o + r]])
                 for o in range(0, plan.l * r, r)]
-    V = [tuple(v) for v in plan.design.spanner]
+    V = [tuple(x % B.field.p for x in v) for v in plan.design.spanner]
     span = Subspace.span_of(B)
     got = _sink_block_plan(V, plan.design.blocks, p_blocks, B, [span.contains(v) for v in V])
     entry = plan.sinks[index]

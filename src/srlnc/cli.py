@@ -17,6 +17,7 @@ import stat
 import sys
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .advisor import rate_ratio_curve
@@ -183,6 +184,8 @@ def code_to_obj(net: Network, code: LinearCode) -> dict:
 
 
 _INT = frozenset([int])
+_STR = frozenset([str])
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 _LEK_KEYS = frozenset(["in", "out", "k"])
 
 
@@ -229,7 +232,8 @@ def load_code(path: str, net: Network) -> LinearCode:
             _matrix(path, f"lek.{n}.k", rows)
             raise ValueError(f"{path}: lek.{n}.k must have {len(ins)} rows, one per input, "
                              f"of {len(outs)} entries, one per output")
-        lek[n] = Mat(net.field, rows, cols=len(outs))
+        # the sweep above checked every entry's type and the shape
+        lek[n] = Mat._of(net.field, tuple(tuple(x % p for x in row) for row in rows), len(outs))
     if len(obj["lek"]) != len(lek):
         extra = min(set(obj["lek"]) - {str(n) for n in net.nodes})
         raise ValueError(f"{path}: lek.{extra}: code has a local kernel for {extra!r}, "
@@ -260,7 +264,31 @@ def load_gems(path: str) -> Tuple[GemSet, Optional[List[Tuple[int, ...]]]]:
 # ---------------------------------------------------------------- output
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2) + newline,
+    for dicts with str keys, lists, tuples, str, int, bool and None; any
+    other value raises TypeError."""
+    return _json(obj, "\n") + "\n"
+
+
+def _json(obj, nl: str) -> str:
+    """`obj` encoded as by `canonical_json`, its nested lines starting `nl`."""
+    t = type(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    inner = nl + "  "
+    if t is list or t is tuple:
+        items = [_json(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if obj else "[]"
+    if t is dict:
+        if not _STR.issuperset(map(type, obj)):
+            raise TypeError("canonical_json: dict keys must be str")
+        items = [encode_basestring_ascii(k) + ": " + _json(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if obj else "{}"
+    if t is bool or obj is None:
+        return _CONSTANTS[obj]
+    raise TypeError(f"canonical_json: {t.__name__} is not JSON serializable")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -385,6 +413,10 @@ def cmd_precode(args) -> int:
         gem_of = _sink_gems(args.file, args.code, net, code, sinks, subrate_sinks)
         if not subrate_sinks:
             raise ValueError(f"{args.file}: subrate_sinks: no subrate sinks to precode for")
+        for t in subrate_sinks:
+            if gem_of[t].h == 0:
+                raise ValueError(f"{args.file}: subrate_sinks: subrate sink {t!r} has "
+                                 f"max-flow 0 and can decode nothing")
         sub_gems = [gem_of[t] for t in subrate_sinks]
         gems = GemSet([g.matrix for g in sub_gems], net.rate)
         full_rate = [gem_of[t].matrix for t in sinks]

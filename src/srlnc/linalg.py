@@ -1,6 +1,11 @@
 """Exact matrix and subspace algebra over GF(p).
 
 Matrices are immutable, row-major, with plain-int entries in [0, p).
+`Mat(...)` is the checked constructor: it reduces every entry mod p and
+rejects ragged rows, and it is the one that takes data from outside the
+package.  `Mat._of` is the trusted one, for results computed here and for
+rows a caller has checked and reduced itself (`cli.load_code`): it stores
+tuple rows already in [0, p) as they are.
 Spans are kept as echelon rows (pivot, vector), each vector 0 before its
 pivot, 1 at it and 0 at the earlier rows' pivots.  `_reduce` tests a
 vector against such rows and returns the row it adds, if any, so one call
@@ -55,6 +60,14 @@ class Mat:
         self.data = rows
 
     @classmethod
+    def _of(cls, field: FieldSpec, rows: Tuple[Vec, ...], cols: int) -> "Mat":
+        """Trusted: `rows`, a tuple of tuples of `cols` entries in [0, p),
+        stored without reducing or checking them."""
+        m = object.__new__(cls)
+        m.field, m.rows, m.cols, m.data = field, len(rows), cols, rows
+        return m
+
+    @classmethod
     def from_cols(cls, field: FieldSpec, columns: Sequence[Sequence[int]], nrows: int | None = None) -> "Mat":
         """Build from a list of column vectors.  `nrows` disambiguates the empty case."""
         columns = [tuple(c) for c in columns]
@@ -88,10 +101,8 @@ class Mat:
         p = self.field.p
         # with no rows, zip gives no columns; each is then the empty tuple
         ocols = list(zip(*other.data)) if other.rows else [()] * other.cols
-        out = []
-        for r in self.data:
-            out.append([sum(a * b for a, b in zip(r, c)) % p for c in ocols])
-        return Mat(self.field, out, cols=other.cols)
+        out = tuple(tuple(sum(map(mul, r, c)) % p for c in ocols) for r in self.data)
+        return Mat._of(self.field, out, other.cols)
 
     def to_lists(self) -> List[List[int]]:
         return [list(r) for r in self.data]
@@ -172,7 +183,7 @@ def invert(A: Mat) -> Mat:
     red, pivots = _rref(A.field, aug)
     if pivots != list(range(n)):
         raise Singular("matrix is singular")
-    return Mat(A.field, [r[n:] for r in red])
+    return Mat._of(A.field, tuple(tuple(r[n:]) for r in red), n)
 
 
 def solve_columns(A: Mat, B: Mat) -> Mat:
@@ -187,7 +198,7 @@ def solve_columns(A: Mat, B: Mat) -> Mat:
     for i in range(n, len(red)):
         if any(x for x in red[i][n:]):
             raise ValueError("inconsistent system: target outside span")
-    return Mat(A.field, [red[i][n:] for i in range(n)], cols=B.cols)
+    return Mat._of(A.field, tuple(tuple(red[i][n:]) for i in range(n)), B.cols)
 
 
 def _reduce(v: Sequence[int], rows: Sequence[Tuple[int, Sequence[int]]],
@@ -291,12 +302,15 @@ def subspace_sum(U: Subspace, W: Subspace) -> Subspace:
 def subspace_intersect(U: Subspace, W: Subspace) -> Subspace:
     """Zassenhaus: the echelon rows of [u | u] for U's basis and [w | 0]
     for W's whose pivots fall in the right half are 0 on the left, and
-    their right halves span the intersection."""
+    their right halves span the intersection.  Those right halves are
+    already reduced echelon rows, pivots ascending, so they are the
+    intersection's rows as they stand."""
     _check_ambient(U, W)
     n = U.ambient_dim
     rows = [list(u) * 2 for u in U.basis] + [list(w) + [0] * n for w in W.basis]
     red, pivots = _rref(U.field, rows)
-    return Subspace.from_columns(U.field, n, [row[n:] for row, piv in zip(red, pivots) if piv >= n])
+    return Subspace(U.field, n, tuple((piv - n, tuple(row[n:]))
+                                      for row, piv in zip(red, pivots) if piv >= n))
 
 
 def complete_basis(V: Subspace) -> List[Vec]:

@@ -22,6 +22,7 @@ from srlnc.linalg import ContractViolation, Subspace, rank_of_vectors
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
 GF5 = FieldSpec(5)
+GF7 = FieldSpec(7)
 
 Vec = Tuple[int, ...]
 
@@ -118,6 +119,16 @@ def mat_cols(field: FieldSpec, *cols: Sequence[int]) -> Mat:
 
 def zeros(field: FieldSpec, nrows: int, ncols: int) -> Mat:
     return Mat(field, [[0] * ncols for _ in range(nrows)], cols=ncols)
+
+
+def assert_checked_form(m: Mat) -> None:
+    """m is what the checked constructor `Mat(...)` makes of its rows:
+    tuple rows of m.cols entries, each in [0, p), as every result that
+    `Mat._of` builds without checking must be."""
+    assert m == Mat(m.field, m.data, cols=m.cols)
+    assert type(m.data) is tuple and all(type(row) is tuple for row in m.data)
+    assert m.rows == len(m.data) and all(len(row) == m.cols for row in m.data)
+    assert all(type(x) is int and 0 <= x < m.field.p for row in m.data for x in row)
 
 
 def gems_three_planes() -> GemSet:

@@ -31,6 +31,7 @@ from srlnc.blockcode import (
 from helpers import (
     GF2,
     GF3,
+    assert_checked_form,
     gems_four_planes,
     gems_shared_axis,
     gems_three_planes,
@@ -249,12 +250,13 @@ def _random_invertible(rng, field, n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([2, 3, 5]),
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([2, 3, 5, 7]),
        r=st.integers(3, 5), l=st.integers(1, 4))
 def test_block_plans_match_the_dense_reference(seed, p, r, l):
     """Every sink's decoders, built and checked block by block, equal the
     dense l*r construction, for the member bases and for other bases of
-    the same spans through `block_decoder_for`."""
+    the same spans through `block_decoder_for`.  Every matrix of the plan,
+    built with the trusted `Mat._of`, is in the checked constructor's form."""
     rng = random.Random(seed)
     field = FieldSpec(p)
     g = random_gemset(rng, field, r, 4)
@@ -274,11 +276,15 @@ def test_block_plans_match_the_dense_reference(seed, p, r, l):
         blocks.append(tuple(picked))
     plan = build_block_plan(g, BlockDesign(spanner=tuple(V), blocks=tuple(blocks)))
     assert all(j >= r for j in plan.sinks[0].decoded_indices)
+    assert_checked_form(plan.P_hat)
     for i, (B, span) in enumerate(zip(g.mats, g.spans)):
         assert plan.sinks[i] == reference_sink_block_plan(field, V, blocks, plan.P_hat, B, l, span)
         other = B @ _random_invertible(rng, field, B.cols)
-        assert block_decoder_for(plan, i, other) == \
-            reference_sink_block_plan(field, V, blocks, plan.P_hat, other, l, span)
+        got = block_decoder_for(plan, i, other)
+        assert got == reference_sink_block_plan(field, V, blocks, plan.P_hat, other, l, span)
+        for sp in (plan.sinks[i], got):
+            assert_checked_form(sp.D_hat)
+            assert_checked_form(sp.R_hat)
 
 
 def test_build_partial_general_on_194_blocks_finishes_quickly():

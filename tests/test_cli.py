@@ -13,14 +13,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srlnc import FieldSpec, GemSet, Mat, lift_block
 from srlnc import blockcode, cli, netgraph, subrate
 from srlnc.cli import main
 
-from helpers import (generalized_butterfly, reference_optimize_block_plan,
+from helpers import (assert_checked_form, generalized_butterfly, reference_optimize_block_plan,
                      reference_simulate_failures)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -291,7 +291,7 @@ def test_precode_block_searches_for_the_spanner_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     g = GemSet([Mat(FieldSpec(3), m) for m in FIVE_VECTOR_GEMS["mats"]], rate=4)
     want = cli.plan_to_obj(3, 4, reference_optimize_block_plan(g, l_max=2))
-    assert out.read_text() == cli.canonical_json(want)
+    assert out.read_text() == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
 
 def test_precode_block_4_stops_once_a_design_reaches_min_h(tmp_path):
@@ -566,6 +566,56 @@ def test_simulate_time_does_not_grow_with_trials_on_a_correct_plan(tmp_path):
         ("6", 0), ("7", 0), ("8", 0)]
 
 
+def test_precode_rejects_a_subrate_sink_with_max_flow_0(tmp_path, capsys):
+    # node 4 has no in-edges; simulate still reports it, as h 0
+    net = write(tmp_path, "net.json", {
+        "field": 3, "rate": 2, "nodes": [0, 1, 2, 3, 4],
+        "edges": [[0, 1], [0, 2], [1, 3], [2, 3]], "source": 0, "sinks": [3],
+        "subrate_sinks": [4]})
+    code = str(tmp_path / "code.json")
+    report = str(tmp_path / "report.json")
+    assert main(["code", net, "--out", code]) == 0
+    capsys.readouterr()
+    assert main(["precode", net, code]) == 2
+    _one_error_line(capsys, f"error: {net}: subrate_sinks: subrate sink 4 has max-flow 0 "
+                            f"and can decode nothing")
+    assert main(["simulate", net, code, "--out", report]) == 0
+    assert read(report)["sinks"][1] == {"sink": "4", "h": 0, "decodable": 0, "rate": "0/1",
+                                        "failures": 0}
+
+
+def test_local_kernel_entries_outside_the_field_are_reduced(tmp_path, capsys):
+    """`load_code` reduces every local kernel entry mod p, so adding p to
+    each one changes no loaded kernel, no report and no load error."""
+    net = write(tmp_path, "net.json", BUTTERFLY)
+    code, shifted = str(tmp_path / "code.json"), str(tmp_path / "shifted.json")
+    plan, report = str(tmp_path / "plan.json"), str(tmp_path / "report.json")
+    assert main(["code", net, "--out", code]) == 0
+    assert main(["precode", net, code, "--out", plan]) == 0
+    Path(shifted).write_text(Path(code).read_text())
+    _edit(shifted, lambda obj: [row.__setitem__(j, x + 3) for entry in obj["lek"].values()
+                                for row in entry["k"] for j, x in enumerate(row)])
+    assert read(shifted)["lek"] != read(code)["lek"]
+    graph = cli.load_network(net)[0]
+    loaded = cli.load_code(shifted, graph).lek
+    assert loaded == cli.load_code(code, graph).lek
+    for m in loaded.values():
+        assert_checked_form(m)
+    reports = []
+    for path in (code, shifted):
+        assert main(["simulate", net, path, plan, "--trials", "30", "--out", report]) == 0
+        reports.append(read(report))
+        del reports[-1]["inputs"]["code"]
+    assert reports[0] == reports[1]
+    capsys.readouterr()
+    errors = []
+    for path in (code, shifted):
+        _edit(path, lambda obj: obj["gek"]["6"].__setitem__(0, (obj["gek"]["6"][0] + 1) % 3))
+        assert main(["simulate", net, path, plan]) == 4
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "contract violation: encoding kernels inconsistent at edge 6\n"
+
+
 def _inconsistent_code(tmp_path):
     """Butterfly network and code files whose edge-6 kernel is off by one."""
     net = write(tmp_path, "net.json", BUTTERFLY)
@@ -684,6 +734,31 @@ def test_block_pipeline(tmp_path):
     assert rows["10"] == {"sink": "10", "h": 3, "decodable": 9, "rate": "3/1", "failures": 0}
     for t in ("11", "12", "13"):
         assert rows[t] == {"sink": t, "h": 2, "decodable": 5, "rate": "5/3", "failures": 0}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2 ** 80, 2 ** 80) | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.lists(st.integers(-9, 2 ** 70), max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(JSON_VALUES)
+@example({"b": [], "a": {}, "": (), "\u00e9\x00\x1f\u2028\U0001f600": [-3, 2 ** 64 + 1]})
+@example([None, True, False, [[0, 1], [2, 3]], "\"\\/\n\t"])
+@settings(max_examples=400, deadline=None)
+def test_canonical_json_writes_the_bytes_of_json_dumps(obj):
+    assert cli.canonical_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    {1: "a"}, {None: 1}, {True: 1}, {"a": {(1, 2): 3}}, 1.5, [1, 2.0], {"a": {3}},
+    b"x", Fraction(1, 2), [[1], [object()]],
+])
+def test_canonical_json_raises_type_error_on_other_values(obj):
+    with pytest.raises(TypeError):
+        cli.canonical_json(obj)
 
 
 def test_rate_ratio_csv(tmp_path):

@@ -10,6 +10,7 @@ from srlnc import (
     Network,
     build_multicast,
     extract_gem,
+    lift_block,
     max_flow,
     rank,
     row_times,
@@ -30,6 +31,8 @@ from helpers import (
     GF2,
     GF3,
     GF5,
+    GF7,
+    assert_checked_form,
     generalized_butterfly,
     mat_cols,
     reference_complete_basis,
@@ -63,6 +66,35 @@ def invertible_matrices(draw, max_dim=4):
     upper = [[draw(entry) if j > i else (draw(st.integers(1, field.p - 1)) if i == j else 0)
               for j in range(n)] for i in range(n)]
     return Mat(field, lower) @ Mat(field, upper)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_trusted_results_are_in_checked_form(data):
+    """`@`, `invert`, `solve_columns` and `lift_block` build their results
+    with the trusted `Mat._of`; each must equal the checked build."""
+    field = data.draw(st.sampled_from([GF2, GF3, GF7]))
+    m, k, n = (data.draw(st.integers(0, 4)) for _ in range(3))
+
+    def draw(rows, cols):
+        entry = st.integers(0, field.p - 1)
+        return Mat(field, [[data.draw(entry) for _ in range(cols)] for _ in range(rows)],
+                   cols=cols)
+
+    A, X = draw(m, k), draw(k, n)
+    AX = A @ X
+    assert_checked_form(AX)
+    assert_checked_form(lift_block(A, data.draw(st.integers(1, 3))))
+    if rank(A) == k:
+        got = solve_columns(A, AX)
+        assert_checked_form(got)
+        assert got == X
+    S = draw(k, k)
+    if rank(S) == k:
+        inv = invert(S)
+        assert_checked_form(inv)
+        assert S @ inv == Mat(field, [[int(i == j) for j in range(k)] for i in range(k)],
+                              cols=k)
 
 
 # ---------------------------------------------------------------- Mat basics
@@ -228,7 +260,7 @@ def test_intersections_of_the_three_planes():
 
 @st.composite
 def subspace_pairs(draw, max_dim=4):
-    field = draw(st.sampled_from([GF2, GF3]))
+    field = draw(st.sampled_from([GF2, GF3, GF7]))
     n = draw(st.integers(1, max_dim))
     vecs = st.lists(st.tuples(*[st.integers(0, field.p - 1)] * n), min_size=0, max_size=n)
     return (Subspace.from_columns(field, n, draw(vecs)),
@@ -240,6 +272,16 @@ def test_dimension_formula(pair):
     u, w = pair
     lhs = subspace_sum(u, w).dim + subspace_intersect(u, w).dim
     assert lhs == u.dim + w.dim
+
+
+@given(subspace_pairs())
+def test_intersection_rows_are_the_reduced_rows_of_its_basis(pair):
+    """`subspace_intersect` keeps the Zassenhaus rows as they stand, with no
+    second reduction; they must be the rows any spanning list reduces to."""
+    u, w = pair
+    got = subspace_intersect(u, w)
+    assert got.rows == Subspace.from_columns(u.field, u.ambient_dim, got.basis).rows
+    assert got.dim == u.dim + w.dim - subspace_sum(u, w).dim
 
 
 @given(subspace_pairs())

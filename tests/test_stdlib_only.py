@@ -1,7 +1,9 @@
 """The runtime is standard-library only: every import in `src/srlnc` is
 relative or names a standard-library module.  No module there uses
 `assert`, so its checks also run under `python -O`.  Every file the
-package writes goes through `cli._emit`, the one write path.  And the
+package writes goes through `cli._emit`, the one write path, and every
+JSON layout comes from `cli.canonical_json`, the one writer.  The trusted
+`Mat._of` is built only where the rows are known to be reduced.  And the
 package exports only the names the README or the release gates use."""
 
 import ast
@@ -95,6 +97,59 @@ def test_files_are_written_only_by_emit(path):
 ])
 def test_the_write_check_finds_writes(source, lines):
     assert _file_writes(source, "_emit") == lines
+
+
+def _json_layout_calls(source: str):
+    """Line numbers of `dump` / `dumps` calls, as `json.dumps(...)` or
+    bare, that pass `indent=` or `sort_keys=`."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+            and any(kw.arg in ("indent", "sort_keys") for kw in node.keywords)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_canonical_json_is_the_one_json_writer(path):
+    """A second layout path would be a second format to keep byte-identical."""
+    assert _json_layout_calls(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("json.dumps(o, indent=2)", [1]), ("json.dump(o, fh, sort_keys=True)", [1]),
+    ("dumps(o, indent=None)", [1]), ("json.dumps(o)", []), ("json.dumps(o, default=str)", []),
+])
+def test_the_json_writer_check_finds_layout_calls(source, lines):
+    assert _json_layout_calls(source) == lines
+
+
+def _trusted_mat_callers(source: str):
+    """(line, innermost enclosing function or None) of each `._of(...)` call."""
+    tree = ast.parse(source)
+    owner = {}
+    for fn in ast.walk(tree):        # outer functions first, so inner ones win
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(node), fn.name) for node in ast.walk(fn))
+    return sorted((node.lineno, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "_of")
+
+
+# the callers that may skip `Mat(...)`'s reduction; a new one is a deliberate edit here
+TRUSTED_MAT_CALLERS = {"linalg.py": None, "blockcode.py": None, "cli.py": {"load_code"}}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_trusted_mat_is_built_only_by_known_callers(path):
+    allowed = TRUSTED_MAT_CALLERS.get(path.name, set())
+    callers = _trusted_mat_callers(path.read_text(encoding="utf-8"))
+    assert allowed is None or {fn for _, fn in callers} <= allowed, callers
+
+
+def test_the_trusted_mat_check_finds_callers():
+    source = ("def load_code():\n    Mat._of(f, r, 1)\n"
+              "    def inner():\n        return Mat._of(f, r, 1)\n"
+              "Mat._of(f, r, 1)\nMat(f, r)\n")
+    assert _trusted_mat_callers(source) == [(2, "load_code"), (4, "inner"), (5, None)]
 
 
 def _srlnc_imports(source: str):
