@@ -89,11 +89,9 @@ class BlockPlan:
     i_bar: Optional[Tuple[int, ...]] = None   # set on the single-use precoder
 
 
-def build_block_plan(gems: GemSet, design: BlockDesign, *,
-                     _holds: Optional[Sequence[Vec]] = None) -> BlockPlan:
+def build_block_plan(gems: GemSet, design: BlockDesign) -> BlockPlan:
     """Assemble P_hat from per-block completed bases and per-sink, per-block
-    decoders; undecoded columns stay zero.  `_holds`, private, is the
-    caller's `_membership(gems, design.spanner)`, so it is not built twice."""
+    decoders; undecoded columns stay zero."""
     field, r, l = gems.field, gems.rate, len(design.blocks)
     if l < 1:
         raise InfeasibleDesign("design needs at least one block")
@@ -105,15 +103,10 @@ def build_block_plan(gems: GemSet, design: BlockDesign, *,
         if span.dim != len(vecs):
             raise InfeasibleDesign(f"block {blk} is linearly dependent")
         p_blocks.append(invert(Mat._of(field, tuple(zip(*vecs, *complete_basis(span))), r)))
-    holds = _membership(gems, V) if _holds is None else _holds
+    holds = [gems.holds(v) for v in V]   # holds[j][i]: member span i contains V[j]
     sinks = tuple(_sink_block_plan(V, design.blocks, p_blocks, B, [row[i] for row in holds])
                   for i, B in enumerate(gems.mats))
     return BlockPlan(l=l, P_hat=_block_diag(field, p_blocks), sinks=sinks, design=design)
-
-
-def _membership(gems: GemSet, V: Sequence[Vec]) -> List[Vec]:
-    """holds[j][i] is 1 if member span i contains V[j], else 0."""
-    return [tuple(int(span.contains(v)) for span in gems.spans) for v in V]
 
 
 def _sink_block_plan(V: List[Vec], blocks: Sequence[Tuple[int, ...]],
@@ -212,22 +205,19 @@ def build_partial_general(gems: GemSet) -> BlockPlan:
     except SearchSpaceTooLarge:   # the union of the member bases
         V = list(dict.fromkeys(v for s in gems.spans for v in s.basis))
     d = rank_of_vectors(gems.field, V)
-    holds = _membership(gems, V)
-    subsets = [c for c, _ in _independent_subsets(gems, V, holds) if len(c) == d]
+    subsets = [c for c, _ in _independent_subsets(gems, V) if len(c) == d]
     if len(subsets) > MAX_BLOCKS:
         raise SearchSpaceTooLarge(f"{len(subsets)} blocks exceed cap {MAX_BLOCKS}")
-    return build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=tuple(subsets)),
-                            _holds=holds)
+    return build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=tuple(subsets)))
 
 
-def _independent_subsets(gems: GemSet, V: Sequence[Vec],
-                         holds: Sequence[Vec]) -> List[Tuple[Tuple[int, ...], Vec]]:
+def _independent_subsets(gems: GemSet, V: Sequence[Vec]) -> List[Tuple[Tuple[int, ...], Vec]]:
     """The independent subsets of V, sorted by (size, indices), each with
-    how many of its vectors each member span holds (`holds`, the
-    `_membership` table): one DFS over V on echelon rows that drops a
-    dependent prefix with all its extensions.  More than
-    `subrate.SEARCH_BUDGET` subsets raise SearchSpaceTooLarge."""
+    how many of its vectors each member span holds: one DFS over V on
+    echelon rows that drops a dependent prefix with all its extensions.
+    More than `subrate.SEARCH_BUDGET` subsets raise SearchSpaceTooLarge."""
     p, budget = gems.field.p, subrate.SEARCH_BUDGET
+    holds = [gems.holds(v) for v in V]
     out: List[Tuple[Tuple[int, ...], Vec]] = []
     rows: List[Tuple[int, List[int]]] = []
 
@@ -266,8 +256,7 @@ def optimize_block_plan(gems: GemSet, l_max: int,
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     V = list(spanner) if spanner is not None else minimal_exact_spanner(gems)
-    holds = _membership(gems, V)
-    listed = _independent_subsets(gems, V, holds)
+    listed = _independent_subsets(gems, V)
     sufmax = [(0,) * gems.k] * (len(listed) + 1)
     for s in reversed(range(len(listed))):
         sufmax[s] = tuple(map(max, listed[s][1], sufmax[s + 1]))
@@ -293,4 +282,4 @@ def optimize_block_plan(gems: GemSet, l_max: int,
             break
         dfs(0, l, l, (0,) * gems.k, ())
     blocks = tuple(listed[s][0] for s in best[2])
-    return build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=blocks), _holds=holds)
+    return build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=blocks))

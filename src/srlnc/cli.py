@@ -54,6 +54,12 @@ from .subrate import (
 
 # ---------------------------------------------------------------- loading
 
+_INT = frozenset([int])
+_STR = frozenset([str])
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_LEK_KEYS = frozenset(["in", "out", "k"])
+
+
 def _load_json(path: str):
     """Syntax errors, trailing data, invalid UTF-8 and nesting too deep to
     decode all raise ValueError naming the file."""
@@ -115,9 +121,12 @@ def _field(path: str, key: str, value) -> FieldSpec:
 
 
 def _matrix(path: str, field: str, grid) -> list:
-    """A JSON list of rows of integers."""
-    for row in _list(path, field, grid):
-        _integers(path, field, row)
+    """A JSON list of rows of integers, tested in one sweep; only a grid
+    that fails it is walked entry by entry, to name its first bad field."""
+    if (type(grid) is not list or not all(type(row) is list for row in grid)
+            or not _INT.issuperset(map(type, chain.from_iterable(grid)))):
+        for row in _list(path, field, grid):
+            _integers(path, field, row)
     return grid
 
 
@@ -181,12 +190,6 @@ def code_to_obj(net: Network, code: LinearCode) -> dict:
             for n in net.nodes
         },
     }
-
-
-_INT = frozenset([int])
-_STR = frozenset([str])
-_CONSTANTS = {None: "null", True: "true", False: "false"}
-_LEK_KEYS = frozenset(["in", "out", "k"])
 
 
 def load_code(path: str, net: Network) -> LinearCode:
@@ -582,8 +585,9 @@ def cmd_simulate(args) -> int:
     else:
         widths = {str(t): gems[t].matrix.cols for t in subrate_sinks}
         l, P_hat, entries = _load_plan(args.plan, net, widths)
+        # a subrate sink with max-flow 0 decodes nothing, so it needs no entry
         for t in subrate_sinks:
-            if str(t) not in entries:
+            if str(t) not in entries and gems[t].h:
                 raise ValueError(f"{args.plan}: sinks: plan has no decoders for "
                                  f"subrate sink {t!r}")
     eye = Mat.identity(field, l * r)

@@ -8,9 +8,8 @@ that `blockcode` turns into precoders and block plans.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import (
     ContractViolation,
@@ -19,7 +18,6 @@ from .linalg import (
     _reduce,
     rank_of_vectors,
     subspace_intersect,
-    subspace_sum,
 )
 
 Vec = Tuple[int, ...]
@@ -78,10 +76,14 @@ class GemSet:
     """Sub-rate encoding matrices with pairwise distinct column spans.
 
     Duplicate spans are dropped on construction; `source_map[i]` gives the
-    stored index that the i-th input matrix collapsed onto.
+    stored index that the i-th input matrix collapsed onto.  The facts
+    about the members (their nonzero intersections, commonality levels,
+    total span and which spans hold a vector) are each computed once, on
+    first use, and kept for the GemSet's lifetime.
     """
 
-    __slots__ = ("field", "rate", "mats", "spans", "source_map", "_inter_cache")
+    __slots__ = ("field", "rate", "mats", "spans", "source_map", "_inter_cache", "_levels",
+                 "_total", "_holds")
 
     def __init__(self, mats: Sequence[Mat], rate: int):
         if not mats:
@@ -111,7 +113,11 @@ class GemSet:
         self.mats = tuple(kept)
         self.spans = tuple(spans)
         self.source_map = tuple(source_map)
-        self._inter_cache: Dict[FrozenSet[int], Subspace] = {}
+        # the nonzero intersections by member bit mask, listed by `levels`
+        self._inter_cache: Dict[int, Subspace] = {}
+        self._levels: Optional[Tuple[int, ...]] = None
+        self._total: Optional[Subspace] = None
+        self._holds: Dict[Vec, Vec] = {}
 
     @property
     def k(self) -> int:
@@ -120,32 +126,70 @@ class GemSet:
     def h(self, i: int) -> int:
         return self.mats[i].cols
 
-    def intersection(self, idxs: FrozenSet[int]) -> Subspace:
-        """The spans folded over ascending indices, from the cached fold of all but the last."""
-        idxs = frozenset(idxs)
-        if not idxs:
-            raise ValueError("empty index set")
-        got = self._inter_cache.get(idxs)
-        if got is None:
-            last = max(idxs)
-            rest = idxs - {last}
-            got = (subspace_intersect(self.intersection(rest), self.spans[last]) if rest
-                   else self.spans[last])
-            self._inter_cache[idxs] = got
-        return got
+    def levels(self) -> Tuple[int, ...]:
+        """comss_1..comss_k.  The bracket of a member set S, the signed sum
+        of dim(intersection of T) over the supersets T of S, is the superset
+        Moebius transform of the intersection dimensions by bit mask;
+        comss_c sums the c-member brackets, each clamped at 0.
+
+        A zero intersection and its supersets add 0, so the transform runs
+        on the nonzero family alone (Bjorklund, Husfeldt, Kaski and
+        Koivisto, "Trimmed Moebius inversion", STACS 2008).  A DFS lists
+        it, extending T by each i > max T and stopping at a zero
+        intersection; the family is downward closed, so it reaches all of
+        it.  Listing T intersects it with each later member, k - 1 - max T
+        intersections, counted before they are computed: the members' k(k-1)/2
+        at the start, each larger T as it is reached.  A count past
+        SEARCH_BUDGET raises SearchSpaceTooLarge, so no more than that many
+        are computed."""
+        if self._levels is None:
+            k, spans, family, budget = self.k, self.spans, self._inter_cache, SEARCH_BUDGET
+            made = k * (k - 1) // 2
+            stack = [(1 << i, i, spans[i]) for i in range(k)]
+            while stack:
+                mask, top, S = stack.pop()
+                family[mask] = S
+                if mask & (mask - 1):
+                    made += k - 1 - top
+                if made > budget:
+                    raise SearchSpaceTooLarge(f"commonality levels need more than {budget} "
+                                              f"member intersections")
+                for i in range(top + 1, k):
+                    T = subspace_intersect(S, spans[i])
+                    if T.dim:
+                        stack.append((mask | 1 << i, i, T))
+            f = {m: S.dim for m, S in family.items()}
+            for bit in (1 << i for i in range(k)):
+                for m in family:
+                    if m & bit and m != bit:
+                        f[m ^ bit] -= f[m]
+            levels = [0] * k
+            for m in family:
+                levels[m.bit_count() - 1] += max(f[m], 0)
+            self._levels = tuple(levels)
+        return self._levels
 
     def total_span(self) -> Subspace:
-        acc = self.spans[0]
-        for s in self.spans[1:]:
-            acc = subspace_sum(acc, s)
-        return acc
+        """The sum of the member spans, as one reduction of their bases."""
+        if self._total is None:
+            self._total = Subspace.from_columns(self.field, self.rate,
+                                                [v for s in self.spans for v in s.basis])
+        return self._total
+
+    def holds(self, v: Sequence[int]) -> Vec:
+        """Per member, 1 if its span contains v, else 0; tested once per vector."""
+        key = tuple(x % self.field.p for x in v)
+        got = self._holds.get(key)
+        if got is None:
+            got = self._holds[key] = tuple(int(s.contains(key)) for s in self.spans)
+        return got
 
 
 def comd(v: Sequence[int], gems: GemSet) -> int:
     """Number of member spans containing v."""
     if not any(x % gems.field.p for x in v):
         raise ValueError("commonality degree is undefined for the zero vector")
-    return sum(1 for s in gems.spans if s.contains(v))
+    return sum(gems.holds(v))
 
 
 def is_exact_spanner(V: Sequence[Sequence[int]], gems: GemSet) -> bool:
@@ -155,9 +199,9 @@ def is_exact_spanner(V: Sequence[Sequence[int]], gems: GemSet) -> bool:
     inside it, the exhaustive subset search reduces to a rank test on the
     vectors of V that each span contains.
     """
+    rows = [gems.holds(v) for v in V]
     for i in range(gems.k):
-        span = gems.spans[i]
-        inside = [tuple(v) for v in V if span.contains(v)]
+        inside = [tuple(v) for v, row in zip(V, rows) if row[i]]
         if rank_of_vectors(gems.field, inside) != gems.h(i):
             return False
     return True
@@ -165,10 +209,12 @@ def is_exact_spanner(V: Sequence[Sequence[int]], gems: GemSet) -> bool:
 
 # Work that one search may do, read at each call: the nodes of the
 # exact-spanner search (summed over its depths) and of the block-design
-# search in `blockcode`, and the member intersections that `_comss`
-# tabulates.  A node of the long spanner searches (p=3, r=5 or 6) costs
-# about 15 us on a 2-vCPU x86_64 VM, so such a search gives up after about
-# 3 s; 2^k - 1 intersections fit for up to k = 17 members.
+# search in `blockcode`, and the intersections that `GemSet.levels`
+# computes.  A node of the long spanner searches (p=3, r=5 or 6) costs about
+# 15 us on a 2-vCPU x86_64 VM, so such a search gives up after about 3 s.
+# An intersection costs 13 to 57 us there: 632 lines of GF(5)^10 make
+# 199 396 in 2.6 s, and 25 members each spanned by part of one basis of
+# GF(5)^10 make 166 353 in 9.4 s; 2000 lines are refused at once.
 SEARCH_BUDGET = 200_000
 # Member lines that one spanner search may list before its first node.  A
 # line takes about 1 us and 260 bytes to list on that VM, so the listing
@@ -176,32 +222,11 @@ SEARCH_BUDGET = 200_000
 LINE_BUDGET = 50_000
 
 
-def _comss(gems: GemSet) -> Tuple[int, ...]:
-    """comss_1..comss_k in one pass.  The bracket of a member set S, the
-    signed sum of dim(intersection of T) over the supersets T of S, is the
-    superset Moebius transform of the intersection dimensions by bit mask;
-    comss_c sums the c-member brackets, each clamped at 0.  A table of
-    more than SEARCH_BUDGET member sets raises SearchSpaceTooLarge before
-    any intersection is computed."""
-    k, full = gems.k, 1 << gems.k
-    if full - 1 > SEARCH_BUDGET:
-        raise SearchSpaceTooLarge(f"commonality levels need {full - 1} member intersections, "
-                                  f"more than {SEARCH_BUDGET}")
-    f = [0] + [gems.intersection(frozenset(i for i in range(k) if m >> i & 1)).dim
-               for m in range(1, full)]
-    for bit in (1 << i for i in range(k)):
-        for m in range(full):
-            if m & bit:
-                f[m ^ bit] -= f[m]
-    return tuple(sum(max(f[m], 0) for m in range(1, full) if m.bit_count() == c)
-                 for c in range(1, k + 1))
-
-
 def comss_c(gems: GemSet, c: int) -> int:
     """Level-c commonality: the clamped brackets of the c-member sets, summed."""
     if not 1 <= c <= gems.k:
         raise ValueError(f"need 1 <= c <= {gems.k}")
-    return _comss(gems)[c - 1]
+    return gems.levels()[c - 1]
 
 
 def compol(gems: GemSet, i_bar: Sequence[int]) -> int:
@@ -217,7 +242,7 @@ def fsrd_check(gems: GemSet) -> Optional[Tuple[int, ...]]:
     sum(i_bar) <= dim of the total span.  Filling each level from c = k
     down with as much as fits gives that profile: it also has the largest
     compol, as a vector of degree c outweighs any of lower degree."""
-    caps = _comss(gems)
+    caps = gems.levels()
     room = gems.total_span().dim
     i_bar = [0] * gems.k
     for c in reversed(range(gems.k)):
@@ -341,8 +366,9 @@ def minimal_exact_spanner(gems: GemSet) -> List[Vec]:
 
 def build_spanner(gems: GemSet, i_bar: Sequence[int]) -> Tuple[Vec, ...]:
     """Collect i_bar[c] independent vectors of commonality degree c, walking
-    c downward, the c-member intersections in complement-ascending order
-    and the lines of each in sorted order.
+    c downward, the nonzero c-member intersections in complement-ascending
+    order and the lines of each in sorted order.  A zero intersection has
+    no lines, so skipping it changes nothing.
 
     The chosen vectors V are kept as echelon rows.  A line that is in
     span(V) is never taken, so the walk of an intersection starts at the
@@ -353,10 +379,11 @@ def build_spanner(gems: GemSet, i_bar: Sequence[int]) -> Tuple[Vec, ...]:
     k = gems.k
     if len(i_bar) != k:
         raise ValueError("i_bar length must equal the number of members")
-    caps = _comss(gems)
+    caps = gems.levels()
     for c in range(1, k + 1):
         if i_bar[c - 1] > caps[c - 1]:
             raise ValueError(f"i_bar[{c}]={i_bar[c - 1]} exceeds level size {caps[c - 1]}")
+    family = gems._inter_cache   # every nonzero intersection, once `levels` has run
     p = gems.field.p
     V: List[Vec] = []
     rows: List[Tuple[int, List[int]]] = []
@@ -365,9 +392,10 @@ def build_spanner(gems: GemSet, i_bar: Sequence[int]) -> Tuple[Vec, ...]:
         if need == 0:
             continue
         got = 0
-        for removed in itertools.combinations(range(k), k - c):
-            comp = frozenset(i for i in range(k) if i not in removed)
-            inter = gems.intersection(comp)
+        level = sorted((m for m in family if m.bit_count() == c),
+                       key=lambda m: [i for i in range(k) if not m >> i & 1])
+        for m in level:
+            inter = family[m]
             basis = inter.basis
             outside = [j for j, b in enumerate(basis) if _reduce(b, rows, p) is not None]
             if not outside:
@@ -388,4 +416,3 @@ def build_spanner(gems: GemSet, i_bar: Sequence[int]) -> Tuple[Vec, ...]:
     if not is_exact_spanner(V, gems):
         raise ConstructionFailed("collected vectors do not form an exact spanner")
     return tuple(V)
-

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from srlnc import (
     row_times,
 )
 from srlnc.linalg import Subspace, complete_basis
-from srlnc.subrate import SearchSpaceTooLarge
+from srlnc.subrate import NotFullyDecodable, SearchSpaceTooLarge
 from srlnc.blockcode import (
     BlockDesign,
     InfeasibleDesign,
@@ -302,30 +303,53 @@ def test_build_partial_general_on_194_blocks_finishes_quickly():
 def test_independent_subset_listing_budget_boundary(monkeypatch):
     g = gems_shared_axis()
     V = subrate.minimal_exact_spanner(g)
-    holds = blockcode._membership(g, V)
-    listed = blockcode._independent_subsets(g, V, holds)
+    listed = blockcode._independent_subsets(g, V)
     monkeypatch.setattr(subrate, "SEARCH_BUDGET", len(listed))
-    assert blockcode._independent_subsets(g, V, holds) == listed
+    assert blockcode._independent_subsets(g, V) == listed
     monkeypatch.setattr(subrate, "SEARCH_BUDGET", len(listed) - 1)
     with pytest.raises(SearchSpaceTooLarge,
                        match=f"more than {len(listed) - 1} independent spanner subsets"):
-        blockcode._independent_subsets(g, V, holds)
+        blockcode._independent_subsets(g, V)
 
 
-@pytest.mark.parametrize("build", ["optimize", "partial"])
+# fsrd_check passes and build_spanner fails; the minimal exact spanner has
+# 5 vectors at rate 4, so `precode --block` falls back to a block plan
+FIVE_VECTOR_ROWS = ([[2, 1, 2], [0, 2, 0], [2, 2, 2], [1, 1, 2]], [[2, 1], [0, 0], [1, 1], [0, 1]],
+                    [[0, 0], [2, 0], [0, 2], [1, 1]], [[0], [2], [2], [2]])
+
+
+def _precode_block_2(g):
+    """What `precode --block 2` does with one GemSet."""
+    try:
+        return build_precoder(g)
+    except NotFullyDecodable as exc:
+        return optimize_block_plan(g, 2, spanner=exc.spanner)
+
+
+@pytest.mark.parametrize("build", ["optimize", "partial", "precoder", "supplied", "fallback"])
 def test_each_spanner_membership_is_tested_once_per_plan(monkeypatch, build):
-    """The subset listing and the sink decoders share one membership table."""
-    g = gems_shared_axis()
-    V = subrate.minimal_exact_spanner(g)
-    monkeypatch.setattr(blockcode, "minimal_exact_spanner", lambda gems: V)
+    """Each (vector, member span) pair is tested once per GemSet, across
+    build_spanner, is_exact_spanner, the subset listing and the decoders."""
+    g, run = {
+        "optimize": (gems_shared_axis(), lambda g: optimize_block_plan(g, 2)),
+        "partial": (gems_shared_axis(), build_partial_general),
+        "precoder": (gems_three_planes(), build_precoder),
+        "supplied": (gems_three_planes(),
+                     lambda g: build_precoder(g, spanner=[(2, 1, 1), (1, 1, 0), (1, 1, 1)])),
+        "fallback": (GemSet([Mat(GF3, rows) for rows in FIVE_VECTOR_ROWS], rate=4),
+                     _precode_block_2),
+    }[build]
     tested = []
     contains = Subspace.contains
     monkeypatch.setattr(Subspace, "contains",
-                        lambda span, v: tested.append(v) or contains(span, v))
-    plan = optimize_block_plan(g, 2) if build == "optimize" else build_partial_general(g)
-    assert len(tested) == g.k * len(V)
+                        lambda span, v: tested.append((span, tuple(v))) or contains(span, v))
+    plan = run(g)
     monkeypatch.undo()
-    assert plan == build_block_plan(g, plan.design)
+    assert len(tested) == len(set(tested))
+    assert {(span, v) for v in plan.design.spanner for span in g.spans} <= set(tested)
+    # the single-use precoder carries its i_bar; a block plan does not
+    assert (plan.i_bar is None) == (build in ("optimize", "partial", "fallback"))
+    assert replace(plan, i_bar=None) == build_block_plan(g, plan.design)
 
 
 def test_optimizer_stops_listing_subsets_at_the_budget():

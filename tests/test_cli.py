@@ -325,19 +325,39 @@ def test_precode_exits_3_when_the_spanner_search_runs_past_its_budget(tmp_path, 
 
 def test_precode_exits_3_when_many_weak_sinks_outrun_the_commonality_table(tmp_path, capsys,
                                                                           monkeypatch):
-    # 18 distinct coordinate subspaces of GF(2)^5: 2^18 - 1 member sets
+    # 18 distinct coordinate subspaces of GF(2)^5: 2^18 - 1 member sets, of
+    # which 666 meet in a nonzero subspace; listing them takes 1251
+    # intersections
     subsets = [c for d in range(1, 5) for c in itertools.combinations(range(5), d)][:18]
     mats = [[[int(i == j) for j in c] for i in range(5)] for c in subsets]
     gems = write(tmp_path, "gems.json", {"p": 2, "rate": 5, "mats": mats})
-
-    def unused(U, W):
-        raise AssertionError("a refused commonality table computed an intersection")
-
-    monkeypatch.setattr(subrate, "subspace_intersect", unused)
+    plan = str(tmp_path / "plan.json")
+    assert main(["precode", "--gems", gems, "--out", plan]) == 0
+    assert read(plan)["i_bar"] == [0, 0, 0, 0, 0, 3, 0, 2] + [0] * 10
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 1250)
     for block in ([], ["--block", "2"]):
         assert main(["precode", "--gems", gems, *block]) == 3
         assert capsys.readouterr().err.splitlines() == [
-            "infeasible: commonality levels need 262143 member intersections, more than 200000"]
+            "infeasible: commonality levels need more than 1250 member intersections"]
+
+
+def test_precode_exits_3_before_intersecting_too_many_lines(tmp_path, capsys, monkeypatch):
+    # the 40 lines of GF(3)^4 meet pairwise in zero, but the levels would
+    # still take their 780 pairwise intersections
+    lines = [v for v in itertools.product(range(3), repeat=4) if any(v)
+             and v[next(i for i, x in enumerate(v) if x)] == 1]
+    gems = write(tmp_path, "gems.json", {"p": 3, "rate": 4, "mats": [[[x] for x in v]
+                                                                    for v in lines]})
+
+    def unused(U, W):
+        raise AssertionError("a refused commonality listing computed an intersection")
+
+    monkeypatch.setattr(subrate, "subspace_intersect", unused)
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 779)
+    for block in ([], ["--block", "2"]):
+        assert main(["precode", "--gems", gems, *block]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "infeasible: commonality levels need more than 779 member intersections"]
 
 
 def test_precode_exits_3_before_listing_too_many_member_lines(tmp_path, capsys, monkeypatch):
@@ -582,6 +602,21 @@ def test_precode_rejects_a_subrate_sink_with_max_flow_0(tmp_path, capsys):
     assert main(["simulate", net, code, "--out", report]) == 0
     assert read(report)["sinks"][1] == {"sink": "4", "h": 0, "decodable": 0, "rate": "0/1",
                                         "failures": 0}
+
+
+def test_simulate_needs_no_decoders_for_a_subrate_sink_with_max_flow_0(tmp_path):
+    # node 9 has no in-edges; the plan is built for sink 8 alone, since
+    # precode refuses a sink that can decode nothing
+    net_all = write(tmp_path, "all.json", dict(BUTTERFLY, nodes=BUTTERFLY["nodes"] + [9],
+                                               subrate_sinks=[8, 9]))
+    net_8 = write(tmp_path, "net8.json", dict(BUTTERFLY, nodes=BUTTERFLY["nodes"] + [9]))
+    code, plan, report = (str(tmp_path / f"{name}.json") for name in ("code", "plan", "report"))
+    assert main(["code", net_all, "--out", code]) == 0
+    assert main(["precode", net_8, code, "--out", plan]) == 0
+    assert main(["simulate", net_all, code, plan, "--out", report]) == 0
+    rows = read(report)["sinks"]
+    assert rows[2] == {"sink": "8", "h": 1, "decodable": 1, "rate": "1/1", "failures": 0}
+    assert rows[3] == {"sink": "9", "h": 0, "decodable": 0, "rate": "0/1", "failures": 0}
 
 
 def test_local_kernel_entries_outside_the_field_are_reduced(tmp_path, capsys):

@@ -1,7 +1,10 @@
+import hashlib
+import importlib.util
 import itertools
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,7 +36,7 @@ from srlnc.subrate import (
 )
 from srlnc.blockcode import block_decoder_for
 
-from srlnc import subrate
+from srlnc import cli, subrate
 from helpers import (
     GF2,
     GF3,
@@ -55,6 +58,8 @@ from helpers import (
     reference_subspace_lines,
 )
 
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
 
 # ---------------------------------------------------------------- GemSet
 
@@ -63,8 +68,9 @@ def test_gemset_basic_accessors():
     assert g.k == 3
     assert [g.h(i) for i in range(3)] == [2, 2, 2]
     assert g.total_span().dim == 3
-    assert g.intersection(frozenset({0, 1})).dim == 1
-    assert g.intersection(frozenset({0, 1, 2})).dim == 0
+    assert g.levels() == (0, 3, 0)
+    # the planes meet pairwise in lines and all three in zero
+    assert {m: S.dim for m, S in g._inter_cache.items()} == {1: 2, 2: 2, 4: 2, 3: 1, 5: 1, 6: 1}
 
 
 def test_gemset_deduplicates_equal_spans():
@@ -272,26 +278,85 @@ def coordinate_gemset(k: int) -> GemSet:
     return GemSet([mat_cols(GF2, *map(unit, c)) for c in subsets], rate=5)
 
 
-def _no_intersections(U, W):
-    raise AssertionError("a refused commonality table computed an intersection")
+def _coordinate_facts(k: int):
+    """The levels of `coordinate_gemset(k)`, its nonzero member
+    intersections by bit mask, and how many intersections `GemSet.levels`
+    computes, by counting coordinates: members meet in the coordinate
+    subspace of the coordinates they share, so a member set's bracket is
+    the number of coordinates held by exactly its members, and its
+    intersection is nonzero when all of them hold some coordinate.  The DFS
+    intersects each nonzero T with every member after max T."""
+    subsets = [c for d in range(1, 5) for c in itertools.combinations(range(5), d)][:k]
+    holders = [sorted(i for i, c in enumerate(subsets) if j in c) for j in range(5)]
+    levels = [0] * k
+    for held in filter(None, holders):
+        levels[len(held) - 1] += 1
+    family = {sum(1 << i for i in T) for held in holders
+              for size in range(1, len(held) + 1) for T in itertools.combinations(held, size)}
+    return tuple(levels), family, sum(k - m.bit_length() for m in family)
+
+
+def _count_intersections(monkeypatch) -> list:
+    calls = []
+    meet = subrate.subspace_intersect
+    monkeypatch.setattr(subrate, "subspace_intersect", lambda U, W: calls.append(1) or meet(U, W))
+    return calls
 
 
 def test_commonality_levels_refuse_more_member_sets_than_the_budget(monkeypatch):
-    g = coordinate_gemset(18)   # 2^18 - 1 = 262 143 member sets
+    # 2^18 - 1 = 262 143 member sets, of which 666 meet in a nonzero subspace;
+    # listing them takes 1251 intersections
+    levels, family, made = _coordinate_facts(18)
+    assert (len(family), made) == (666, 1251)
+    calls = _count_intersections(monkeypatch)
+    g = coordinate_gemset(18)
     assert g.k == 18
-    monkeypatch.setattr(subrate, "subspace_intersect", _no_intersections)
-    for levels in (fsrd_check, lambda g: comss_c(g, 1), lambda g: build_spanner(g, [0] * 18)):
+    assert tuple(comss_c(g, c) for c in range(1, 19)) == levels
+    assert fsrd_check(g) == levels
+    assert len(calls) == made
+    assert list(build_spanner(g, levels)) == reference_build_spanner(coordinate_gemset(18), levels)
+    # the cache holds the nonzero family, not its zero boundary
+    assert set(g._inter_cache) == family
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", made)
+    assert fsrd_check(coordinate_gemset(18)) == levels
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", made - 1)
+    for check in (fsrd_check, lambda g: comss_c(g, 1), lambda g: build_spanner(g, [0] * 18)):
+        calls.clear()
         with pytest.raises(SearchSpaceTooLarge,
-                           match="need 262143 member intersections, more than 200000"):
-            levels(g)
-    monkeypatch.undo()
-    three = gems_three_planes()   # 2^3 - 1 = 7 member sets
-    want = fsrd_check(three)
-    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 7)
-    assert fsrd_check(gems_three_planes()) == want
-    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 6)
-    with pytest.raises(SearchSpaceTooLarge, match="need 7 member intersections, more than 6"):
+                           match=f"need more than {made - 1} member intersections$"):
+            check(coordinate_gemset(18))
+        assert len(calls) <= made - 1
+    # three planes of GF(3)^3 meet pairwise in lines and all three in zero:
+    # 3 pairwise intersections and one of all three
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 4)
+    assert fsrd_check(gems_three_planes()) == (0, 3, 0)
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 3)
+    with pytest.raises(SearchSpaceTooLarge, match="need more than 3 member intersections$"):
         fsrd_check(gems_three_planes())
+
+
+def all_lines_gemset(field: FieldSpec, r: int) -> GemSet:
+    """Every line of GF(p)^r as a member; any two meet in zero."""
+    space = Subspace.from_columns(field, r, [tuple(int(i == j) for i in range(r))
+                                             for j in range(r)])
+    return GemSet([mat_cols(field, v) for v in subspace_lines(space)], rate=r)
+
+
+def test_commonality_levels_refuse_many_lines_before_intersecting(monkeypatch):
+    """Distinct lines meet pairwise in zero, so the family is the k lines,
+    but the levels still take the k(k-1)/2 pairwise intersections; those
+    are counted before the first one is computed."""
+    g = all_lines_gemset(GF3, 4)
+    assert g.k == 40
+    calls = _count_intersections(monkeypatch)
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 780)
+    assert g.levels() == (40,) + (0,) * 39
+    assert len(calls) == 780 and len(g._inter_cache) == 40
+    calls.clear()
+    monkeypatch.setattr(subrate, "SEARCH_BUDGET", 779)
+    with pytest.raises(SearchSpaceTooLarge, match="need more than 779 member intersections$"):
+        all_lines_gemset(GF3, 4).levels()
+    assert calls == []
 
 
 def test_build_spanner_collects_intersection_lines():
@@ -336,7 +401,7 @@ def test_build_spanner_matches_the_reference_construction(p, r, k_max, feasible,
         if i_bar is None:
             continue
         try:
-            want = reference_build_spanner(g, i_bar)
+            want = reference_build_spanner(GemSet(g.mats, g.rate), i_bar)
         except ConstructionFailed as exc:
             with pytest.raises(ConstructionFailed, match=f"^{re.escape(str(exc))}$"):
                 build_spanner(g, i_bar)
@@ -360,14 +425,15 @@ def test_fsrd_check_results():
 def test_levels_and_profile_match_the_brute_force_references(p, r, k_max, feasible, seed):
     make = feasible_gemset if feasible else random_gemset
     g = make(random.Random(seed), FieldSpec(p), r, k_max)
+    assert ([comss_c(g, c) for c in range(1, g.k + 1)]
+            == [reference_comss_c(g, c) for c in range(1, g.k + 1)])
+    # the levels' DFS kept every nonzero intersection, and only those
     for size in range(1, g.k + 1):
         for S in itertools.combinations(range(g.k), size):
             want = g.spans[S[0]]
             for i in S[1:]:
                 want = subspace_intersect(want, g.spans[i])
-            assert g.intersection(frozenset(S)) == want
-    assert ([comss_c(g, c) for c in range(1, g.k + 1)]
-            == [reference_comss_c(g, c) for c in range(1, g.k + 1)])
+            assert g._inter_cache.get(sum(1 << i for i in S)) == (want if want.dim else None)
     assert fsrd_check(g) == reference_fsrd_check(g)
 
 
@@ -387,6 +453,74 @@ def test_many_weak_sinks_are_fast():
     # the profile reference_fsrd_check gives for this set
     assert plan.i_bar == (0, 0, 0, 1, 2, 3, 2, 0, 0, 0, 0, 0)
     check_plan_contract(g, plan)
+
+
+def probe_gemset(k: int) -> GemSet:
+    """`probe_gems(k)` of tools/pool_digests.py as a GemSet, so that the
+    pinned plan and the digest entries describe the same sets: k members
+    of GF(5)^10, each spanned by a distinct random proper subset of one
+    random basis; at k = 18 only 3657 of the 2^18 - 1 member intersections
+    are nonzero."""
+    spec = importlib.util.spec_from_file_location("pool_digests", TOOLS / "pool_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    gems = tool.probe_gems(k)
+    field = FieldSpec(gems["p"])
+    return GemSet([Mat(field, rows) for rows in gems["mats"]], rate=gems["rate"])
+
+
+def test_eighteen_weak_sinks_get_a_precoder():
+    g = probe_gemset(18)
+    t0 = time.perf_counter()
+    plan = build_precoder(g)
+    assert time.perf_counter() - t0 < 3.0
+    assert len(g._inter_cache) == 3657
+    # the i_bar and plan bytes of the 2^k table, run with its budget lifted
+    assert plan.i_bar == (0, 0, 0, 0, 1, 2, 4, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0)
+    text = cli.canonical_json(cli.plan_to_obj(5, 10, plan))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "278f90117e5c82c3d6934000200c163032a588ae6c69d7e56680fe324edeb8ee")
+    check_plan_contract(g, plan)
+
+
+def sparse_gemset(rng, field: FieldSpec, r: int, k_max: int) -> GemSet:
+    """Coordinate subspaces of 1 to 3 coordinates and random lines and
+    planes, mixed, so that most member sets meet in zero."""
+    mats = []
+    for _ in range(rng.randint(1, k_max)):
+        if rng.random() < 0.5:
+            cols = [tuple(int(i == j) for i in range(r))
+                    for j in sorted(rng.sample(range(r), rng.randint(1, 3)))]
+        else:
+            cols = []
+            while len(cols) < rng.randint(1, 2):
+                v = tuple(rng.randrange(field.p) for _ in range(r))
+                if rank_of_vectors(field, cols + [v]) > len(cols):
+                    cols.append(v)
+        mats.append(mat_cols(field, *cols))
+    return GemSet(mats, rate=r)
+
+
+@given(st.sampled_from([2, 3]), st.integers(5, 6), st.integers(1, 6), st.integers())
+@settings(max_examples=100, deadline=None)
+def test_levels_and_spanner_over_mostly_zero_intersections_match_the_references(p, r, k_max,
+                                                                               seed):
+    rng = random.Random(seed)
+    g = sparse_gemset(rng, FieldSpec(p), r, k_max)
+    fresh = GemSet(g.mats, g.rate)   # the references share no cached fact with g
+    caps = [comss_c(g, c) for c in range(1, g.k + 1)]
+    assert caps == [reference_comss_c(fresh, c) for c in range(1, g.k + 1)]
+    assert fsrd_check(g) == reference_fsrd_check(fresh)
+    for i_bar in (fsrd_check(g), tuple(rng.randint(0, cap) for cap in caps)):
+        if i_bar is None:
+            continue
+        try:
+            want = reference_build_spanner(fresh, i_bar)
+        except ConstructionFailed as exc:
+            with pytest.raises(ConstructionFailed, match=f"^{re.escape(str(exc))}$"):
+                build_spanner(g, i_bar)
+        else:
+            assert list(build_spanner(g, i_bar)) == want
 
 
 @pytest.mark.parametrize("field", [GF2, GF3])

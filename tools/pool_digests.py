@@ -18,7 +18,12 @@ so that nonzero failure counts are compared too.
 The pools hold at most five weak sinks, so each tree also runs `precode
 --gems`, with and without `--block 2`, on the many-sink sets
 `gen.feasible_gemset(random.Random(1000 * k + s), 5, 8, k)` of its own
-`perfbench/gen.py`, for k in 8, 10, 12 and s in 1, 2.
+`perfbench/gen.py`, for k in 8, 10, 12 and s in 1, 2, and on `probe_gems(k)`
+for k in 14 and 16: k members of GF(5)^10, each spanned by a distinct
+random proper subset of one random basis, drawn from `random.Random(3)`.
+Only 975 and 2183 of their 2^k - 1 member intersections are nonzero, so
+these sets compare the commonality levels and the guideline spanner where
+most member sets meet in zero.
 
 No pool plans past l = 2, so each tree also runs `precode --gems --block 3`
 on the sets `gen.random_gemset(random.Random(s), 3, 4, 5)` for the first
@@ -57,6 +62,7 @@ from typing import Dict, List
 POOLS = [("net-pipeline", 701), ("sim-stream", 701), ("gem-precode", 701),
          ("gem-block", 701), ("gem-block", 711)]
 MANY_SINKS = [(k, s) for k in (8, 10, 12) for s in (1, 2)]
+PROBE_SINKS = (14, 16)
 # gen.random_gemset(random.Random(s), 3, 4, 5) under --block 3: best design has l = 3
 BLOCK3_SEEDS = (15, 16, 18, 23, 45, 65, 78, 79, 85, 94)
 BUTTERFLY = (31, 4, 4)   # p, r, weak sinks
@@ -73,6 +79,22 @@ REROUTE = {
     "source": "s", "sinks": ["t1", "t2"], "subrate_sinks": ["w1", "w2", "w3"],
 }
 SIM_TRIALS = (0, 513)
+
+
+def probe_gems(k: int, p: int = 5, r: int = 10) -> dict:
+    """k members of GF(p)^r, each spanned by a distinct random proper subset
+    of one random basis (full rank for the k used here), as a gems file.
+    `tests/test_subrate.py` pins the plan of `probe_gems(18)` from this
+    function, so the test and these entries describe the same sets."""
+    rng = random.Random(3)
+    basis = [[rng.randrange(p) for _ in range(r)] for _ in range(r)]
+    subsets: List[tuple] = []
+    while len(subsets) < k:
+        sub = tuple(sorted(rng.sample(range(r), rng.randrange(1, r))))
+        if sub not in subsets:
+            subsets.append(sub)
+    return {"p": p, "rate": r, "mats": [[[basis[j][i] for j in sub] for i in range(r)]
+                                        for sub in subsets]}
 
 
 def _sha(path: Path):
@@ -137,14 +159,16 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
     many = work / "many-sinks"
     shutil.rmtree(many, ignore_errors=True)
     many.mkdir(parents=True)
-    for k, s in MANY_SINKS:
-        gems = run._write(many / f"gems-{k}-{s}.json",
-                          gen.feasible_gemset(random.Random(1000 * k + s), 5, 8, k))
+    sets = [(f"many-sinks k={k} s={s}", f"gems-{k}-{s}.json",
+             gen.feasible_gemset(random.Random(1000 * k + s), 5, 8, k)) for k, s in MANY_SINKS]
+    sets += [(f"probe p=5 r=10 k={k}", f"probe-{k}.json", probe_gems(k)) for k in PROBE_SINKS]
+    for label, name, obj in sets:
+        gems = run._write(many / name, obj)
         for block in ([], ["--block", "2"]):
             plan = many / "plan.json"
             plan.unlink(missing_ok=True)
             rc, msg = runner.call(["precode", "--gems", str(gems), *block, "--out", str(plan)])
-            out[f"many-sinks k={k} s={s} {' '.join(block)}".rstrip()] = {
+            out[f"{label} {' '.join(block)}".rstrip()] = {
                 "stages": [[rc, msg]], "outputs": {plan.name: _sha(plan)}}
     for s in BLOCK3_SEEDS:
         gems = run._write(many / f"random-{s}.json",
