@@ -39,10 +39,6 @@ from .subrate import (
 Vec = Tuple[int, ...]
 
 
-class InfeasibleDesign(ValueError):
-    """A block of the design cannot be completed to an invertible basis."""
-
-
 class SpannerRejected(ValueError):
     """A supplied spanner is not an exact spanner of independent vectors."""
 
@@ -91,17 +87,19 @@ class BlockPlan:
 
 def build_block_plan(gems: GemSet, design: BlockDesign) -> BlockPlan:
     """Assemble P_hat from per-block completed bases and per-sink, per-block
-    decoders; undecoded columns stay zero."""
+    decoders; undecoded columns stay zero.  Every caller hands in one or
+    more blocks of independent vectors, so any other design is a
+    ContractViolation."""
     field, r, l = gems.field, gems.rate, len(design.blocks)
     if l < 1:
-        raise InfeasibleDesign("design needs at least one block")
+        raise ContractViolation("block design has no blocks")
     V = [tuple(x % field.p for x in v) for v in design.spanner]
     p_blocks: List[Mat] = []
     for blk in design.blocks:
         vecs = [V[j] for j in blk]
         span = Subspace.from_columns(field, r, vecs)
         if span.dim != len(vecs):
-            raise InfeasibleDesign(f"block {blk} is linearly dependent")
+            raise ContractViolation(f"block {blk} is linearly dependent")
         p_blocks.append(invert(Mat._of(field, tuple(zip(*vecs, *complete_basis(span))), r)))
     holds = [gems.holds(v) for v in V]   # holds[j][i]: member span i contains V[j]
     sinks = tuple(_sink_block_plan(V, design.blocks, p_blocks, B, [row[i] for row in holds])
@@ -180,11 +178,15 @@ def build_precoder(gems: GemSet, full_rate: Sequence[Mat] = (),
             V = list(build_spanner(gems, i_bar))
         except ConstructionFailed:
             V = minimal_exact_spanner(gems)
-            # The r columns of an inverse precoder would themselves be an
-            # exact spanner, so a larger minimum rules a precoder out.
-            if len(V) > r:
+            # V, of member lines, spans just the total span: independent at
+            # its dimension, dependent above it.  A precoder's inverse holds
+            # an independent exact spanner, so a longer V rules one out.
+            dim = gems.total_span().dim
+            if len(V) > dim:
+                bound = (f"the rate {r}" if len(V) > r
+                         else f"the dimension {dim} of the members' total span")
                 exc = NotFullyDecodable(f"the minimal exact spanner has {len(V)} vectors, "
-                                        f"more than the rate {r}")
+                                        f"more than {bound}")
                 exc.spanner = tuple(V)
                 raise exc
     plan = build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=(tuple(range(len(V))),)))

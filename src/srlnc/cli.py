@@ -24,7 +24,6 @@ from .advisor import rate_ratio_curve
 from .blockcode import (
     BlockPlan,
     BlockSinkPlan,
-    InfeasibleDesign,
     SpannerRejected,
     block_decoder_for,
     build_precoder,
@@ -335,15 +334,17 @@ def _sink_obj(plan: BlockPlan, sp: BlockSinkPlan) -> dict:
             "decoded_indices": list(sp.decoded_indices), "rate": _frac_str(sp.rate)}
 
 
-def plan_to_obj(p: int, rate: int, plan: BlockPlan, sink_entries: Optional[dict] = None) -> dict:
+def plan_to_obj(plan: BlockPlan, sink_entries: Optional[dict] = None) -> dict:
     """A single-use plan (one with `i_bar`) is written as "kind": "subrate",
-    its P_hat as P; any other as "kind": "block"."""
+    its P_hat as P; any other as "kind": "block".  p and the rate are read
+    off P_hat, which is l * rate square."""
     if plan.i_bar is not None:
         obj = {"kind": "subrate", "P": plan.P_hat.to_lists(), "i_bar": list(plan.i_bar)}
     else:
         obj = {"kind": "block", "l": plan.l, "P_hat": plan.P_hat.to_lists(),
                "blocks": [list(b) for b in plan.design.blocks]}
-    obj.update(p=p, rate=rate, spanner=[list(v) for v in plan.design.spanner],
+    obj.update(p=plan.P_hat.field.p, rate=plan.P_hat.rows // plan.l,
+               spanner=[list(v) for v in plan.design.spanner],
                members=[_sink_obj(plan, sp) for sp in plan.sinks])
     if sink_entries is not None:
         obj["sinks"] = sink_entries
@@ -403,11 +404,8 @@ def cmd_precode(args) -> int:
             raise ValueError("precode takes a network file and a code file, or --gems, "
                              "not both")
         gems, spanner = load_gems(args.gems)
-        p = gems.field.p
-        rate = gems.rate
         sub_gems = None
         full_rate: List[Mat] = []
-        sink_ids = None
     else:
         if args.file is None or args.code is None:
             raise ValueError("precode needs a network file and a code file, or --gems")
@@ -420,13 +418,11 @@ def cmd_precode(args) -> int:
             if gem_of[t].h == 0:
                 raise ValueError(f"{args.file}: subrate_sinks: subrate sink {t!r} has "
                                  f"max-flow 0 and can decode nothing")
-        sub_gems = [gem_of[t] for t in subrate_sinks]
-        gems = GemSet([g.matrix for g in sub_gems], net.rate)
+        # node ids have distinct names, so no two sinks share a key
+        sub_gems = {str(t): gem_of[t] for t in subrate_sinks}
+        gems = GemSet([g.matrix for g in sub_gems.values()], net.rate)
         full_rate = [gem_of[t].matrix for t in sinks]
         spanner = None
-        p = net.field.p
-        rate = net.rate
-        sink_ids = [str(t) for t in subrate_sinks]
 
     try:
         plan = build_precoder(gems, full_rate=full_rate, spanner=spanner)
@@ -440,12 +436,12 @@ def cmd_precode(args) -> int:
     entries = None
     if sub_gems is not None:
         entries = {}
-        for pos, g in enumerate(sub_gems):
+        for pos, (t, g) in enumerate(sub_gems.items()):
             m = gems.source_map[pos]
             sp = (plan.sinks[m] if g.matrix == gems.mats[m]
                   else block_decoder_for(plan, m, g.matrix))
-            entries[sink_ids[pos]] = {"member": m, **_sink_obj(plan, sp)}
-    _emit(canonical_json(plan_to_obj(p, rate, plan, entries)), args.out)
+            entries[t] = {"member": m, **_sink_obj(plan, sp)}
+    _emit(canonical_json(plan_to_obj(plan, entries)), args.out)
     return 0
 
 
@@ -541,10 +537,10 @@ def _load_plan(path: str, net: Network, widths: Dict[str, int]) -> Tuple[int, Ma
 def _count_failures(l: int, P_hat: Mat, gems: Dict[object, Gem],
                     decoders: Dict[object, Tuple[Mat, Mat]], trials: int,
                     seed: int) -> Dict[object, int]:
-    """Per sink of `decoders`, how many of `trials` random block messages
-    x_hat, drawn from random.Random(seed), fail y @ D_hat = x_hat @ R_hat on
-    the symbols y the sink receives.  `load_code` checked that every edge e
-    carries x @ f_e, so y = x_hat @ P_hat @ lift(B_t) and the check is
+    """Per weak sink of `decoders`, how many of `trials` random block
+    messages x_hat, drawn from random.Random(seed), fail y @ D_hat = x_hat @
+    R_hat on the symbols y the sink receives.  `load_code` checked that every
+    edge e carries x @ f_e, so y = x_hat @ P_hat @ lift(B_t) and the check is
     x_hat @ M_t = x_hat @ R_hat for M_t = P_hat @ lift(B_t) @ D_hat.  A sink
     with M_t = R_hat never fails, and messages are drawn only if some sink
     can fail, so the cost grows with `trials` only for sinks that fail."""
@@ -570,18 +566,18 @@ def cmd_simulate(args) -> int:
     each sent as x = x_hat @ P_hat over l uses of the network, the sink
     would fail to decode as y @ D_hat = x_hat @ R_hat.  The count is exact,
     and costs no work per message for a sink that cannot fail.  A
-    full-rate sink decodes the whole block: D_hat = (P_hat @ lift(B_t))^-1,
-    R_hat = I."""
+    full-rate sink decodes the whole block and costs nothing: its B_t is r
+    by r of rank r and P_hat is invertible, so D_hat = (P_hat @ lift(B_t))^-1
+    and R_hat = I give M_t = R_hat, and it never fails."""
     if args.trials < 0:
         raise ValueError(f"--trials must be at least 0, got {args.trials}")
     net, sinks, subrate_sinks = load_network(args.file)
     code = load_code(args.code, net)
-    field = net.field
     r = net.rate
     gems = _sink_gems(args.file, args.code, net, code, sinks, subrate_sinks)
     if args.plan is None:
         # one use of the network, messages sent uncoded, no sub-rate decoders
-        l, P_hat, entries = 1, Mat.identity(field, r), {}
+        l, P_hat, entries = 1, Mat.identity(net.field, r), {}
     else:
         widths = {str(t): gems[t].matrix.cols for t in subrate_sinks}
         l, P_hat, entries = _load_plan(args.plan, net, widths)
@@ -590,8 +586,7 @@ def cmd_simulate(args) -> int:
             if str(t) not in entries and gems[t].h:
                 raise ValueError(f"{args.plan}: sinks: plan has no decoders for "
                                  f"subrate sink {t!r}")
-    eye = Mat.identity(field, l * r)
-    decoders = {t: (invert(P_hat @ lift_block(gems[t].matrix, l)), eye) for t in sinks}
+    decoders = {}
     decodable = {t: l * r if t in sinks else 0 for t in sinks + subrate_sinks}
     for t in subrate_sinks:
         if str(t) in entries:
@@ -687,8 +682,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     func = globals()[args.func.__name__]
     try:
         return func(args)
-    except (FieldTooSmall, RateExceedsSourceDegree, NotFullyDecodable,
-            SearchSpaceTooLarge, InfeasibleDesign) as exc:
+    except (FieldTooSmall, RateExceedsSourceDegree, NotFullyDecodable, SearchSpaceTooLarge) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

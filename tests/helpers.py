@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from sympy.polys.domains import GF as _sympy_GF
 from sympy.polys.matrices import DomainMatrix
 
-from srlnc import FieldSpec, GemSet, Mat, Network, max_flow, row_times, simulate
+from srlnc import FieldSpec, GemSet, Mat, Network, lift_block, max_flow, row_times, simulate
 from srlnc.linalg import ContractViolation, Subspace, rank_of_vectors, subspace_intersect
 
 GF2 = FieldSpec(2)
@@ -156,6 +156,14 @@ def gems_four_planes() -> GemSet:
     b3 = mat_cols(GF3, (1, 0, 0), (0, 0, 1))
     b4 = mat_cols(GF3, (1, 1, 0), (0, 1, 1))
     return GemSet([b1, b2, b3, b4], rate=3)
+
+
+# GF(2), rate 4: fsrd_check passes and build_spanner fails; the minimal
+# exact spanner has 4 vectors, no more than the rate, but spans only 3
+# dimensions, so it is dependent and no single-use precoder exists
+DEPENDENT_SPANNER_MATS = ([[0], [1], [0], [1]], [[0, 0], [1, 1], [0, 0], [1, 0]],
+                          [[0], [1], [0], [0]], [[0], [0], [0], [1]],
+                          [[0, 1], [1, 0], [0, 1], [1, 1]])
 
 
 def gems_hyperplanes(field: FieldSpec, r: int, l: int) -> GemSet:
@@ -694,10 +702,16 @@ def reference_simulate_failures(net: Network, code, l: int, P_hat: Mat, gems: Di
     """The former `cli.cmd_simulate` trial loop, with the signature of
     `cli._count_failures`: every message goes through every edge, 256 per
     `simulate` batch, and each sink checks y @ D_hat = x_hat @ R_hat on the
-    symbols y it received."""
+    symbols y it received.  Besides the weak sinks of `decoders`, it decodes
+    every full-rate sink of `gems`, one whose B_t has r columns, over the
+    whole block: D_hat = (P_hat @ lift(B_t))^-1, inverted by sympy, and
+    R_hat = I."""
     CHUNK = 256
     field = net.field
     r = net.rate
+    eye = Mat.identity(field, l * r)
+    decoders = {**{t: (sympy_invert(P_hat @ lift_block(g.matrix, l)), eye)
+                   for t, g in gems.items() if g.matrix.cols == r}, **decoders}
     failures = {t: 0 for t in decoders}
     rng = random.Random(seed)
     for start in range(0, trials, CHUNK):

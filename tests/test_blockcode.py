@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from srlnc import blockcode, subrate
@@ -20,11 +20,10 @@ from srlnc import (
     rank,
     row_times,
 )
-from srlnc.linalg import Subspace, complete_basis
+from srlnc.linalg import ContractViolation, Subspace, complete_basis, rank_of_vectors
 from srlnc.subrate import NotFullyDecodable, SearchSpaceTooLarge
 from srlnc.blockcode import (
     BlockDesign,
-    InfeasibleDesign,
     block_decoder_for,
     build_block_plan,
 )
@@ -32,7 +31,9 @@ from srlnc.blockcode import (
 from helpers import (
     GF2,
     GF3,
+    DEPENDENT_SPANNER_MATS,
     assert_checked_form,
+    brute_min_spanner_size,
     gems_four_planes,
     gems_shared_axis,
     gems_three_planes,
@@ -112,10 +113,12 @@ def test_single_block_of_an_exact_spanner_reduces_to_the_precoder():
 
 
 def test_build_block_plan_rejects_bad_designs():
+    # every caller hands in independent blocks, so a dependent or empty
+    # design is a broken contract, not an infeasible input
     g = gems_shared_axis()
-    with pytest.raises(InfeasibleDesign):
+    with pytest.raises(ContractViolation, match=r"block \(0, 1\) is linearly dependent"):
         build_block_plan(g, BlockDesign(spanner=((1, 0, 0), (2, 0, 0)), blocks=((0, 1),)))
-    with pytest.raises(InfeasibleDesign):
+    with pytest.raises(ContractViolation, match="block design has no blocks"):
         build_block_plan(g, BlockDesign(spanner=AXIS_DESIGN.spanner, blocks=()))
 
 
@@ -324,6 +327,47 @@ def _precode_block_2(g):
         return build_precoder(g)
     except NotFullyDecodable as exc:
         return optimize_block_plan(g, 2, spanner=exc.spanner)
+
+
+def test_a_dependent_minimal_spanner_rules_the_precoder_out():
+    g = GemSet([Mat(GF2, rows) for rows in DEPENDENT_SPANNER_MATS], rate=4)
+    assert subrate.fsrd_check(g) == (0, 2, 1, 0, 0)
+    with pytest.raises(subrate.ConstructionFailed):
+        subrate.build_spanner(g, (0, 2, 1, 0, 0))
+    # no exact spanner of 3 or fewer vectors, so none is independent
+    assert brute_min_spanner_size(g) == 4
+    with pytest.raises(NotFullyDecodable, match="the minimal exact spanner has 4 vectors, "
+                       "more than the dimension 3 of the members' total span") as info:
+        build_precoder(g)
+    assert len(info.value.spanner) == 4 and rank_of_vectors(GF2, info.value.spanner) == 3
+    plan = _precode_block_2(g)
+    assert plan.i_bar is None
+    for B, sp in zip(g.mats, plan.sinks):
+        assert plan.P_hat @ lift_block(B, plan.l) @ sp.D_hat == sp.R_hat
+
+
+@settings(max_examples=150, deadline=None)
+@example(seed=4108, p=2, r=4, k_max=5)
+@example(seed=7482, p=2, r=5, k_max=5)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([2, 3, 5]), r=st.integers(3, 5),
+       k_max=st.integers(1, 5))
+def test_precode_block_2_plans_every_set_its_searches_finish(seed, p, r, k_max):
+    """A minimal exact spanner is independent exactly when it is as long as
+    the members' total span is wide, so `precode --block 2` never hands
+    `build_block_plan` a dependent block.  The examples are two of the rare
+    sets whose minimal spanner is dependent and no longer than the rate
+    (3 of the first 7057 seeds at p = 2, r = 4, k_max = 5)."""
+    g = random_gemset(random.Random(seed), FieldSpec(p), r, k_max)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subrate, "SEARCH_BUDGET", 20_000)
+            V = subrate.minimal_exact_spanner(g)
+            plan = _precode_block_2(g)
+    except SearchSpaceTooLarge:
+        assume(False)
+    assert (rank_of_vectors(g.field, V) == len(V)) == (len(V) == g.total_span().dim)
+    for B, sp in zip(g.mats, plan.sinks):
+        assert plan.P_hat @ lift_block(B, plan.l) @ sp.D_hat == sp.R_hat
 
 
 @pytest.mark.parametrize("build", ["optimize", "partial", "precoder", "supplied", "fallback"])

@@ -17,11 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from srlnc import FieldSpec, GemSet, Mat, lift_block
-from srlnc import blockcode, cli, netgraph, subrate
+from srlnc import blockcode, cli, linalg, multicast, netgraph, subrate
 from srlnc.cli import main
 
-from helpers import (assert_checked_form, generalized_butterfly, reference_optimize_block_plan,
-                     reference_simulate_failures)
+from helpers import (DEPENDENT_SPANNER_MATS, assert_checked_form, generalized_butterfly,
+                     reference_optimize_block_plan, reference_simulate_failures)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -68,6 +68,23 @@ FIVE_VECTOR_GEMS = {
         [[0, 0], [2, 0], [0, 2], [1, 1]],
         [[0], [2], [2], [2]],
     ],
+}
+
+DEPENDENT_SPANNER_GEMS = {"p": 2, "rate": 4, "mats": list(DEPENDENT_SPANNER_MATS)}
+DEPENDENT_SPANNER_ERR = ("infeasible: the minimal exact spanner has 4 vectors, more than the "
+                         "dimension 3 of the members' total span")
+
+# perfbench/gen.py's layered_dag(rng, 3, 4, 4, 3, 2, 2, [rng.randrange(1, 4)
+# for _ in range(5)]) with rng = random.Random(94); under the code of seed
+# 0 its weak sinks' gems have a dependent minimal exact spanner
+LAYERED_94 = {
+    "field": 3, "rate": 4, "nodes": list(range(20)), "source": 0,
+    "sinks": [13, 14], "subrate_sinks": [15, 16, 17, 18, 19],
+    "edges": [[0, 1], [0, 1], [0, 2], [0, 2], [0, 3], [0, 3], [0, 4], [0, 4], [1, 5], [3, 5],
+              [2, 6], [1, 6], [3, 7], [4, 7], [4, 8], [2, 8], [5, 9], [7, 9], [6, 10],
+              [7, 10], [7, 11], [6, 11], [8, 12], [7, 12], [9, 13], [10, 13], [11, 13],
+              [12, 13], [9, 13], [9, 14], [10, 14], [11, 14], [12, 14], [9, 14], [9, 15],
+              [12, 15], [5, 15], [11, 16], [5, 17], [11, 18], [7, 18], [12, 19], [7, 19]],
 }
 
 # a random set over GF(3) (tests/helpers.random_gemset, random.Random(5),
@@ -256,6 +273,22 @@ def test_precode_gems_with_block_fallback(tmp_path):
     assert all(len(m["decoded_indices"]) == 5 for m in obj["members"])
 
 
+def _assert_block_plan_decodes(gems: dict, obj: dict) -> None:
+    """The block plan `obj` keeps P_hat @ lift(B) @ D_hat = R_hat for every
+    matrix B of the gems file `gems`."""
+    assert obj["kind"] == "block"
+    field = FieldSpec(gems["p"])
+    l = obj["l"]
+    P_hat = Mat(field, obj["P_hat"])
+    assert len(obj["members"]) == len(gems["mats"])
+    for grid, member in zip(gems["mats"], obj["members"]):
+        h = len(grid[0])
+        lifted = lift_block(Mat(field, grid), l)
+        D_hat = Mat(field, member["D_hat"], cols=l * h)
+        R_hat = Mat(field, member["R_hat"], cols=l * h)
+        assert P_hat @ lifted @ D_hat == R_hat
+
+
 def test_precode_gems_with_a_spanner_longer_than_the_rate(tmp_path, capsys):
     gems = write(tmp_path, "gems.json", FIVE_VECTOR_GEMS)
     assert main(["precode", "--gems", gems]) == 3
@@ -263,18 +296,32 @@ def test_precode_gems_with_a_spanner_longer_than_the_rate(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("infeasible: ")
     out = str(tmp_path / "plan.json")
     assert main(["precode", "--gems", gems, "--block", "2", "--out", out]) == 0
-    obj = read(out)
-    assert obj["kind"] == "block"
-    field = FieldSpec(3)
-    l = obj["l"]
-    P_hat = Mat(field, obj["P_hat"])
-    assert len(obj["members"]) == len(FIVE_VECTOR_GEMS["mats"])
-    for grid, member in zip(FIVE_VECTOR_GEMS["mats"], obj["members"]):
-        h = len(grid[0])
-        lifted = lift_block(Mat(field, grid), l)
-        D_hat = Mat(field, member["D_hat"], cols=l * h)
-        R_hat = Mat(field, member["R_hat"], cols=l * h)
-        assert P_hat @ lifted @ D_hat == R_hat
+    _assert_block_plan_decodes(FIVE_VECTOR_GEMS, read(out))
+
+
+def test_precode_gems_with_a_dependent_minimal_spanner(tmp_path, capsys):
+    # the minimal spanner is no longer than the rate, so only the total
+    # span's dimension rules the precoder out, and `--block` still plans
+    gems = write(tmp_path, "gems.json", DEPENDENT_SPANNER_GEMS)
+    assert main(["precode", "--gems", gems]) == 3
+    assert capsys.readouterr().err.splitlines() == [DEPENDENT_SPANNER_ERR]
+    out = str(tmp_path / "plan.json")
+    assert main(["precode", "--gems", gems, "--block", "2", "--out", out]) == 0
+    _assert_block_plan_decodes(DEPENDENT_SPANNER_GEMS, read(out))
+
+
+def test_a_network_with_a_dependent_minimal_spanner_gets_a_block_plan(tmp_path, capsys):
+    net = write(tmp_path, "net.json", LAYERED_94)
+    code, plan, report = (str(tmp_path / f"{kind}.json") for kind in ("code", "plan", "report"))
+    assert main(["code", net, "--seed", "0", "--out", code]) == 0
+    capsys.readouterr()
+    assert main(["precode", net, code]) == 3
+    assert capsys.readouterr().err.splitlines() == [DEPENDENT_SPANNER_ERR]
+    assert main(["precode", net, code, "--block", "2", "--out", plan]) == 0
+    assert main(["simulate", net, code, plan, "--trials", "100", "--out", report]) == 0
+    rows = read(report)["sinks"]
+    assert [row["sink"] for row in rows] == [str(t) for t in (13, 14, 15, 16, 17, 18, 19)]
+    assert all(row["failures"] == 0 for row in rows)
 
 
 def test_precode_block_searches_for_the_spanner_once(tmp_path, monkeypatch):
@@ -290,7 +337,7 @@ def test_precode_block_searches_for_the_spanner_once(tmp_path, monkeypatch):
     assert main(["precode", "--gems", gems, "--block", "2", "--out", str(out)]) == 0
     assert len(calls) == 1
     g = GemSet([Mat(FieldSpec(3), m) for m in FIVE_VECTOR_GEMS["mats"]], rate=4)
-    want = cli.plan_to_obj(3, 4, reference_optimize_block_plan(g, l_max=2))
+    want = cli.plan_to_obj(reference_optimize_block_plan(g, l_max=2))
     assert out.read_text() == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
 
@@ -563,14 +610,37 @@ def test_simulate_reports_as_the_per_message_oracle(tmp_path, monkeypatch, block
             "--out", str(report)]
     assert main(argv) == 0
     counted = report.read_bytes()
-    network, _, _ = cli.load_network(net)
+    network, sinks, _ = cli.load_network(net)
     loaded = cli.load_code(code, network)
-    monkeypatch.setattr(cli, "_count_failures",
-                        lambda *args: reference_simulate_failures(network, loaded, *args))
+    found = {}
+
+    def oracle(*args):
+        found.update(reference_simulate_failures(network, loaded, *args))
+        return found
+
+    monkeypatch.setattr(cli, "_count_failures", oracle)
     assert main(argv) == 0
     assert report.read_bytes() == counted
+    # the oracle decodes every full-rate sink too, and none fails, even
+    # under a corrupted P_hat: `simulate` reports them without decoding
+    assert sinks and all(found[t] == 0 for t in sinks)
     if change is not None and trials > 256:
         assert any(row["failures"] for row in json.loads(counted)["sinks"])
+
+
+@pytest.mark.parametrize("with_plan", [True, False])
+def test_simulate_inverts_only_the_plans_precoder(tmp_path, monkeypatch, with_plan):
+    # a full-rate sink cannot fail once P_hat is checked invertible, so
+    # `simulate` inverts nothing for it; the butterfly has two such sinks
+    net, code, plan = _pipeline_files(tmp_path, block=False)
+    calls = []
+    invert = linalg.invert
+    for mod in (linalg, cli, blockcode, multicast):
+        monkeypatch.setattr(mod, "invert", lambda A: calls.append(A) or invert(A))
+    assert main(["simulate", net, code, *([plan] if with_plan else []), "--trials", "50",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == int(with_plan)
+    assert [row["failures"] for row in read(tmp_path / "report.json")["sinks"]] == [0, 0, 0]
 
 
 def test_simulate_time_does_not_grow_with_trials_on_a_correct_plan(tmp_path):

@@ -477,7 +477,7 @@ def test_eighteen_weak_sinks_get_a_precoder():
     assert len(g._inter_cache) == 3657
     # the i_bar and plan bytes of the 2^k table, run with its budget lifted
     assert plan.i_bar == (0, 0, 0, 0, 1, 2, 4, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0)
-    text = cli.canonical_json(cli.plan_to_obj(5, 10, plan))
+    text = cli.canonical_json(cli.plan_to_obj(plan))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "278f90117e5c82c3d6934000200c163032a588ae6c69d7e56680fe324edeb8ee")
     check_plan_contract(g, plan)

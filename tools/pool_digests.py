@@ -41,6 +41,13 @@ t1 has max-flow 2, below its in-degree and the source's out-degree (3),
 and is reached only by a second path that cancels flow on the first, so
 that a wrong max-flow value shows as a differing digest.
 
+Each tree also runs the sets whose minimal exact spanner passes the
+feasibility check but is dependent, no longer than the rate yet longer
+than the dimension of the members' total span: `precode --gems`, with and
+without `--block 2`, on `DEPENDENT_GEMS`, and code, `precode --block 2` and
+simulate on `gen.layered_dag(rng, 3, 4, 4, 3, 2, 2, [rng.randrange(1, 4)
+for _ in range(5)])` for `rng = random.Random(s)`, s in 94, 440 and 526.
+
 Compared per op: each stage's exit code and stderr, and the sha256 of each
 output file; per pool, the set-up's CLI calls and the files it left.  Every
 op that differs is printed, and the exit status is 1 if any op differs.
@@ -79,6 +86,13 @@ REROUTE = {
     "source": "s", "sinks": ["t1", "t2"], "subrate_sinks": ["w1", "w2", "w3"],
 }
 SIM_TRIALS = (0, 513)
+# fsrd_check passes and the guideline spanner fails; the minimal exact
+# spanner has 4 vectors of rank 3
+DEPENDENT_GEMS = {"p": 2, "rate": 4, "mats": [
+    [[0], [1], [0], [1]], [[0, 0], [1, 1], [0, 0], [1, 0]], [[0], [1], [0], [0]],
+    [[0], [0], [0], [1]], [[0, 1], [1, 0], [0, 1], [1, 1]]]}
+# random.Random(s) seeds of the layered DAGs whose weak sinks have such a spanner
+DEPENDENT_LAYERED_SEEDS = (94, 440, 526)
 
 
 def probe_gems(k: int, p: int = 5, r: int = 10) -> dict:
@@ -162,6 +176,7 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
     sets = [(f"many-sinks k={k} s={s}", f"gems-{k}-{s}.json",
              gen.feasible_gemset(random.Random(1000 * k + s), 5, 8, k)) for k, s in MANY_SINKS]
     sets += [(f"probe p=5 r=10 k={k}", f"probe-{k}.json", probe_gems(k)) for k in PROBE_SINKS]
+    sets.append(("dependent spanner p=2 r=4 k=5", "dependent.json", DEPENDENT_GEMS))
     for label, name, obj in sets:
         gems = run._write(many / name, obj)
         for block in ([], ["--block", "2"]):
@@ -181,6 +196,11 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
             "stages": [[rc, msg]], "outputs": {plan.name: _sha(plan)}}
     run._write(many / "bfly.net.json", gen.generalized_butterfly(*BUTTERFLY)[0])
     out["butterfly p={} r={} w={}".format(*BUTTERFLY)] = _pipeline(runner, many, "bfly", [])
+    for s in DEPENDENT_LAYERED_SEEDS:
+        rng = random.Random(s)
+        run._write(many / f"layered-{s}.net.json",
+                   gen.layered_dag(rng, 3, 4, 4, 3, 2, 2, [rng.randrange(1, 4) for _ in range(5)])[0])
+        out[f"layered p=3 r=4 s={s}"] = _pipeline(runner, many, f"layered-{s}", [])
     run._write(many / "reroute.net.json", REROUTE)
     out["reroute"] = _pipeline(runner, many, "reroute",
                                REROUTE["sinks"] + REROUTE["subrate_sinks"])
