@@ -21,7 +21,6 @@ from .linalg import (
     _reduce,
     complete_basis,
     invert,
-    rank,
     rank_of_vectors,
     solve_columns,
 )
@@ -133,34 +132,16 @@ def _sink_block_plan(V: List[Vec], blocks: Sequence[Tuple[int, ...]],
                          rate=Fraction(len(decoded), len(blocks)))
 
 
-def block_decoder_for(plan: BlockPlan, index: int, B: Mat) -> BlockSinkPlan:
-    """Block decoders for a matrix whose span equals member `index`.
-
-    Lets a sink that was deduplicated away (same span, different basis)
-    reuse the plan: same decoded coordinates, its own D_hat.  P_hat is
-    block diagonal, so the P_b are read off its diagonal.
-    """
-    r = B.rows
-    p_blocks = [Mat(B.field, [row[o:o + r] for row in plan.P_hat.data[o:o + r]])
-                for o in range(0, plan.l * r, r)]
-    V = [tuple(x % B.field.p for x in v) for v in plan.design.spanner]
-    span = Subspace.span_of(B)
-    got = _sink_block_plan(V, plan.design.blocks, p_blocks, B, [span.contains(v) for v in V])
-    entry = plan.sinks[index]
-    if got.decoded_indices != entry.decoded_indices:
-        raise ContractViolation("same-span matrix decodes different block coordinates")
-    return got
-
-
-def build_precoder(gems: GemSet, full_rate: Sequence[Mat] = (),
+def build_precoder(gems: GemSet,
                    spanner: Optional[Sequence[Sequence[int]]] = None) -> BlockPlan:
     """The single-use precoder: the l = 1 plan whose one block is a whole
     exact spanner, so P_hat @ B_t @ D_hat = R_hat decodes h_t coordinates.
 
     A spanner may be supplied to fix the column order of the inverted
     basis (and hence P_hat) exactly; by default the guideline construction
-    is used, with the exhaustive minimal spanner as fallback.  Any supplied
-    full-rate matrices are checked to stay invertible under P_hat.
+    is used, with the exhaustive minimal spanner as fallback.  P_hat is
+    the inverse of a completed basis, so a full-rate sink's B_t, r by r of
+    rank r, keeps rank r under it: the precoder needs no full-rate matrix.
     """
     r = gems.rate
     field = gems.field
@@ -190,26 +171,29 @@ def build_precoder(gems: GemSet, full_rate: Sequence[Mat] = (),
                 exc.spanner = tuple(V)
                 raise exc
     plan = build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=(tuple(range(len(V))),)))
-    for FB in full_rate:
-        if rank(plan.P_hat @ FB) != r:
-            raise ContractViolation("full-rate matrix lost rank under P")
     return replace(plan, i_bar=i_bar)
 
 
-MAX_BLOCKS = 10_000   # most blocks, one per independent d(V)-subset, in a partial plan
+# most rows, l * r, of a partial plan's P_hat, which is built dense: about
+# 100 MB of matrices at this side, growing as its square
+MAX_SIDE = 2048
 
 
 def build_partial_general(gems: GemSet) -> BlockPlan:
     """The always-applicable construction: one block per independent
-    d(V)-subset of an exact spanner V.  Guarantees d_t >= h_t."""
+    d(V)-subset of an exact spanner V.  Guarantees d_t >= h_t.  A plan
+    whose P_hat would have more than MAX_SIDE rows raises
+    SearchSpaceTooLarge before any matrix is built."""
     try:
         V = minimal_exact_spanner(gems)
     except SearchSpaceTooLarge:   # the union of the member bases
         V = list(dict.fromkeys(v for s in gems.spans for v in s.basis))
     d = rank_of_vectors(gems.field, V)
     subsets = [c for c, _ in _independent_subsets(gems, V) if len(c) == d]
-    if len(subsets) > MAX_BLOCKS:
-        raise SearchSpaceTooLarge(f"{len(subsets)} blocks exceed cap {MAX_BLOCKS}")
+    side = len(subsets) * gems.rate
+    if side > MAX_SIDE:
+        raise SearchSpaceTooLarge(f"{len(subsets)} blocks give P_hat side {side}, "
+                                  f"above the cap {MAX_SIDE}")
     return build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=tuple(subsets)))
 
 

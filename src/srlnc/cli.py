@@ -25,7 +25,7 @@ from .blockcode import (
     BlockPlan,
     BlockSinkPlan,
     SpannerRejected,
-    block_decoder_for,
+    build_block_plan,
     build_precoder,
     lift_block,
     optimize_block_plan,
@@ -43,12 +43,7 @@ from .multicast import (
     extract_gem,
 )
 from .netgraph import Network, max_flow
-from .subrate import (
-    ConstructionFailed,
-    GemSet,
-    NotFullyDecodable,
-    SearchSpaceTooLarge,
-)
+from .subrate import GemSet, NotFullyDecodable, SearchSpaceTooLarge
 
 
 # ---------------------------------------------------------------- loading
@@ -405,7 +400,6 @@ def cmd_precode(args) -> int:
                              "not both")
         gems, spanner = load_gems(args.gems)
         sub_gems = None
-        full_rate: List[Mat] = []
     else:
         if args.file is None or args.code is None:
             raise ValueError("precode needs a network file and a code file, or --gems")
@@ -421,11 +415,10 @@ def cmd_precode(args) -> int:
         # node ids have distinct names, so no two sinks share a key
         sub_gems = {str(t): gem_of[t] for t in subrate_sinks}
         gems = GemSet([g.matrix for g in sub_gems.values()], net.rate)
-        full_rate = [gem_of[t].matrix for t in sinks]
         spanner = None
 
     try:
-        plan = build_precoder(gems, full_rate=full_rate, spanner=spanner)
+        plan = build_precoder(gems, spanner=spanner)
     except NotFullyDecodable as exc:
         if args.block is None:
             raise
@@ -438,8 +431,11 @@ def cmd_precode(args) -> int:
         entries = {}
         for pos, (t, g) in enumerate(sub_gems.items()):
             m = gems.source_map[pos]
+            # a sink whose span duplicates member m in another basis gets its
+            # own decoders from the same design, whose P_b depend on nothing
+            # else: the same P_hat and decoded coordinates, its own D_hat
             sp = (plan.sinks[m] if g.matrix == gems.mats[m]
-                  else block_decoder_for(plan, m, g.matrix))
+                  else build_block_plan(GemSet([g.matrix], net.rate), plan.design).sinks[0])
             entries[t] = {"member": m, **_sink_obj(plan, sp)}
     _emit(canonical_json(plan_to_obj(plan, entries)), args.out)
     return 0
@@ -456,10 +452,9 @@ def _load_plan(path: str, net: Network, widths: Dict[str, int]) -> Tuple[int, Ma
     list of integers, or `blocks` a list of integer lists; each entry of
     `members` and of `sinks` holding the decoder keys `precode` writes, a
     sink entry also its member, an index into `members`; the decoded
-    indices distinct coordinates of the
-    l * rate block message; D_hat (l * h) by (l * h) and R_hat (l * rate) by
-    (l * h), with the unit vectors of the decoded indices, in order, as
-    its nonzero columns."""
+    indices distinct coordinates of the l * rate block message; D_hat
+    (l * h) by (l * h) and R_hat (l * rate) by (l * h), with the unit
+    vectors of the decoded indices, in order, as its nonzero columns."""
     obj = _load_json(path)
     if not isinstance(obj, dict) or obj.get("kind") not in ("subrate", "block"):
         raise ValueError(f'{path}: kind: plan file must have "kind": "subrate" or "block"')
@@ -688,7 +683,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ContractViolation, ConstructionFailed) as exc:
+    except ContractViolation as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 4
 

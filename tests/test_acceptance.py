@@ -54,7 +54,7 @@ def test_acceptance_1_butterfly_end_to_end():
     gem7 = extract_gem(code, net, 7)
     gem8 = extract_gem(code, net, 8)
     gems = GemSet([gem8.matrix], rate=2)
-    plan = build_precoder(gems, full_rate=[gem6.matrix, gem7.matrix])
+    plan = build_precoder(gems)
     sp = plan.sinks[0]
     assert len(sp.decoded_indices) == 1
 
@@ -189,7 +189,7 @@ def test_acceptance_6_randomized_property_suite():
                             for _ in range(r)])
             if rank(m) == r:
                 break
-        plan = build_precoder(g, full_rate=[m])
+        plan = build_precoder(g)
         assert rank(plan.P_hat @ m) == r
         for _ in range(3):
             v = tuple(rng.randrange(field.p) for _ in range(r))

@@ -22,11 +22,7 @@ from srlnc import (
 )
 from srlnc.linalg import ContractViolation, Subspace, complete_basis, rank_of_vectors
 from srlnc.subrate import NotFullyDecodable, SearchSpaceTooLarge
-from srlnc.blockcode import (
-    BlockDesign,
-    block_decoder_for,
-    build_block_plan,
-)
+from srlnc.blockcode import BlockDesign, build_block_plan
 
 from helpers import (
     GF2,
@@ -123,13 +119,20 @@ def test_build_block_plan_rejects_bad_designs():
 
 
 def test_block_decoder_for_other_basis():
+    # another basis of member 0's span gets its decoders from the one-member
+    # plan of the same design, whose P_hat depends on the design alone
     g = gems_shared_axis()
     plan = build_block_plan(g, AXIS_DESIGN)
     twist = Mat(GF3, [[2, 1], [1, 1]])
     b_alt = g.mats[0] @ twist
-    sp = block_decoder_for(plan, 0, b_alt)
+    one = build_block_plan(GemSet([b_alt], rate=3), AXIS_DESIGN)
+    assert one.P_hat == plan.P_hat
+    sp = one.sinks[0]
     assert sp.decoded_indices == plan.sinks[0].decoded_indices
+    assert sp.D_hat != plan.sinks[0].D_hat
     assert plan.P_hat @ lift_block(b_alt, plan.l) @ sp.D_hat == sp.R_hat
+    assert sp == reference_sink_block_plan(GF3, AXIS_DESIGN.spanner, AXIS_DESIGN.blocks,
+                                           plan.P_hat, b_alt, plan.l, g.spans[0])
 
 
 def test_build_partial_general_guarantees():
@@ -259,8 +262,9 @@ def _random_invertible(rng, field, n):
 def test_block_plans_match_the_dense_reference(seed, p, r, l):
     """Every sink's decoders, built and checked block by block, equal the
     dense l*r construction, for the member bases and for other bases of
-    the same spans through `block_decoder_for`.  Every matrix of the plan,
-    built with the trusted `Mat._of`, is in the checked constructor's form."""
+    the same spans through one-member plans of the same design, which
+    share its P_hat.  Every matrix of the plan, built with the trusted
+    `Mat._of`, is in the checked constructor's form."""
     rng = random.Random(seed)
     field = FieldSpec(p)
     g = random_gemset(rng, field, r, 4)
@@ -284,7 +288,9 @@ def test_block_plans_match_the_dense_reference(seed, p, r, l):
     for i, (B, span) in enumerate(zip(g.mats, g.spans)):
         assert plan.sinks[i] == reference_sink_block_plan(field, V, blocks, plan.P_hat, B, l, span)
         other = B @ _random_invertible(rng, field, B.cols)
-        got = block_decoder_for(plan, i, other)
+        one = build_block_plan(GemSet([other], rate=r), plan.design)
+        assert one.P_hat == plan.P_hat
+        got = one.sinks[0]
         assert got == reference_sink_block_plan(field, V, blocks, plan.P_hat, other, l, span)
         for sp in (plan.sinks[i], got):
             assert_checked_form(sp.D_hat)
@@ -301,6 +307,30 @@ def test_build_partial_general_on_194_blocks_finishes_quickly():
     assert time.perf_counter() - start < 5
     assert plan.l == 194
     assert all(len(sp.decoded_indices) >= 1 for sp in plan.sinks)
+
+
+def test_build_partial_general_refuses_a_precoder_side_above_the_cap(monkeypatch):
+    # the 194-block members extended to fourteen: 1308 blocks, so P_hat
+    # would be 7848 by 7848; the cap refuses it before any matrix is built
+    def never(*args):
+        raise AssertionError("built a plan above the cap")
+
+    vs = _distinct_nonzero(random.Random(611), GF2, 6, 14)
+    g = GemSet([Mat.from_cols(GF2, [v]) for v in vs], rate=6)
+    monkeypatch.setattr(blockcode, "build_block_plan", never)
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceTooLarge,
+                       match="^1308 blocks give P_hat side 7848, above the cap 2048$"):
+        build_partial_general(g)
+    assert time.perf_counter() - start < 1
+    monkeypatch.undo()
+    # the cap is on the side l * r: 194 blocks at r = 6 is side 1164
+    small = GemSet(g.mats[:11], rate=6)
+    monkeypatch.setattr(blockcode, "MAX_SIDE", 1164)
+    assert build_partial_general(small).P_hat.rows == 1164
+    monkeypatch.setattr(blockcode, "MAX_SIDE", 1163)
+    with pytest.raises(SearchSpaceTooLarge, match="side 1164, above the cap 1163"):
+        build_partial_general(small)
 
 
 def test_independent_subset_listing_budget_boundary(monkeypatch):

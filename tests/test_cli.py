@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -489,6 +490,41 @@ def test_subrate_pipeline(tmp_path):
     first = (tmp_path / "report.json").read_bytes()
     assert main(["simulate", net, code, plan, "--trials", "60", "--out", report]) == 0
     assert (tmp_path / "report.json").read_bytes() == first
+
+
+# node 9 hangs off the hub like node 8, so the two weak sinks have one
+# span; at code seeds 1 and 3 their bases differ, so `precode` keeps one
+# member and gives sink 9 its own D
+SAME_SPAN = dict(BUTTERFLY, field=5, nodes=BUTTERFLY["nodes"] + [9],
+                 edges=BUTTERFLY["edges"] + [[5, 9]], subrate_sinks=[8, 9])
+
+
+@pytest.mark.parametrize("seed, D, sha", [
+    (1, {"8": [[2]], "9": [[1]]},
+     "3bdb0fc07895b996de6cd27ad2dec095001d74d3feaf16d3894992fd7a93cee5"),
+    (3, {"8": [[1]], "9": [[3]]},
+     "b18da18f0ecffb4b2d4d7c158d73d0fbe69e5352d0ba6ae25102eb46525e778d"),
+], ids=["seed-1", "seed-3"])
+def test_sinks_of_one_span_in_different_bases_each_get_their_decoder(tmp_path, seed, D, sha):
+    net = write(tmp_path, "net.json", SAME_SPAN)
+    code, plan, report = (str(tmp_path / f"{name}.json") for name in ("code", "plan", "report"))
+    assert main(["code", net, "--seed", str(seed), "--out", code]) == 0
+    network = cli.load_network(net)[0]
+    loaded = cli.load_code(code, network)
+    for block in ([], ["--block", "2"]):
+        assert main(["precode", net, code, *block, "--out", plan]) == 0
+        # pinned bytes; --block 2 writes the same single-use plan
+        assert hashlib.sha256(Path(plan).read_bytes()).hexdigest() == sha
+    pobj = read(plan)
+    assert len(pobj["members"]) == 1
+    P = Mat(network.field, pobj["P"])
+    for t in ("8", "9"):
+        entry = pobj["sinks"][t]
+        assert entry["member"] == 0 and entry["D"] == D[t]
+        B = multicast.extract_gem(loaded, network, int(t)).matrix
+        assert P @ B @ Mat(network.field, entry["D"]) == Mat(network.field, entry["R"])
+    assert main(["simulate", net, code, plan, "--trials", "50", "--out", report]) == 0
+    assert all(row["failures"] == 0 for row in read(report)["sinks"])
 
 
 def test_simulate_without_a_plan_skips_subrate_decoding(tmp_path):

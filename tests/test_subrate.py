@@ -34,7 +34,7 @@ from srlnc.subrate import (
     minimal_exact_spanner,
     subspace_lines,
 )
-from srlnc.blockcode import block_decoder_for
+from srlnc.blockcode import build_block_plan
 
 from srlnc import cli, subrate
 from helpers import (
@@ -55,6 +55,7 @@ from helpers import (
     reference_comss_c,
     reference_fsrd_check,
     reference_minimal_exact_spanner,
+    reference_sink_block_plan,
     reference_subspace_lines,
 )
 
@@ -594,12 +595,20 @@ def test_build_precoder_checks_supplied_spanner():
         build_precoder(g, spanner=[(1, 2, 2), (1, 1, 0), (1, 1, 1), (0, 0, 1)])
 
 
-def test_build_precoder_keeps_full_rate_gems_invertible():
-    g = gems_three_planes()
-    fb = Mat(GF3, [[1, 0, 2], [0, 1, 0], [1, 1, 1]])
-    assert rank(fb) == 3
-    plan = build_precoder(g, full_rate=[fb])
-    assert rank(plan.P_hat @ fb) == 3
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(2, 5), st.integers(1, 5), st.integers())
+@settings(max_examples=100, deadline=None)
+def test_build_precoder_keeps_full_rate_gems_invertible(p, r, k_max, seed):
+    # P_hat inverts a completed basis, so every invertible r by r matrix,
+    # such as a full-rate sink's B_t, keeps rank r under it
+    rng = random.Random(seed)
+    field = FieldSpec(p)
+    g = feasible_gemset(rng, field, r, k_max)
+    plan = build_precoder(g)
+    while True:
+        B = Mat(field, [[rng.randrange(p) for _ in range(r)] for _ in range(r)])
+        if rank(B) == r:
+            break
+    assert rank(plan.P_hat @ B) == r
 
 
 def test_build_precoder_refuses_infeasible_sets():
@@ -615,7 +624,11 @@ def test_decoder_for_other_basis_of_same_span():
     twist = Mat(GF3, [[1, 1], [1, 2]])
     assert rank(twist) == 2
     b_alt = g.mats[0] @ twist
-    sp = block_decoder_for(plan, 0, b_alt)
+    one = build_block_plan(GemSet([b_alt], rate=3), plan.design)
+    assert one.P_hat == plan.P_hat
+    sp = one.sinks[0]
+    assert sp == reference_sink_block_plan(GF3, plan.design.spanner, plan.design.blocks,
+                                           plan.P_hat, b_alt, 1, g.spans[0])
     assert sp.decoded_indices == plan.sinks[0].decoded_indices
     assert plan.P_hat @ b_alt @ sp.D_hat == sp.R_hat
     for v in itertools.product(range(3), repeat=3):

@@ -41,6 +41,12 @@ t1 has max-flow 2, below its in-degree and the source's out-degree (3),
 and is reached only by a second path that cancels flow on the first, so
 that a wrong max-flow value shows as a differing digest.
 
+Each tree also runs code at seeds 1 and 3, then `precode`, `precode
+--block 2` and simulate, on `SAME_SPAN`, the rate-2 butterfly over GF(5)
+with a second weak sink hanging off the hub: both weak sinks have one span,
+in different bases at those seeds, so `precode` keeps one member and gives
+the second sink its own decoder.
+
 Each tree also runs the sets whose minimal exact spanner passes the
 feasibility check but is dependent, no longer than the rate yet longer
 than the dimension of the members' total span: `precode --gems`, with and
@@ -64,7 +70,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 POOLS = [("net-pipeline", 701), ("sim-stream", 701), ("gem-precode", 701),
          ("gem-block", 701), ("gem-block", 711)]
@@ -85,6 +91,14 @@ REROUTE = {
               ["v1", "t2"], ["u3", "w1"], ["v2", "w2"], ["v2", "w2"], ["u2", "w3"]],
     "source": "s", "sinks": ["t1", "t2"], "subrate_sinks": ["w1", "w2", "w3"],
 }
+# weak sinks 8 and 9 both hang off hub 5, so their gems share one span
+SAME_SPAN = {
+    "field": 5, "rate": 2, "nodes": [1, 2, 3, 4, 5, 6, 7, 8, 9],
+    "edges": [[1, 2], [1, 3], [2, 4], [2, 6], [3, 4], [3, 7], [4, 5], [5, 6], [5, 7],
+              [5, 8], [5, 9]],
+    "source": 1, "sinks": [6, 7], "subrate_sinks": [8, 9],
+}
+SAME_SPAN_SEEDS = (1, 3)   # code seeds at which sinks 8 and 9 get different bases
 SIM_TRIALS = (0, 513)
 # fsrd_check passes and the guideline spanner fails; the minimal exact
 # spanner has 4 vectors of rank 3
@@ -201,22 +215,32 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
         run._write(many / f"layered-{s}.net.json",
                    gen.layered_dag(rng, 3, 4, 4, 3, 2, 2, [rng.randrange(1, 4) for _ in range(5)])[0])
         out[f"layered p=3 r=4 s={s}"] = _pipeline(runner, many, f"layered-{s}", [])
+    for s in SAME_SPAN_SEEDS:
+        run._write(many / f"same-span-{s}.net.json", SAME_SPAN)
+        out[f"same-span seed={s}"] = _pipeline(runner, many, f"same-span-{s}", [], seed=s)
     run._write(many / "reroute.net.json", REROUTE)
     out["reroute"] = _pipeline(runner, many, "reroute",
                                REROUTE["sinks"] + REROUTE["subrate_sinks"])
     return out
 
 
-def _pipeline(runner, work: Path, name: str, maxflow_sinks: list) -> dict:
+def _pipeline(runner, work: Path, name: str, maxflow_sinks: list,
+              seed: Optional[int] = None) -> dict:
     """maxflow to each of `maxflow_sinks`, then code, `precode --block 2`
     and simulate on the network file `work/NAME.net.json`, up to the first
-    stage that fails."""
+    stage that fails.  With `seed`, code runs at that `--seed` and a
+    `precode` without `--block` runs before the block one."""
     net = work / f"{name}.net.json"
-    code, plan, report = (work / f"{name}.{kind}.json" for kind in ("code", "plan", "report"))
+    code, single, plan, report = (work / f"{name}.{kind}.json"
+                                  for kind in ("code", "single", "plan", "report"))
     flows = {t: work / f"{name}.maxflow-{t}.json" for t in maxflow_sinks}
     argvs = [["maxflow", net, t, "--out", path] for t, path in flows.items()]
-    argvs += [["code", net, "--out", code],
-              ["precode", net, code, "--block", "2", "--out", plan],
+    if seed is None:
+        argvs.append(["code", net, "--out", code])
+    else:
+        argvs += [["code", net, "--seed", seed, "--out", code],
+                  ["precode", net, code, "--out", single]]
+    argvs += [["precode", net, code, "--block", "2", "--out", plan],
               ["simulate", net, code, plan, "--out", report]]
     stages = []
     for argv in argvs:
@@ -224,8 +248,8 @@ def _pipeline(runner, work: Path, name: str, maxflow_sinks: list) -> dict:
         stages.append([rc, msg])
         if rc != 0:
             break
-    return {"stages": stages,
-            "outputs": {p.name: _sha(p) for p in [*flows.values(), code, plan, report]}}
+    outputs = [*flows.values(), code, *([single] if seed is not None else []), plan, report]
+    return {"stages": stages, "outputs": {p.name: _sha(p) for p in outputs}}
 
 
 def _src_lines(tree: Path) -> int:
