@@ -15,6 +15,7 @@ import os
 import random
 import stat
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -125,42 +126,59 @@ def _matrix(path: str, field: str, grid) -> list:
 
 
 def load_network(path: str) -> Tuple[Network, List, List]:
-    """Parse a network file; returns (net, full-rate sinks, sub-rate sinks)."""
+    """Parse a network file; returns (net, full-rate sinks, sub-rate sinks).
+    One sweep tests every node id and edge shape, and sets test the names and
+    sinks, so checks take time linear in the file; a file that fails the
+    sweep is walked entry by entry to name its first bad field."""
     obj = _load_json(path)
     _check_keys(path, obj, ["field", "rate", "nodes", "edges", "source", "sinks"],
                 ["subrate_sinks"], "network file")
     field = _field(path, "field", obj["field"])
     rate = _integer(path, "rate", obj["rate"])
-    nodes = [_node(path, "nodes", n) for n in _list(path, "nodes", obj["nodes"])]
-    names = [str(n) for n in nodes]
+    nodes, edges, source, sinks = obj["nodes"], obj["edges"], obj["source"], obj["sinks"]
+    subrate_sinks = obj.get("subrate_sinks", [])
+    walk = not (all([type(x) is list for x in (nodes, edges, sinks, subrate_sinks)])
+                and all([type(e) is list and len(e) == 2 for e in edges])
+                and {int, str}.issuperset(map(type, chain(nodes, chain.from_iterable(edges),
+                                                          sinks, subrate_sinks, (source,)))))
+    if walk:
+        for n in _list(path, "nodes", nodes):
+            _node(path, "nodes", n)
+    names = list(map(str, nodes))
     if len(set(names)) < len(names):
-        dup = next(name for name in names if names.count(name) > 1)
+        # a Counter lists names in order of first appearance
+        dup = next(name for name, count in Counter(names).items() if count > 1)
         raise ValueError(f"{path}: nodes: node ids must have distinct names, {dup!r} repeats")
-    edges = []
-    for i, e in enumerate(_list(path, "edges", obj["edges"])):
-        if not isinstance(e, list) or len(e) != 2:
-            raise ValueError(f"{path}: edges[{i}] must be a [tail, head] pair, "
-                             f"got {json.dumps(e)}")
-        edges.append((_node(path, "edges", e[0]), _node(path, "edges", e[1])))
-    sinks = [_node(path, "sinks", t) for t in _list(path, "sinks", obj["sinks"])]
-    subrate_sinks = [_node(path, "subrate_sinks", t)
-                     for t in _list(path, "subrate_sinks", obj.get("subrate_sinks", []))]
-    both = [t for t in subrate_sinks if t in sinks]
+    if walk:
+        for i, e in enumerate(_list(path, "edges", edges)):
+            if not isinstance(e, list) or len(e) != 2:
+                raise ValueError(f"{path}: edges[{i}] must be a [tail, head] pair, "
+                                 f"got {json.dumps(e)}")
+            _node(path, "edges", e[0])
+            _node(path, "edges", e[1])
+        for key, listed in (("sinks", sinks), ("subrate_sinks", subrate_sinks)):
+            for t in _list(path, key, listed):
+                _node(path, key, t)
+    full = set(sinks)
+    both = [t for t in subrate_sinks if t in full]
     if both:
         raise ValueError(f"{path}: subrate_sinks: nodes listed as both sink and "
                          f"subrate sink: {both}")
-    source = _node(path, "source", obj["source"])
+    if walk:
+        _node(path, "source", source)
     # `Network` checks the sinks too, but sees both lists as one
+    node_set = set(nodes)
     for key, listed in (("sinks", sinks), ("subrate_sinks", subrate_sinks)):
+        first: dict = {}
         for i, t in enumerate(listed):
-            if t not in nodes or t == source:
+            if t not in node_set or t == source:
                 raise ValueError(f"{path}: {key}: {t!r} is not a node other than the source")
-            if listed.index(t) != i:
+            if first.setdefault(t, i) != i:
                 raise ValueError(f"{path}: {key}: {t!r} repeats")
     # checked before `Network` makes `rate` imaginary links, so a huge rate
     # fails at once; `code` would refuse it anyway
-    degree = sum(1 for tail, _ in edges if tail == source)
-    if source in nodes and rate > degree:
+    degree = [tail for tail, _ in edges].count(source)
+    if source in node_set and rate > degree:
         raise RateExceedsSourceDegree(f"rate {rate} > source out-degree {degree}")
     try:
         net = Network(nodes, edges, source, sinks + subrate_sinks, rate, field)
@@ -187,6 +205,9 @@ def code_to_obj(net: Network, code: LinearCode) -> dict:
 
 
 def load_code(path: str, net: Network) -> LinearCode:
+    """Parse a code file for `net` and check its kernels.  One sweep tests each
+    table, reduced mod p only if an entry lies outside [0, p); only a table
+    that fails is walked entry by entry, to name its first bad field."""
     obj = _load_json(path)
     _check_keys(path, obj, ["p", "rate", "gek", "lek"], [], "code file")
     p = net.field.p
@@ -197,44 +218,55 @@ def load_code(path: str, net: Network) -> LinearCode:
     for table in ("gek", "lek"):
         if not isinstance(obj[table], dict):
             raise ValueError(f"{path}: {table} must be a JSON object")
-    edge_ids = {str(e): e for e in range(-r, len(net.edges))}
-    if set(obj["gek"]) != set(edge_ids):
+    keys = list(map(str, range(-r, len(net.edges))))
+    if obj["gek"].keys() != set(keys):
         raise ValueError(f"{path}: gek keys are not exactly the network's edge ids")
-    # Each row is tested in one sweep; only a row that fails goes through
-    # the helpers, which name its first bad entry.
-    gek: Dict[int, Tuple[int, ...]] = {}
-    for key, vec in obj["gek"].items():
-        if type(vec) is not list or len(vec) != r or not _INT.issuperset(map(type, vec)):
-            _integers(path, f"gek.{key}", vec)
-            raise ValueError(f"{path}: gek.{key}: kernel for edge {key} has length "
-                             f"{len(vec)}, want {r}")
-        gek[edge_ids[key]] = tuple(x % p for x in vec)
-    lek: Dict = {}
-    for n in net.nodes:
-        entry = obj["lek"].get(str(n))
-        if entry is None:
-            raise ValueError(f"{path}: lek: code has no local kernel for node {n!r}")
-        if type(entry) is not dict or entry.keys() != _LEK_KEYS:
-            _check_keys(path, entry, ["in", "out", "k"], [], f"lek.{n}")
-        ins, outs = net.in_edges[n], net.out_edges[n]
+    vecs = list(map(obj["gek"].__getitem__, keys))
+    ok = all([type(vec) is list and len(vec) == r for vec in vecs])
+    flat = list(chain.from_iterable(vecs)) if ok else []
+    if not ok or not _INT.issuperset(map(type, flat)):
+        for key, vec in obj["gek"].items():
+            if len(_integers(path, f"gek.{key}", vec)) != r:
+                raise ValueError(f"{path}: gek.{key}: kernel for edge {key} has length "
+                                 f"{len(vec)}, want {r}")
+    if min(flat) < 0 or max(flat) >= p:
+        vecs = [[x % p for x in vec] for vec in vecs]
+    gek = dict(zip(range(-r, len(net.edges)), map(tuple, vecs)))
+    entries = list(map(obj["lek"].get, map(str, net.nodes)))
+    ins = list(map(net.in_edges.__getitem__, net.nodes))
+    outs = list(map(net.out_edges.__getitem__, net.nodes))
+    ok = all([type(entry) is dict and entry.keys() == _LEK_KEYS for entry in entries])
+    if ok:
+        lists = [entry["in"] for entry in entries] + [entry["out"] for entry in entries]
+        ks = [entry["k"] for entry in entries]
         # == alone would take 1.0 or true for the edge id 1
-        if (entry["in"] != ins or entry["out"] != outs
-                or not _INT.issuperset(map(type, entry["in"] + entry["out"]))):
-            raise ValueError(f"{path}: lek.{n}: local kernel of {n!r} lists different edges "
-                             f"than the network")
-        rows = entry["k"]
-        if (type(rows) is not list or len(rows) != len(ins)
-                or not all(type(row) is list and len(row) == len(outs) for row in rows)
-                or not _INT.issuperset(map(type, chain.from_iterable(rows)))):
-            _matrix(path, f"lek.{n}.k", rows)
-            raise ValueError(f"{path}: lek.{n}.k must have {len(ins)} rows, one per input, "
-                             f"of {len(outs)} entries, one per output")
-        # the sweep above checked every entry's type and the shape
-        lek[n] = Mat._of(net.field, tuple(tuple(x % p for x in row) for row in rows), len(outs))
-    if len(obj["lek"]) != len(lek):
+        ok = (lists == ins + outs and _INT.issuperset(map(type, chain.from_iterable(lists)))
+              and all([type(k) is list and len(k) == len(i) for k, i in zip(ks, ins)])
+              and all([type(row) is list and len(row) == len(o)
+                       for k, o in zip(ks, outs) for row in k]))
+    flat = list(chain.from_iterable(chain.from_iterable(ks))) if ok else []
+    if not ok or not _INT.issuperset(map(type, flat)):
+        for n, entry, i, o in zip(net.nodes, entries, ins, outs):
+            if entry is None:
+                raise ValueError(f"{path}: lek: code has no local kernel for node {n!r}")
+            _check_keys(path, entry, ["in", "out", "k"], [], f"lek.{n}")
+            if (entry["in"] != i or entry["out"] != o
+                    or not _INT.issuperset(map(type, entry["in"] + entry["out"]))):
+                raise ValueError(f"{path}: lek.{n}: local kernel of {n!r} lists different "
+                                 f"edges than the network")
+            rows = _matrix(path, f"lek.{n}.k", entry["k"])
+            if len(rows) != len(i) or any(len(row) != len(o) for row in rows):
+                raise ValueError(f"{path}: lek.{n}.k must have {len(i)} rows, one per "
+                                 f"input, of {len(o)} entries, one per output")
+    if len(obj["lek"]) != len(entries):
         extra = min(set(obj["lek"]) - {str(n) for n in net.nodes})
         raise ValueError(f"{path}: lek.{extra}: code has a local kernel for {extra!r}, "
                          f"which is not a node")
+    if min(flat, default=0) < 0 or max(flat, default=0) >= p:
+        ks = [[[x % p for x in row] for row in k] for k in ks]
+    # the sweeps above checked every entry's type and every shape
+    lek = {n: Mat._of(net.field, tuple(map(tuple, k)), len(o))
+           for n, k, o in zip(net.nodes, ks, outs)}
     code = LinearCode(rate=r, gek=gek, lek=lek)
     _check_consistent(net, code)
     return code
@@ -351,15 +383,16 @@ def _sink_gems(path: str, code_path: str, net: Network, code: LinearCode, sinks:
     """Each sink's gem; a sink must reach the rate, a subrate sink must not.
     Errors name the network file `path`, or the code file for a starved sink."""
     gems = {}
+    full = set(sinks)
     for t in sinks + subrate_sinks:
         try:
             gems[t] = extract_gem(code, net, t)
         except CodeInvalidForSink as exc:
             raise ValueError(f"{code_path}: {exc}") from None
-        if t in sinks and gems[t].matrix.cols < net.rate:
+        if t in full and gems[t].matrix.cols < net.rate:
             raise ValueError(f"{path}: sinks: sink {t!r} has max-flow below the rate; "
                              f"list it under subrate_sinks")
-        if t in subrate_sinks and gems[t].matrix.cols >= net.rate:
+        if t not in full and gems[t].matrix.cols >= net.rate:
             raise ValueError(f"{path}: subrate_sinks: subrate sink {t!r} reaches the full "
                              f"rate; list it under sinks")
     return gems
@@ -582,7 +615,7 @@ def cmd_simulate(args) -> int:
                 raise ValueError(f"{args.plan}: sinks: plan has no decoders for "
                                  f"subrate sink {t!r}")
     decoders = {}
-    decodable = {t: l * r if t in sinks else 0 for t in sinks + subrate_sinks}
+    decodable = {**dict.fromkeys(sinks, l * r), **dict.fromkeys(subrate_sinks, 0)}
     for t in subrate_sinks:
         if str(t) in entries:
             D_hat, R_hat, idxs = entries[str(t)]

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from .fields import FieldSpec
@@ -39,9 +40,9 @@ class Network:
         if len(node_set) != len(nodes):
             raise ValueError("duplicate node ids")
         edges = tuple((t, h) for t, h in edges)
-        for t, h in edges:
-            if t not in node_set or h not in node_set:
-                raise ValueError(f"edges: edge endpoint not a node: {(t, h)}")
+        if not node_set.issuperset(chain.from_iterable(edges)):
+            bad = next(e for e in edges if not node_set.issuperset(e))
+            raise ValueError(f"edges: edge endpoint not a node: {bad}")
         if source not in node_set:
             raise ValueError("source: source is not a node")
         for s in sinks:
@@ -73,25 +74,20 @@ class Network:
 
 
 def topo_order(net: Network) -> List[Node]:
-    """Kahn's algorithm over real edges; ties broken by node-list position."""
-    indeg = {n: 0 for n in net.nodes}
-    for _, h in net.edges:
-        indeg[h] += 1
+    """Kahn's algorithm over real edges; ties broken by node-list position.
+    `out` doubles as the queue; the nodes that one node frees join it sorted."""
+    heads = [h for _, h in net.edges]
+    indeg = dict(Counter(heads))     # a plain dict indexes faster in the loop
     order_index = {n: i for i, n in enumerate(net.nodes)}
-    ready = sorted((n for n in net.nodes if indeg[n] == 0), key=order_index.__getitem__)
-    queue = deque(ready)
-    out: List[Node] = []
-    while queue:
-        n = queue.popleft()
-        out.append(n)
+    out: List[Node] = [n for n in net.nodes if n not in indeg]
+    for n in out:
         freed = []
         for e in net.out_edges[n]:
-            h = net.head(e)
+            h = heads[e]
             indeg[h] -= 1
-            if indeg[h] == 0:
+            if not indeg[h]:
                 freed.append(h)
-        for h in sorted(set(freed), key=order_index.__getitem__):
-            queue.append(h)
+        out.extend(sorted(freed, key=order_index.__getitem__) if len(freed) > 1 else freed)
     if len(out) != len(net.nodes):
         raise CycleDetected("edges: graph has a directed cycle")
     return out

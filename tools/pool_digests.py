@@ -15,6 +15,13 @@ sim-stream set-up's single-use and l=2 plans with `--trials` 0 and 513,
 and with `--trials` 513 on that l=2 plan with one `D_hat` entry changed,
 so that nonzero failure counts are compared too.
 
+Valid files pass each loader's one-sweep type test, so the pools never
+reach the entry-by-entry walk that words the load errors.  Each tree
+therefore also runs `simulate` on the sim-stream set-up's l=2 network,
+code and plan with the network or the code changed by one entry of
+`MALFORMED_NET` or `MALFORMED_CODE`, eleven in all, so that the walk's
+exit code and error line are compared too.
+
 The pools hold at most five weak sinks, so each tree also runs `precode
 --gems`, with and without `--block 2`, on the many-sink sets
 `gen.feasible_gemset(random.Random(1000 * k + s), 5, 8, k)` of its own
@@ -100,6 +107,25 @@ SAME_SPAN = {
 }
 SAME_SPAN_SEEDS = (1, 3)   # code seeds at which sinks 8 and 9 get different bases
 SIM_TRIALS = (0, 513)
+# One change each to the sim-stream network or code file, (net, code) ->
+# None, for each message that a failed one-sweep type test in `load_network`
+# or `load_code` leaves to the entry-by-entry walk.  Edge 6 and the source's
+# local kernel exist in every code; the source's has rows and columns.
+MALFORMED_NET = {
+    "node true": lambda net, code: net["nodes"].append(True),
+    "endpoint float": lambda net, code: net["edges"][0].__setitem__(1, float(net["edges"][0][1])),
+    "int and string names": lambda net, code: net["nodes"].append(str(net["nodes"][-1])),
+    "sink repeats": lambda net, code: net["sinks"].append(net["sinks"][0]),
+    "no source": lambda net, code: net.pop("source"),
+}
+MALFORMED_CODE = {
+    "gek true": lambda net, code: code["gek"]["6"].__setitem__(0, True),
+    "gek float": lambda net, code: code["gek"]["6"].__setitem__(0, 1.5),
+    "gek keys": lambda net, code: code["gek"].pop("6"),
+    "gek table": lambda net, code: code.update(gek=[1]),
+    "lek shape": lambda net, code: code["lek"][str(net["source"])]["k"].pop(),
+    "lek true": lambda net, code: code["lek"][str(net["source"])]["k"][0].__setitem__(0, True),
+}
 # fsrd_check passes and the guideline spanner fails; the minimal exact
 # spanner has 4 vectors of rank 3
 DEPENDENT_GEMS = {"p": 2, "rate": 4, "mats": [
@@ -171,6 +197,7 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
                      "--trials", str(trials), "--out", str(report)])
                 out[f"{name}@{seed} {kind} --trials {trials}"] = {
                     "stages": [[rc, msg]], "outputs": {report.name: _sha(report)}}
+            out.update(_malformed(runner, pool_dir, f"{name}@{seed}"))
         for i, op in enumerate(ops):
             for path in op.outputs:
                 path.unlink(missing_ok=True)
@@ -221,6 +248,30 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
     run._write(many / "reroute.net.json", REROUTE)
     out["reroute"] = _pipeline(runner, many, "reroute",
                                REROUTE["sinks"] + REROUTE["subrate_sinks"])
+    return out
+
+
+def _malformed(runner, pool_dir: Path, label: str) -> Dict[str, dict]:
+    """`simulate` on the sim-stream block network, code and plan, with one
+    of the two files changed by each entry of `MALFORMED_NET` and
+    `MALFORMED_CODE`: each run's exit code and error line."""
+    out = {}
+    for which, changes in (("net", MALFORMED_NET), ("code", MALFORMED_CODE)):
+        for what, change in changes.items():
+            files = {"net": json.loads((pool_dir / "stream-block.net.json").read_text()),
+                     "code": json.loads((pool_dir / "stream.code.json").read_text())}
+            change(files["net"], files["code"])
+            bad = pool_dir / f"malformed.{which}.json"
+            bad.write_text(json.dumps(files[which]), encoding="utf-8")
+            net = bad if which == "net" else pool_dir / "stream-block.net.json"
+            code = bad if which == "code" else pool_dir / "stream.code.json"
+            report = pool_dir / "malformed.report.json"
+            report.unlink(missing_ok=True)
+            rc, msg = runner.call(["simulate", str(net), str(code),
+                                   str(pool_dir / "stream-block.plan.json"), "--trials", "1",
+                                   "--out", str(report)])
+            out[f"{label} malformed {which}: {what}"] = {
+                "stages": [[rc, msg]], "outputs": {report.name: _sha(report)}}
     return out
 
 
