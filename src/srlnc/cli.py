@@ -17,7 +17,7 @@ import stat
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -49,10 +49,15 @@ from .subrate import GemSet, NotFullyDecodable, SearchSpaceTooLarge
 
 # ---------------------------------------------------------------- loading
 
-_INT = frozenset([int])
 _STR = frozenset([str])
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 _LEK_KEYS = frozenset(["in", "out", "k"])
+# leaf kinds of `_check`, exact types: true and 1.0 are not integers;
+# `[_JSON]` is a list whose entries the caller checks or names itself
+_INT = frozenset([int])
+_NODE = frozenset([int, str])
+_OBJECT = frozenset([dict])
+_JSON = frozenset([int, float, str, bool, type(None), list, dict])
 
 
 def _load_json(path: str):
@@ -65,10 +70,37 @@ def _load_json(path: str):
             raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
+def _check(path: str, field, value, kind):
+    """The leaves of `value`, which must have `kind`: a set of leaf types,
+    or `[kind]` for a JSON list of that kind.  A leaf or a flat list is
+    returned as it is.  Each list level is tested in one sweep; only a
+    value that fails is walked, to name its first bad entry.  `field`
+    names `value` and all it holds, or is an iterable naming each entry
+    of the list `value` in turn."""
+    if type(kind) is frozenset:
+        if type(value) in kind:
+            return value
+        if kind is _OBJECT:
+            raise ValueError(f"{path}: {field} must be a JSON object")
+        if kind is _NODE:
+            raise ValueError(f"{path}: {field}: node ids must be integers or strings, "
+                             f"got {json.dumps(value)}")
+        raise ValueError(f"{path}: {field} must be an integer, got {json.dumps(value)}")
+    if type(value) is not list:
+        raise ValueError(f"{path}: {field} must be a list, got {json.dumps(value)}")
+    leaves, inner = value, kind[0]
+    while type(inner) is list and all([type(x) is list for x in leaves]):
+        leaves, inner = list(chain.from_iterable(leaves)), inner[0]
+    if type(inner) is frozenset and inner.issuperset(map(type, leaves)):
+        return leaves
+    # some entry fails the sweep, so this raises
+    for name, x in zip(repeat(field) if type(field) is str else field, value):
+        _check(path, name, x, kind[0])
+
+
 def _check_keys(path: str, obj, required: Sequence[str], optional: Sequence[str],
                 what: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: {what} must be a JSON object")
+    _check(path, what, obj, _OBJECT)
     unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
         raise ValueError(f"{path}: {what} has unknown keys: {', '.join(unknown)}")
@@ -77,95 +109,62 @@ def _check_keys(path: str, obj, required: Sequence[str], optional: Sequence[str]
         raise ValueError(f"{path}: {what} is missing keys: {', '.join(missing)}")
 
 
-def _integer(path: str, field: str, value) -> int:
-    """A JSON integer; floats, booleans and strings are rejected, not cast."""
-    if type(value) is not int:
-        raise ValueError(f"{path}: {field} must be an integer, got {json.dumps(value)}")
-    return value
-
-
-def _list(path: str, field: str, value) -> list:
-    """A JSON list; an object, a string or a scalar is rejected, not iterated."""
-    if not isinstance(value, list):
-        raise ValueError(f"{path}: {field} must be a list, got {json.dumps(value)}")
-    return value
-
-
-def _node(path: str, field: str, value):
-    """A node id: a JSON integer or string; a boolean, float, list or object is rejected."""
-    if type(value) not in (int, str):
-        raise ValueError(f"{path}: {field}: node ids must be integers or strings, "
-                         f"got {json.dumps(value)}")
-    return value
-
-
-def _integers(path: str, field: str, values) -> list:
-    """A JSON list of integers, each checked as `_integer` checks a scalar."""
-    for x in _list(path, field, values):
-        _integer(path, field, x)
-    return values
-
-
 def _field(path: str, key: str, value) -> FieldSpec:
     """GF(p) for a JSON integer p that is prime."""
-    p = _integer(path, key, value)
+    p = _check(path, key, value, _INT)
     try:
         return FieldSpec(p)
     except ValueError as exc:
         raise ValueError(f"{path}: {key}: {exc}") from None
 
 
-def _matrix(path: str, field: str, grid) -> list:
-    """A JSON list of rows of integers, tested in one sweep; only a grid
-    that fails it is walked entry by entry, to name its first bad field."""
-    if (type(grid) is not list or not all(type(row) is list for row in grid)
-            or not _INT.issuperset(map(type, chain.from_iterable(grid)))):
-        for row in _list(path, field, grid):
-            _integers(path, field, row)
-    return grid
+def _rate_matches(path: str, obj: dict, net: Network, what: str) -> None:
+    """A code or plan file's p and rate must be the network's."""
+    p, r = net.field.p, net.rate
+    if _check(path, "p", obj["p"], _INT) != p or _check(path, "rate", obj["rate"], _INT) != r:
+        raise ValueError(f"{path}: p, rate: {what} is for GF({obj['p']}) rate {obj['rate']}, "
+                         f"network wants GF({p}) rate {r}")
+
+
+def _spanner(path: str, value, rate: int) -> list:
+    """A gems or plan file's spanner: a list of length-`rate` integer vectors."""
+    _check(path, "spanner", value, [[_INT]])
+    if any(len(v) != rate for v in value):
+        raise ValueError(f"{path}: spanner vectors must have length {rate}")
+    return value
 
 
 def load_network(path: str) -> Tuple[Network, List, List]:
     """Parse a network file; returns (net, full-rate sinks, sub-rate sinks).
-    One sweep tests every node id and edge shape, and sets test the names and
-    sinks, so checks take time linear in the file; a file that fails the
-    sweep is walked entry by entry to name its first bad field."""
+    `_check` types each table whole, in the order nodes, edges, sinks,
+    subrate_sinks, source, and sets test the names and sinks, so checks
+    take time linear in the file."""
     obj = _load_json(path)
     _check_keys(path, obj, ["field", "rate", "nodes", "edges", "source", "sinks"],
                 ["subrate_sinks"], "network file")
     field = _field(path, "field", obj["field"])
-    rate = _integer(path, "rate", obj["rate"])
-    nodes, edges, source, sinks = obj["nodes"], obj["edges"], obj["source"], obj["sinks"]
-    subrate_sinks = obj.get("subrate_sinks", [])
-    walk = not (all([type(x) is list for x in (nodes, edges, sinks, subrate_sinks)])
-                and all([type(e) is list and len(e) == 2 for e in edges])
-                and {int, str}.issuperset(map(type, chain(nodes, chain.from_iterable(edges),
-                                                          sinks, subrate_sinks, (source,)))))
-    if walk:
-        for n in _list(path, "nodes", nodes):
-            _node(path, "nodes", n)
+    rate = _check(path, "rate", obj["rate"], _INT)
+    nodes = _check(path, "nodes", obj["nodes"], [_NODE])
     names = list(map(str, nodes))
     if len(set(names)) < len(names):
         # a Counter lists names in order of first appearance
         dup = next(name for name, count in Counter(names).items() if count > 1)
         raise ValueError(f"{path}: nodes: node ids must have distinct names, {dup!r} repeats")
-    if walk:
-        for i, e in enumerate(_list(path, "edges", edges)):
-            if not isinstance(e, list) or len(e) != 2:
-                raise ValueError(f"{path}: edges[{i}] must be a [tail, head] pair, "
-                                 f"got {json.dumps(e)}")
-            _node(path, "edges", e[0])
-            _node(path, "edges", e[1])
-        for key, listed in (("sinks", sinks), ("subrate_sinks", subrate_sinks)):
-            for t in _list(path, key, listed):
-                _node(path, key, t)
+    edges = _check(path, "edges", obj["edges"], [_JSON])
+    bad = [i for i, e in enumerate(edges) if type(e) is not list or len(e) != 2]
+    if bad:
+        raise ValueError(f"{path}: edges[{bad[0]}] must be a [tail, head] pair, "
+                         f"got {json.dumps(edges[bad[0]])}")
+    # tails and heads alternate
+    ends = _check(path, "edges", list(chain.from_iterable(edges)), [_NODE])
+    sinks = _check(path, "sinks", obj["sinks"], [_NODE])
+    subrate_sinks = _check(path, "subrate_sinks", obj.get("subrate_sinks", []), [_NODE])
     full = set(sinks)
     both = [t for t in subrate_sinks if t in full]
     if both:
         raise ValueError(f"{path}: subrate_sinks: nodes listed as both sink and "
                          f"subrate sink: {both}")
-    if walk:
-        _node(path, "source", source)
+    source = _check(path, "source", obj["source"], _NODE)
     # `Network` checks the sinks too, but sees both lists as one
     node_set = set(nodes)
     for key, listed in (("sinks", sinks), ("subrate_sinks", subrate_sinks)):
@@ -177,7 +176,7 @@ def load_network(path: str) -> Tuple[Network, List, List]:
                 raise ValueError(f"{path}: {key}: {t!r} repeats")
     # checked before `Network` makes `rate` imaginary links, so a huge rate
     # fails at once; `code` would refuse it anyway
-    degree = [tail for tail, _ in edges].count(source)
+    degree = ends[::2].count(source)
     if source in node_set and rate > degree:
         raise RateExceedsSourceDegree(f"rate {rate} > source out-degree {degree}")
     try:
@@ -205,47 +204,36 @@ def code_to_obj(net: Network, code: LinearCode) -> dict:
 
 
 def load_code(path: str, net: Network) -> LinearCode:
-    """Parse a code file for `net` and check its kernels.  One sweep tests each
-    table, reduced mod p only if an entry lies outside [0, p); only a table
-    that fails is walked entry by entry, to name its first bad field."""
+    """Parse a code file for `net` and check its kernels.  `_check` types
+    all of `gek`, then all the `lek` matrices, and hands back their
+    entries, which are reduced mod p only if one lies outside [0, p)."""
     obj = _load_json(path)
     _check_keys(path, obj, ["p", "rate", "gek", "lek"], [], "code file")
-    p = net.field.p
-    r = net.rate
-    if _integer(path, "p", obj["p"]) != p or _integer(path, "rate", obj["rate"]) != r:
-        raise ValueError(f"{path}: p, rate: code is for GF({obj['p']}) rate {obj['rate']}, "
-                         f"network wants GF({p}) rate {r}")
-    for table in ("gek", "lek"):
-        if not isinstance(obj[table], dict):
-            raise ValueError(f"{path}: {table} must be a JSON object")
+    _rate_matches(path, obj, net, "code")
+    p, r = net.field.p, net.rate
+    gek_obj = _check(path, "gek", obj["gek"], _OBJECT)
+    lek_obj = _check(path, "lek", obj["lek"], _OBJECT)
     keys = list(map(str, range(-r, len(net.edges))))
-    if obj["gek"].keys() != set(keys):
+    if gek_obj.keys() != set(keys):
         raise ValueError(f"{path}: gek keys are not exactly the network's edge ids")
-    vecs = list(map(obj["gek"].__getitem__, keys))
-    ok = all([type(vec) is list and len(vec) == r for vec in vecs])
-    flat = list(chain.from_iterable(vecs)) if ok else []
-    if not ok or not _INT.issuperset(map(type, flat)):
-        for key, vec in obj["gek"].items():
-            if len(_integers(path, f"gek.{key}", vec)) != r:
-                raise ValueError(f"{path}: gek.{key}: kernel for edge {key} has length "
-                                 f"{len(vec)}, want {r}")
+    vecs = list(map(gek_obj.__getitem__, keys))
+    flat = _check(path, (f"gek.{key}" for key in keys), vecs, [[_INT]])
+    if set(map(len, vecs)) != {r}:
+        key, vec = next((key, vec) for key, vec in zip(keys, vecs) if len(vec) != r)
+        raise ValueError(f"{path}: gek.{key}: kernel for edge {key} has length "
+                         f"{len(vec)}, want {r}")
     if min(flat) < 0 or max(flat) >= p:
         vecs = [[x % p for x in vec] for vec in vecs]
     gek = dict(zip(range(-r, len(net.edges)), map(tuple, vecs)))
-    entries = list(map(obj["lek"].get, map(str, net.nodes)))
+    entries = list(map(lek_obj.get, map(str, net.nodes)))
     ins = list(map(net.in_edges.__getitem__, net.nodes))
     outs = list(map(net.out_edges.__getitem__, net.nodes))
     ok = all([type(entry) is dict and entry.keys() == _LEK_KEYS for entry in entries])
     if ok:
         lists = [entry["in"] for entry in entries] + [entry["out"] for entry in entries]
-        ks = [entry["k"] for entry in entries]
         # == alone would take 1.0 or true for the edge id 1
-        ok = (lists == ins + outs and _INT.issuperset(map(type, chain.from_iterable(lists)))
-              and all([type(k) is list and len(k) == len(i) for k, i in zip(ks, ins)])
-              and all([type(row) is list and len(row) == len(o)
-                       for k, o in zip(ks, outs) for row in k]))
-    flat = list(chain.from_iterable(chain.from_iterable(ks))) if ok else []
-    if not ok or not _INT.issuperset(map(type, flat)):
+        ok = lists == ins + outs and _INT.issuperset(map(type, chain.from_iterable(lists)))
+    if not ok:
         for n, entry, i, o in zip(net.nodes, entries, ins, outs):
             if entry is None:
                 raise ValueError(f"{path}: lek: code has no local kernel for node {n!r}")
@@ -254,17 +242,21 @@ def load_code(path: str, net: Network) -> LinearCode:
                     or not _INT.issuperset(map(type, entry["in"] + entry["out"]))):
                 raise ValueError(f"{path}: lek.{n}: local kernel of {n!r} lists different "
                                  f"edges than the network")
-            rows = _matrix(path, f"lek.{n}.k", entry["k"])
-            if len(rows) != len(i) or any(len(row) != len(o) for row in rows):
-                raise ValueError(f"{path}: lek.{n}.k must have {len(i)} rows, one per "
-                                 f"input, of {len(o)} entries, one per output")
-    if len(obj["lek"]) != len(entries):
-        extra = min(set(obj["lek"]) - {str(n) for n in net.nodes})
+    ks = [entry["k"] for entry in entries]
+    flat = _check(path, (f"lek.{n}.k" for n in net.nodes), ks, [[[_INT]]])
+    if (list(map(len, ks)) != list(map(len, ins))
+            or not all([len(row) == len(o) for k, o in zip(ks, outs) for row in k])):
+        n, i, o = next((n, i, o) for n, k, i, o in zip(net.nodes, ks, ins, outs)
+                       if len(k) != len(i) or any(len(row) != len(o) for row in k))
+        raise ValueError(f"{path}: lek.{n}.k must have {len(i)} rows, one per "
+                         f"input, of {len(o)} entries, one per output")
+    if len(lek_obj) != len(entries):
+        extra = min(set(lek_obj) - {str(n) for n in net.nodes})
         raise ValueError(f"{path}: lek.{extra}: code has a local kernel for {extra!r}, "
                          f"which is not a node")
     if min(flat, default=0) < 0 or max(flat, default=0) >= p:
         ks = [[[x % p for x in row] for row in k] for k in ks]
-    # the sweeps above checked every entry's type and every shape
+    # every entry's type and every shape are checked above
     lek = {n: Mat._of(net.field, tuple(map(tuple, k)), len(o))
            for n, k, o in zip(net.nodes, ks, outs)}
     code = LinearCode(rate=r, gek=gek, lek=lek)
@@ -273,20 +265,20 @@ def load_code(path: str, net: Network) -> LinearCode:
 
 
 def load_gems(path: str) -> Tuple[GemSet, Optional[List[Tuple[int, ...]]]]:
+    """Parse a gems file: (member set, the supplied spanner or None)."""
     obj = _load_json(path)
     _check_keys(path, obj, ["p", "rate", "mats"], ["spanner"], "gems file")
     field = _field(path, "p", obj["p"])
-    rate = _integer(path, "rate", obj["rate"])
-    grids = [_matrix(path, f"mats[{i}]", g) for i, g in enumerate(_list(path, "mats", obj["mats"]))]
+    rate = _check(path, "rate", obj["rate"], _INT)
+    grids = _check(path, "mats", obj["mats"], [_JSON])
+    _check(path, (f"mats[{i}]" for i in count()), grids, [[[_INT]]])
     try:
         gems = GemSet([Mat(field, grid) for grid in grids], rate)
     except ValueError as exc:
         raise ValueError(f"{path}: mats: {exc}") from None
     spanner = None
     if "spanner" in obj:
-        spanner = [tuple(v) for v in _matrix(path, "spanner", obj["spanner"])]
-        if any(len(v) != rate for v in spanner):
-            raise ValueError(f"{path}: spanner vectors must have length {rate}")
+        spanner = [tuple(v) for v in _spanner(path, obj["spanner"], rate)]
     return gems, spanner
 
 
@@ -480,14 +472,15 @@ def _load_plan(path: str, net: Network, widths: Dict[str, int]) -> Tuple[int, Ma
     in `widths`, which maps each to its h.  A subrate plan is the l = 1
     case, its P, D and R read as P_hat, D_hat and R_hat.
 
-    P_hat must be invertible, of side l * rate; every matrix entry an
-    integer; `spanner` a list of length-rate integer vectors; `i_bar` a
-    list of integers, or `blocks` a list of integer lists; each entry of
-    `members` and of `sinks` holding the decoder keys `precode` writes, a
-    sink entry also its member, an index into `members`; the decoded
-    indices distinct coordinates of the l * rate block message; D_hat
-    (l * h) by (l * h) and R_hat (l * rate) by (l * h), with the unit
-    vectors of the decoded indices, in order, as its nonzero columns."""
+    `_check` types each table as `precode` writes it: integer matrices,
+    a `spanner` of length-rate integer vectors (`_spanner`), an `i_bar`
+    of integers or `blocks` of integer lists.  P_hat must be invertible,
+    of side l * rate; each entry of `members` and of `sinks` holding the
+    decoder keys `precode` writes, a sink entry also its member, an index
+    into `members`; the decoded indices distinct coordinates of the
+    l * rate block message; D_hat (l * h) by (l * h) and R_hat (l * rate)
+    by (l * h), with the unit vectors of the decoded indices, in order,
+    as its nonzero columns."""
     obj = _load_json(path)
     if not isinstance(obj, dict) or obj.get("kind") not in ("subrate", "block"):
         raise ValueError(f'{path}: kind: plan file must have "kind": "subrate" or "block"')
@@ -500,30 +493,28 @@ def _load_plan(path: str, net: Network, widths: Dict[str, int]) -> Tuple[int, Ma
     else:
         _check_keys(path, obj, ["kind", "p", "rate", "l", "P_hat", "spanner", "blocks",
                                 "members"], ["sinks"], "plan file")
-        l = _integer(path, "l", obj["l"])
+        l = _check(path, "l", obj["l"], _INT)
         precoder, dec, ret = "P_hat", "D_hat", "R_hat"
         entry_keys = ["member", "D_hat", "R_hat", "decoded_indices", "rate"]
         if l < 1:
             raise ValueError(f"{path}: l: block plan needs l >= 1")
     field = net.field
-    if _integer(path, "p", obj["p"]) != field.p or _integer(path, "rate", obj["rate"]) != net.rate:
-        raise ValueError(f"{path}: p, rate: plan is for GF({obj['p']}) rate {obj['rate']}, "
-                         f"network wants GF({field.p}) rate {net.rate}")
+    _rate_matches(path, obj, net, "plan")
     if "sinks" not in obj:
         raise ValueError(f"{path}: sinks: plan lacks per-sink decoders; "
                          f"build it from a network file")
-    if any(len(v) != net.rate for v in _matrix(path, "spanner", obj["spanner"])):
-        raise ValueError(f"{path}: spanner vectors must have length {net.rate}")
+    _spanner(path, obj["spanner"], net.rate)
     if obj["kind"] == "subrate":
-        _integers(path, "i_bar", obj["i_bar"])
+        _check(path, "i_bar", obj["i_bar"], [_INT])
     else:
-        for i, block in enumerate(_list(path, "blocks", obj["blocks"])):
-            _integers(path, f"blocks[{i}]", block)
-    for i, member in enumerate(_list(path, "members", obj["members"])):
+        blocks = _check(path, "blocks", obj["blocks"], [_JSON])
+        _check(path, (f"blocks[{i}]" for i in count()), blocks, [[_INT]])
+    for i, member in enumerate(_check(path, "members", obj["members"], [_JSON])):
         # a sink entry's keys but "member"
         _check_keys(path, member, entry_keys[1:], [], f"members[{i}]")
     width = l * net.rate
-    P_rows = _matrix(path, precoder, obj[precoder])
+    P_rows = obj[precoder]
+    _check(path, precoder, P_rows, [[_INT]])
     if len(P_rows) != width or any(len(row) != width for row in P_rows):
         raise ValueError(f"{path}: {precoder} must be {width} by {width}")
     P_hat = Mat(field, P_rows)
@@ -531,19 +522,19 @@ def _load_plan(path: str, net: Network, widths: Dict[str, int]) -> Tuple[int, Ma
         invert(P_hat)
     except Singular:
         raise ValueError(f"{path}: {precoder} must be invertible") from None
-    if not isinstance(obj["sinks"], dict):
-        raise ValueError(f"{path}: sinks must be a JSON object")
+    _check(path, "sinks", obj["sinks"], _OBJECT)
     members = len(obj["members"])
     units = Mat.identity(field, width)
     sinks = {}
     for t, entry in obj["sinks"].items():
         _check_keys(path, entry, entry_keys, [], f"sinks.{t}")
-        if not 0 <= _integer(path, f"sinks.{t}.member", entry["member"]) < members:
+        if not 0 <= _check(path, f"sinks.{t}.member", entry["member"], _INT) < members:
             raise ValueError(f"{path}: sinks.{t}.member must be in range({members}), "
                              f"got {entry['member']}")
-        D_rows = _matrix(path, f"sinks.{t}.{dec}", entry[dec])
-        R_rows = _matrix(path, f"sinks.{t}.{ret}", entry[ret])
-        idxs = _integers(path, f"sinks.{t}.decoded_indices", entry["decoded_indices"])
+        D_rows, R_rows, idxs = entry[dec], entry[ret], entry["decoded_indices"]
+        _check(path, f"sinks.{t}.{dec}", D_rows, [[_INT]])
+        _check(path, f"sinks.{t}.{ret}", R_rows, [[_INT]])
+        _check(path, f"sinks.{t}.decoded_indices", idxs, [_INT])
         if len(set(idxs)) != len(idxs) or not all(0 <= j < width for j in idxs):
             raise ValueError(f"{path}: sinks.{t}.decoded_indices must be distinct "
                              f"and in range({width}), got {json.dumps(idxs)}")

@@ -8,6 +8,7 @@ linear algebra stack) so they cannot share bugs with the library.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import re
 from pathlib import Path
@@ -16,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from sympy.polys.domains import GF as _sympy_GF
 from sympy.polys.matrices import DomainMatrix
 
-from srlnc import FieldSpec, GemSet, Mat, Network, lift_block, max_flow, row_times, simulate
+from srlnc import FieldSpec, GemSet, Mat, Network, cli, lift_block, max_flow, row_times, simulate
 from srlnc.linalg import ContractViolation, Subspace, rank_of_vectors, subspace_intersect
 
 GF2 = FieldSpec(2)
@@ -766,3 +767,48 @@ def sympy_invert(A: Mat) -> Mat:
     p = A.field.p
     inv = sympy_dm(A).inv().to_list()
     return Mat(A.field, [[int(x) % p for x in row] for row in inv])
+
+
+# ---------------------------------------------------------------- input files
+
+def _integer(path: str, field: str, value) -> int:
+    """A JSON integer; floats, booleans and strings are rejected, not cast."""
+    if type(value) is not int:
+        raise ValueError(f"{path}: {field} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _node(path: str, field: str, value):
+    """A node id: a JSON integer or string; a boolean, float, list or object is rejected."""
+    if type(value) not in (int, str):
+        raise ValueError(f"{path}: {field}: node ids must be integers or strings, "
+                         f"got {json.dumps(value)}")
+    return value
+
+
+def _object(path: str, field: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: {field} must be a JSON object")
+    return value
+
+
+def reference_check(path: str, field, value, kind):
+    """`cli._check` as the loaders' type helpers did it, one entry at a
+    time: each list is tested as a list, then each of its entries in
+    order, and the first that fails raises.  Returns the leaves in order,
+    a leaf kind's value itself; `field` names `value`, or is an iterable
+    naming each entry of the list `value`."""
+    if type(kind) is not list:
+        check = {cli._INT: _integer, cli._NODE: _node, cli._OBJECT: _object}.get(kind)
+        return value if check is None else check(path, field, value)
+    if not isinstance(value, list):
+        raise ValueError(f"{path}: {field} must be a list, got {json.dumps(value)}")
+    names = itertools.repeat(field) if isinstance(field, str) else field
+    leaves = []
+    for name, x in zip(names, value):
+        got = reference_check(path, name, x, kind[0])
+        if type(kind[0]) is list:
+            leaves.extend(got)
+        else:
+            leaves.append(got)
+    return leaves

@@ -24,7 +24,7 @@ from srlnc import blockcode, cli, linalg, multicast, netgraph, subrate
 from srlnc.cli import main
 
 from helpers import (DEPENDENT_SPANNER_MATS, assert_checked_form, generalized_butterfly,
-                     reference_optimize_block_plan, reference_simulate_failures)
+                     reference_check, reference_optimize_block_plan, reference_simulate_failures)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -1065,19 +1065,18 @@ def test_a_large_network_file_is_read_in_linear_time(tmp_path, capsys, probe):
         assert rc == 0 and read(out) == {"value": 1, "paths": [[0]]}
 
 
-def test_valid_files_load_with_a_fixed_number_of_helper_calls(tmp_path, monkeypatch):
-    """A valid network and code pass each table's one-sweep test, so the
-    per-entry helpers run as often for the butterfly as for a
-    sim-stream-sized network: a fixed number of calls, not one per entry."""
+def test_valid_files_load_with_a_fixed_number_of_check_calls(tmp_path, monkeypatch):
+    """A valid network and code pass each table's one-sweep test, so
+    `_check` runs as often for the butterfly as for a sim-stream-sized
+    network, on the same kinds: a fixed number of calls, not one per entry."""
     monkeypatch.syspath_prepend(str(Path(SRC).parent / "perfbench"))
     gen, run = importlib.import_module("gen"), importlib.import_module("run")
     s = run.STREAM_SHAPE
     stream = gen.layered_dag(random.Random(701), s["p"], s["r"], s["width"], s["layers"],
                              s["indeg"], s["n_sinks"], [1] * run.STREAM_WEAK_CANDIDATES)[0]
     calls = []
-    for name in ("_node", "_integer", "_integers", "_list"):
-        monkeypatch.setattr(cli, name, lambda *args, name=name, real=getattr(cli, name):
-                            calls.append(name) or real(*args))
+    monkeypatch.setattr(cli, "_check", lambda path, field, value, kind, real=cli._check:
+                        calls.append(repr(kind)) or real(path, field, value, kind))
     tallies = []
     for label, obj in (("butterfly", BUTTERFLY), ("stream", stream)):
         net = write(tmp_path, f"{label}.net.json", obj)
@@ -1088,6 +1087,53 @@ def test_valid_files_load_with_a_fixed_number_of_helper_calls(tmp_path, monkeypa
         tallies.append(sorted(calls))
     assert len(stream["edges"]) == 374
     assert tallies[0] == tallies[1]
+
+
+# leaves and lists up to depth 3, of every JSON type, near-integers included
+_JSON_LEAVES = st.one_of(st.integers(-2, 2), st.booleans(), st.none(), st.sampled_from([1.0, 1.5]),
+                         st.text("1a", max_size=2))
+
+
+def _json_values(depth):
+    if depth == 0:
+        return _JSON_LEAVES
+    inner = _json_values(depth - 1)
+    return st.one_of(_JSON_LEAVES, st.lists(inner, max_size=3),
+                     st.dictionaries(st.text("ab", max_size=1), inner, max_size=2))
+
+
+# every kind a loader asks `_check` for
+_KINDS = [cli._INT, cli._NODE, cli._OBJECT, [cli._INT], [cli._NODE], [cli._JSON],
+          [[cli._INT]], [[[cli._INT]]]]
+
+
+@given(kind=st.sampled_from(_KINDS), value=_json_values(3), per_entry=st.booleans())
+@settings(max_examples=800, deadline=None)
+@example(kind=[[cli._INT]], value=[[1, 2], [3, True]], per_entry=False)
+@example(kind=[[[cli._INT]]], value=[[[1]], [[0, 1.0]]], per_entry=True)
+@example(kind=[[[cli._INT]]], value=[[[1]], [2]], per_entry=True)
+@example(kind=[cli._NODE], value=[1, "a", False], per_entry=False)
+@example(kind=[[cli._INT]], value=[[1, 2], []], per_entry=False)
+def test_check_accepts_and_names_as_the_entry_by_entry_walk(kind, value, per_entry):
+    """`cli._check` returns what the old per-entry helpers returned, and
+    raises their exact message; the leaves of a leaf kind or a flat list
+    are `value` itself, and `value` is never changed.  With `per_entry`,
+    `field` names each entry of a list, as the loaders name gek's."""
+    before = json.dumps(value)
+    outcomes = []
+    for check in (reference_check, cli._check):
+        field = "t"
+        if per_entry and type(value) is list:
+            field = (f"t.{i}" for i in itertools.count())
+        try:
+            outcomes.append(("ok", check("f.json", field, value, kind)))
+        except ValueError as exc:
+            outcomes.append(("error", str(exc)))
+    assert json.dumps(value) == before
+    want, got = outcomes
+    assert repr(got) == repr(want)
+    if got[0] == "ok" and (type(kind) is not list or type(kind[0]) is not list):
+        assert got[1] is value
 
 
 @pytest.mark.parametrize("block", [False, True])
@@ -1263,6 +1309,17 @@ def _set(key, value):
      "lek.5.k must have 1 rows, one per input, of 3 entries, one per output"),
     (False, "code", lambda obj: obj["lek"]["5"]["k"][0].__setitem__(0, True),
      "lek.5.k must be an integer, got true"),
+    (False, "net", _set("nodes", {"1": 2}), 'nodes must be a list, got {"1": 2}'),
+    (False, "net", _set("edges", "x"), 'edges must be a list, got "x"'),
+    (False, "net", [1], "network file must be a JSON object"),
+    (False, "code", _set("lek", [1]), "lek must be a JSON object"),
+    (False, "plan", _set("sinks", [1]), "sinks must be a JSON object"),
+    (False, "net", _set("rate", "2"), 'rate must be an integer, got "2"'),
+    (False, "code", _set("rate", 2.0), "rate must be an integer, got 2.0"),
+    (True, "plan", _set("l", 1.5), "l must be an integer, got 1.5"),
+    (False, "plan", lambda obj: obj["sinks"]["8"].update(R=[[0], [1]]),
+     "the nonzero columns of sinks.8.R must be the unit vectors of "
+     "sinks.8.decoded_indices, in order"),
 ], ids=["net-keys", "net-edge", "net-both", "code-field", "code-gek", "code-lek-missing",
         "code-lek-keys", "code-lek-edges", "code-lek-not-a-node", "code-lek-float-ids",
         "code-lek-bool-ids", "plan-kind", "plan-keys", "plan-l", "plan-field",
@@ -1273,11 +1330,17 @@ def _set(key, value):
         "net-into-source", "net-rate", "net-sink", "net-sink-is-source", "net-subrate-sink",
         "net-node-true", "net-endpoint-float", "net-int-and-string-names", "net-sink-repeats",
         "net-missing-source", "code-gek-true", "code-gek-float", "code-gek-keys",
-        "code-gek-table", "code-lek-shape", "code-lek-true"])
+        "code-gek-table", "code-lek-shape", "code-lek-true", "net-nodes-list", "net-edges-list",
+        "net-file-object", "code-lek-object", "plan-sinks-object", "net-rate-integer",
+        "code-rate-integer", "plan-l-integer", "plan-unit-columns"])
 def test_load_errors_name_their_file_and_field(tmp_path, capsys, block, name, change,
                                                message):
     files = dict(zip(("net", "code", "plan"), _pipeline_files(tmp_path, block)))
-    _edit(files[name], change)
+    if callable(change):
+        _edit(files[name], change)
+    else:
+        # the whole file
+        Path(files[name]).write_text(json.dumps(change))
     capsys.readouterr()
     assert main(["simulate", *files.values(), "--trials", "1"]) == 2
     _one_error_line(capsys, f"{files[name]}: {message}")

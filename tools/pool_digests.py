@@ -61,10 +61,20 @@ without `--block 2`, on `DEPENDENT_GEMS`, and code, `precode --block 2` and
 simulate on `gen.layered_dag(rng, 3, 4, 4, 3, 2, 2, [rng.randrange(1, 4)
 for _ in range(5)])` for `rng = random.Random(s)`, s in 94, 440 and 526.
 
+Those eleven files reach few of the loaders' messages, and none of the
+gems or plan file's, so each tree also runs `MUTANTS` seeded single-value
+mutants of each of five files: the network, code and single-use plan of
+`gen.generalized_butterfly(*MUTANT_SINGLE)`, the `--block 2` plan of
+`gen.generalized_butterfly(*MUTANT_BLOCK)`, and `MUTANT_GEMS`.  Each
+mutant replaces one value, anywhere in the file, by one of
+`MUTANT_VALUES`, and runs through `simulate`, or `precode --gems` for the
+gems file.
+
 Compared per op: each stage's exit code and stderr, and the sha256 of each
 output file; per pool, the set-up's CLI calls and the files it left.  Every
 op that differs is printed, and the exit status is 1 if any op differs.
-The verdict line also gives each tree's `src/srlnc` line count.
+The verdict line also gives each tree's `src/srlnc` and `cli.py` line
+counts.
 """
 
 from __future__ import annotations
@@ -126,6 +136,18 @@ MALFORMED_CODE = {
     "lek shape": lambda net, code: code["lek"][str(net["source"])]["k"].pop(),
     "lek true": lambda net, code: code["lek"][str(net["source"])]["k"][0].__setitem__(0, True),
 }
+# Seeded single-value mutants: per file kind, MUTANTS copies of one file,
+# each with one value, reached by walking down from the root and stopping
+# at each level with even odds, replaced by one of MUTANT_VALUES.  The
+# network, code and single-use plan are those of MUTANT_SINGLE; the
+# `--block 2` plan is MUTANT_BLOCK's, which has no single-use plan.
+MUTANTS = 600
+MUTANT_VALUES = [None, 0, 5, -1, 10 ** 6, "x", "1", "", 1.5, True, [], [1], [[1]], {}, {"a": 1}]
+MUTANT_SINGLE = (5, 3, 1)   # gen.generalized_butterfly p, r, weak sinks
+MUTANT_BLOCK = (5, 3, 3)
+MUTANT_GEMS = {"p": 3, "rate": 3, "mats": [[[1, 0], [1, 0], [0, 1]], [[1, 0], [0, 1], [0, 1]],
+                                           [[1, 1], [1, 0], [0, 1]]],
+               "spanner": [[2, 1, 1], [1, 1, 0], [1, 1, 1]]}
 # fsrd_check passes and the guideline spanner fails; the minimal exact
 # spanner has 4 vectors of rank 3
 DEPENDENT_GEMS = {"p": 2, "rate": 4, "mats": [
@@ -248,6 +270,53 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
     run._write(many / "reroute.net.json", REROUTE)
     out["reroute"] = _pipeline(runner, many, "reroute",
                                REROUTE["sinks"] + REROUTE["subrate_sinks"])
+    out.update(_mutants(runner, work / "mutants"))
+    return out
+
+
+def _mutants(runner, work: Path) -> Dict[str, dict]:
+    """`simulate` with the network, code, single-use plan or `--block 2`
+    plan, or `precode --gems` with the gems file, replaced by each of its
+    `MUTANTS` seeded single-value mutants: each run's exit code, error
+    line and output."""
+    import gen
+    import run
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir(parents=True)
+    files = {}
+    for label, shape, precode in (("single", MUTANT_SINGLE, []),
+                                  ("block", MUTANT_BLOCK, ["--block", "2"])):
+        net, code, plan = (work / f"{label}.{kind}.json" for kind in ("net", "code", "plan"))
+        run._write(net, gen.generalized_butterfly(*shape)[0])
+        for argv in (["code", net, "--out", code], ["precode", net, code, *precode, "--out", plan]):
+            rc, msg = runner.call([str(a) for a in argv])
+            if rc != 0:
+                raise SystemExit(f"pool_digests: mutant set-up {argv[0]} exited {rc}: {msg}")
+        files[label] = net, code, plan
+    net, code, plan = files["single"]
+    mutant, out_file = work / "mutant.json", work / "mutant.out.json"
+    kinds = {"network": (net, ["simulate", mutant, code, plan]),
+             "code": (code, ["simulate", net, mutant, plan]),
+             "single-use plan": (plan, ["simulate", net, code, mutant]),
+             "block plan": (files["block"][2], ["simulate", *files["block"][:2], mutant]),
+             "gems": (run._write(work / "gems.json", MUTANT_GEMS), ["precode", "--gems", mutant])}
+    out = {}
+    for k, (label, (source, argv)) in enumerate(kinds.items()):
+        for i in range(MUTANTS):
+            rng = random.Random(1000 * k + i)
+            obj = json.loads(source.read_text(encoding="utf-8"))
+            holder, key, node = None, None, obj
+            while (isinstance(node, (dict, list)) and node
+                   and (holder is None or rng.random() < 0.5)):
+                holder = node
+                key = rng.choice(sorted(node) if isinstance(node, dict) else range(len(node)))
+                node = holder[key]
+            holder[key] = rng.choice(MUTANT_VALUES)
+            run._write(mutant, obj)
+            out_file.unlink(missing_ok=True)
+            rc, msg = runner.call([str(a) for a in argv] + ["--out", str(out_file)])
+            out[f"mutant {label} #{i}"] = {"stages": [[rc, msg]],
+                                           "outputs": {out_file.name: _sha(out_file)}}
     return out
 
 
@@ -303,9 +372,9 @@ def _pipeline(runner, work: Path, name: str, maxflow_sinks: list,
     return {"stages": stages, "outputs": {p.name: _sha(p) for p in outputs}}
 
 
-def _src_lines(tree: Path) -> int:
+def _src_lines(tree: Path, pattern: str = "*.py") -> int:
     return sum(len(path.read_text(encoding="utf-8").splitlines())
-               for path in (tree / "src" / "srlnc").glob("*.py"))
+               for path in (tree / "src" / "srlnc").glob(pattern))
 
 
 def _run_tree(tree: Path, work: Path) -> Dict[str, dict]:
@@ -334,9 +403,11 @@ def main(argv: List[str]) -> int:
             differ += 1
             print(f"differs: {key}\n  parent:  {json.dumps(parent.get(key))}\n"
                   f"  changed: {json.dumps(changed.get(key))}")
-    lines = " and ".join(f"{_src_lines(Path(t))} {name}" for t, name in zip(argv, ("parent", "changed")))
+    lines = {pattern: " and ".join(f"{_src_lines(Path(t), pattern)} {name}"
+                                   for t, name in zip(argv, ("parent", "changed")))
+             for pattern in ("*.py", "cli.py")}
     print(f"{len(parent)} parent and {len(changed)} changed entries compared, {differ} differ; "
-          f"src/srlnc lines: {lines}")
+          f"src/srlnc lines: {lines['*.py']}; cli.py lines: {lines['cli.py']}")
     return 1 if differ else 0
 
 
