@@ -39,9 +39,9 @@ from .multicast import (
     Gem,
     LinearCode,
     RateExceedsSourceDegree,
-    _check_consistent,
     build_multicast,
     extract_gem,
+    simulate,
 )
 from .netgraph import Network, max_flow
 from .subrate import GemSet, NotFullyDecodable, SearchSpaceTooLarge
@@ -262,6 +262,18 @@ def load_code(path: str, net: Network) -> LinearCode:
     code = LinearCode(rate=r, gek=gek, lek=lek)
     _check_consistent(net, code)
     return code
+
+
+def _check_consistent(net: Network, code: LinearCode) -> None:
+    """Sent the r unit rows, every edge e must carry its global kernel f_e:
+    by induction over the topological order, exactly when every local
+    kernel maps its inputs' global kernels to its outputs'.  Names the
+    first edge that differs, in `simulate`'s order.  Only a loaded code
+    needs it: `build_multicast` makes consistent ones."""
+    sym = simulate(net, code, Mat.identity(net.field, code.rate).data)
+    bad = next((e for e, s in sym.items() if s != code.gek[e]), None)
+    if bad is not None:
+        raise ContractViolation(f"encoding kernels inconsistent at edge {bad}")
 
 
 def load_gems(path: str) -> Tuple[GemSet, Optional[List[Tuple[int, ...]]]]:

@@ -3,8 +3,9 @@
 Matrices are immutable, row-major, with plain-int entries in [0, p).
 `Mat(...)` is the checked constructor: it reduces every entry mod p and
 rejects ragged rows, and it is the one that takes data from outside the
-package.  `Mat._of` is the trusted one, for results computed here and for
-rows a caller has checked and reduced itself (`cli.load_code`): it stores
+package.  `Mat._of` is the trusted one, for results computed here, for
+rows a caller has checked and reduced itself (`cli.load_code`), and for
+coefficients drawn in [0, p) (`multicast.build_multicast`): it stores
 tuple rows already in [0, p) as they are.
 Spans are kept as echelon rows (pivot, vector), each vector 0 before its
 pivot, 1 at it and 0 at the earlier rows' pivots.  `_reduce` tests a
@@ -83,9 +84,6 @@ class Mat:
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "Mat":
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def row(self, i: int) -> Vec:
-        return self.data[i]
 
     def col(self, j: int) -> Vec:
         return tuple(r[j] for r in self.data)

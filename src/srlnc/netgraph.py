@@ -66,12 +66,6 @@ class Network:
         self.in_edges[source] = list(range(-rate, 0))
         self.order: Tuple[Node, ...] = tuple(topo_order(self))
 
-    def tail(self, e: int) -> Node:
-        return self.edges[e][0]
-
-    def head(self, e: int) -> Node:
-        return self.edges[e][1]
-
 
 def topo_order(net: Network) -> List[Node]:
     """Kahn's algorithm over real edges; ties broken by node-list position.

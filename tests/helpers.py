@@ -335,7 +335,7 @@ def brute_max_flow(net: Network, t) -> int:
             paths.append(tuple(acc))
             return
         for e_ in net.out_edges[n]:
-            h = net.head(e_)
+            h = net.edges[e_][1]
             if h in seen:
                 continue
             acc.append(e_)

@@ -102,7 +102,7 @@ def test_trusted_results_are_in_checked_form(data):
 def test_mat_shape_and_access():
     a = Mat(GF3, [[1, 2, 0], [0, 4, 2]])
     assert (a.rows, a.cols) == (2, 3)
-    assert a.row(1) == (0, 1, 2)  # entries reduce mod p
+    assert a.data[1] == (0, 1, 2)  # entries reduce mod p
     assert a.col(1) == (2, 1)
     assert a.columns() == [(1, 0), (2, 1), (0, 2)]
 
@@ -144,7 +144,7 @@ def test_matmul_with_an_empty_dimension(m, k, n):
 @given(matrices(), st.data())
 def test_row_times_matches_a_one_row_product(a, data):
     v = data.draw(st.lists(st.integers(-7, 7), min_size=a.rows, max_size=a.rows))
-    assert row_times(v, a) == (Mat(a.field, [v]) @ a).row(0)
+    assert row_times(v, a) == (Mat(a.field, [v]) @ a).data[0]
     with pytest.raises(ValueError, match="length mismatch"):
         row_times(v + [1], a)
 

@@ -25,9 +25,10 @@ from srlnc.multicast import (
     FieldTooSmall,
     LinearCode,
     RateExceedsSourceDegree,
-    _check_consistent,
     _shuffled_vectors,
 )
+from srlnc.cli import _check_consistent
+from srlnc.netgraph import max_flow_value
 
 from helpers import (
     GF2,
@@ -43,7 +44,8 @@ from helpers import (
 
 def recheck_consistency(net, code):
     """Recompute every global kernel from the local ones, independently of
-    the assertion inside the library."""
+    the library: `build_multicast` does not check its own codes, and the
+    CLI's kernel check runs only on codes loaded from a file."""
     p = net.field.p
     for x in net.nodes:
         ins = sorted(net.in_edges[x])
@@ -152,6 +154,36 @@ def test_any_seed_yields_a_valid_code(seed):
     for t in (6, 7):
         assert rank(extract_gem(code, net, t).matrix) == 2
     assert extract_gem(code, net, 8).matrix.cols == 1
+
+
+@st.composite
+def coded_dags(draw):
+    """`test_netgraph.small_dags` over GF(2), GF(3), GF(5) or GF(7) at rate
+    1-4, each drawn pair repeated one to three times so that max-flows
+    reach the rate, with a drawn set of sinks: those whose max-flow is
+    below the rate are weak, the others full-rate."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = []
+    for pair in draw(st.lists(st.sampled_from(pairs), max_size=10)):
+        edges += [pair] * draw(st.integers(1, 3))
+    sinks = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=4, unique=True))
+    return Network(nodes=list(range(n)), edges=edges, source=0, sinks=sinks, rate=r,
+                   field=FieldSpec(p))
+
+
+@given(coded_dags(), st.integers())
+@settings(max_examples=300, deadline=None)
+def test_a_built_code_passes_the_local_reference_check(net, seed):
+    try:
+        code = build_multicast(net, list(net.sinks), seed=seed)
+    except (FieldTooSmall, RateExceedsSourceDegree):
+        return
+    reference_check_consistent(net, code)
+    for t in net.sinks:
+        assert rank(extract_gem(code, net, t).matrix) == min(max_flow_value(net, t), net.rate)
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.integers())

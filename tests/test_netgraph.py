@@ -28,7 +28,7 @@ def test_network_validation():
 def test_imaginary_links():
     net = butterfly()
     assert net.in_edges[1] == [-2, -1]
-    assert net.tail(0) == 1 and net.head(0) == 2
+    assert net.edges[0] == (1, 2)
 
 
 def test_topo_order_butterfly():
@@ -62,10 +62,10 @@ def test_max_flow_paths_are_valid_and_disjoint():
         res = max_flow(net, t)
         seen = set()
         for path in res.paths:
-            assert net.tail(path[0]) == net.source
-            assert net.head(path[-1]) == t
+            assert net.edges[path[0]][0] == net.source
+            assert net.edges[path[-1]][1] == t
             for a, b in zip(path, path[1:]):
-                assert net.head(a) == net.tail(b)
+                assert net.edges[a][1] == net.edges[b][0]
             assert not (set(path) & seen)
             seen |= set(path)
 

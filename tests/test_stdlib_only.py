@@ -135,7 +135,8 @@ def _trusted_mat_callers(source: str):
 
 
 # the callers that may skip `Mat(...)`'s reduction; a new one is a deliberate edit here
-TRUSTED_MAT_CALLERS = {"linalg.py": None, "blockcode.py": None, "cli.py": {"load_code"}}
+TRUSTED_MAT_CALLERS = {"linalg.py": None, "blockcode.py": None, "cli.py": {"load_code"},
+                       "multicast.py": {"build_multicast"}}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)

@@ -70,6 +70,16 @@ mutant replaces one value, anywhere in the file, by one of
 `MUTANT_VALUES`, and runs through `simulate`, or `precode --gems` for the
 gems file.
 
+No pool op runs `code` over GF(2) and few over GF(3), so `FieldTooSmall`
+refusals would go uncompared.  Each tree therefore also runs `code --seed
+0`, then `precode`, on each of `FEASIBILITY_PROBE` layered DAGs,
+`feasibility_probe(s)` for s below it: GF(2), GF(3) or GF(5), rate 3 or
+4, one full-rate sink and three to five weak sinks, where whether
+`precode` finds a single-use plan can depend on the code.  It also runs
+`code` at seeds 0 to 19 on `weak_refusal()`, a GF(2) network with one
+full-rate and six weak sinks that `code` refuses at every one of those
+seeds, though it would code the full-rate sink alone.
+
 Compared per op: each stage's exit code and stderr, and the sha256 of each
 output file; per pool, the set-up's CLI calls and the files it left.  Every
 op that differs is printed, and the exit status is 1 if any op differs.
@@ -155,6 +165,26 @@ DEPENDENT_GEMS = {"p": 2, "rate": 4, "mats": [
     [[0], [0], [0], [1]], [[0, 1], [1, 0], [0, 1], [1, 1]]]}
 # random.Random(s) seeds of the layered DAGs whose weak sinks have such a spanner
 DEPENDENT_LAYERED_SEEDS = (94, 440, 526)
+FEASIBILITY_PROBE = 150   # networks feasibility_probe(0..149)
+WEAK_REFUSAL_CODE_SEEDS = range(20)
+
+
+def feasibility_probe(s: int) -> dict:
+    """Layered DAG `s` of the feasibility probe, as a network file."""
+    import gen
+    rng = random.Random(s)
+    p, r = rng.choice([2, 3, 5]), rng.choice([3, 4])
+    return gen.layered_dag(rng, p, r, rng.choice([4, 5]), rng.choice([3, 4]), 2, 1,
+                           [rng.randrange(1, r) for _ in range(rng.choice([3, 4, 5]))])[0]
+
+
+def weak_refusal() -> dict:
+    """GF(2), rate 3: 28 nodes, 53 edges, full-rate sink 21, weak sinks 22-27."""
+    import gen
+    rng = random.Random(361)
+    p, r = rng.choice([2, 3]), rng.choice([2, 3])
+    return gen.layered_dag(rng, p, r, rng.choice([4, 5]), rng.choice([3, 4]), 2, p - 1,
+                           [rng.randrange(1, r) for _ in range(6)])[0]
 
 
 def probe_gems(k: int, p: int = 5, r: int = 10) -> dict:
@@ -270,6 +300,16 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
     run._write(many / "reroute.net.json", REROUTE)
     out["reroute"] = _pipeline(runner, many, "reroute",
                                REROUTE["sinks"] + REROUTE["subrate_sinks"])
+    code, plan = many / "probe.code.json", many / "probe.plan.json"
+    for s in range(FEASIBILITY_PROBE):
+        net = run._write(many / "probe.net.json", feasibility_probe(s))
+        out[f"feasibility probe s={s}"] = _stages(
+            runner, [["code", net, "--seed", 0, "--out", code],
+                     ["precode", net, code, "--out", plan]], [code, plan])
+    net = run._write(many / "weak-refusal.net.json", weak_refusal())
+    for seed in WEAK_REFUSAL_CODE_SEEDS:
+        out[f"weak refusal seed={seed}"] = _stages(
+            runner, [["code", net, "--seed", seed, "--out", code]], [code])
     out.update(_mutants(runner, work / "mutants"))
     return out
 
@@ -362,13 +402,22 @@ def _pipeline(runner, work: Path, name: str, maxflow_sinks: list,
                   ["precode", net, code, "--out", single]]
     argvs += [["precode", net, code, "--block", "2", "--out", plan],
               ["simulate", net, code, plan, "--out", report]]
+    outputs = [*flows.values(), code, *([single] if seed is not None else []), plan, report]
+    return _stages(runner, argvs, outputs)
+
+
+def _stages(runner, argvs: list, outputs: List[Path]) -> dict:
+    """Run `argvs` in order, up to the first that fails, after deleting
+    `outputs`: each stage's exit code and error line, and the sha256 of
+    each output."""
+    for path in outputs:
+        path.unlink(missing_ok=True)
     stages = []
     for argv in argvs:
         rc, msg = runner.call([str(a) for a in argv])
         stages.append([rc, msg])
         if rc != 0:
             break
-    outputs = [*flows.values(), code, *([single] if seed is not None else []), plan, report]
     return {"stages": stages, "outputs": {p.name: _sha(p) for p in outputs}}
 
 
