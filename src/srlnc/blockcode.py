@@ -32,7 +32,6 @@ from .subrate import (
     build_spanner,
     fsrd_check,
     is_exact_spanner,
-    minimal_exact_spanner,
 )
 
 Vec = Tuple[int, ...]
@@ -139,8 +138,8 @@ def build_precoder(gems: GemSet,
 
     A spanner may be supplied to fix the column order of the inverted
     basis (and hence P_hat) exactly; by default the guideline construction
-    is used, with the exhaustive minimal spanner as fallback.  P_hat is
-    the inverse of a completed basis, so a full-rate sink's B_t, r by r of
+    is used, with `gems.minimal_spanner()` as fallback.  P_hat is the
+    inverse of a completed basis, so a full-rate sink's B_t, r by r of
     rank r, keeps rank r under it: the precoder needs no full-rate matrix.
     """
     r = gems.rate
@@ -158,7 +157,7 @@ def build_precoder(gems: GemSet,
         try:
             V = list(build_spanner(gems, i_bar))
         except ConstructionFailed:
-            V = minimal_exact_spanner(gems)
+            V = gems.minimal_spanner()
             # V, of member lines, spans just the total span: independent at
             # its dimension, dependent above it.  A precoder's inverse holds
             # an independent exact spanner, so a longer V rules one out.
@@ -166,10 +165,8 @@ def build_precoder(gems: GemSet,
             if len(V) > dim:
                 bound = (f"the rate {r}" if len(V) > r
                          else f"the dimension {dim} of the members' total span")
-                exc = NotFullyDecodable(f"the minimal exact spanner has {len(V)} vectors, "
+                raise NotFullyDecodable(f"the minimal exact spanner has {len(V)} vectors, "
                                         f"more than {bound}")
-                exc.spanner = tuple(V)
-                raise exc
     plan = build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=(tuple(range(len(V))),)))
     return replace(plan, i_bar=i_bar)
 
@@ -185,16 +182,16 @@ def build_partial_general(gems: GemSet) -> BlockPlan:
     whose P_hat would have more than MAX_SIDE rows raises
     SearchSpaceTooLarge before any matrix is built."""
     try:
-        V = minimal_exact_spanner(gems)
+        V = gems.minimal_spanner()
     except SearchSpaceTooLarge:   # the union of the member bases
-        V = list(dict.fromkeys(v for s in gems.spans for v in s.basis))
+        V = tuple(dict.fromkeys(v for s in gems.spans for v in s.basis))
     d = rank_of_vectors(gems.field, V)
     subsets = [c for c, _ in _independent_subsets(gems, V) if len(c) == d]
     side = len(subsets) * gems.rate
     if side > MAX_SIDE:
         raise SearchSpaceTooLarge(f"{len(subsets)} blocks give P_hat side {side}, "
                                   f"above the cap {MAX_SIDE}")
-    return build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=tuple(subsets)))
+    return build_block_plan(gems, BlockDesign(spanner=V, blocks=tuple(subsets)))
 
 
 def _independent_subsets(gems: GemSet, V: Sequence[Vec]) -> List[Tuple[Tuple[int, ...], Vec]]:
@@ -222,11 +219,9 @@ def _independent_subsets(gems: GemSet, V: Sequence[Vec]) -> List[Tuple[Tuple[int
     return sorted(out, key=lambda e: (len(e[0]), e[0]))
 
 
-def optimize_block_plan(gems: GemSet, l_max: int,
-                        spanner: Optional[Sequence[Vec]] = None) -> BlockPlan:
-    """Best min-rate design over multisets of independent subsets of a
-    minimal exact spanner (`spanner`, such as `NotFullyDecodable.spanner`,
-    or a fresh search), found by exact branch-and-bound.
+def optimize_block_plan(gems: GemSet, l_max: int) -> BlockPlan:
+    """Best min-rate design over multisets of independent subsets of the
+    GemSet's minimal exact spanner, found by exact branch-and-bound.
 
     Designs are visited as non-decreasing subset-index tuples in lex order,
     l ascending.  Scores min_i(total_i) / l, total_i counting the design's
@@ -241,7 +236,7 @@ def optimize_block_plan(gems: GemSet, l_max: int,
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    V = list(spanner) if spanner is not None else minimal_exact_spanner(gems)
+    V = gems.minimal_spanner()
     listed = _independent_subsets(gems, V)
     sufmax = [(0,) * gems.k] * (len(listed) + 1)
     for s in reversed(range(len(listed))):
@@ -268,4 +263,4 @@ def optimize_block_plan(gems: GemSet, l_max: int,
             break
         dfs(0, l, l, (0,) * gems.k, ())
     blocks = tuple(listed[s][0] for s in best[2])
-    return build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=blocks))
+    return build_block_plan(gems, BlockDesign(spanner=V, blocks=blocks))

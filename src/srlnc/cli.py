@@ -32,7 +32,7 @@ from .blockcode import (
     optimize_block_plan,
 )
 from .fields import FieldSpec
-from .linalg import ContractViolation, Mat, Singular, invert, row_times
+from .linalg import ContractViolation, Mat, rank, row_times
 from .multicast import (
     CodeInvalidForSink,
     FieldTooSmall,
@@ -456,10 +456,10 @@ def cmd_precode(args) -> int:
 
     try:
         plan = build_precoder(gems, spanner=spanner)
-    except NotFullyDecodable as exc:
+    except NotFullyDecodable:
         if args.block is None:
             raise
-        plan = optimize_block_plan(gems, l_max=args.block, spanner=exc.spanner)
+        plan = optimize_block_plan(gems, l_max=args.block)
     except SpannerRejected as exc:
         raise ValueError(f"{args.gems}: spanner: {exc}") from None
 
@@ -530,13 +530,10 @@ def _load_plan(path: str, net: Network, widths: Dict[str, int]) -> Tuple[int, Ma
     if len(P_rows) != width or any(len(row) != width for row in P_rows):
         raise ValueError(f"{path}: {precoder} must be {width} by {width}")
     P_hat = Mat(field, P_rows)
-    try:
-        invert(P_hat)
-    except Singular:
-        raise ValueError(f"{path}: {precoder} must be invertible") from None
+    if rank(P_hat) < width:
+        raise ValueError(f"{path}: {precoder} must be invertible")
     _check(path, "sinks", obj["sinks"], _OBJECT)
     members = len(obj["members"])
-    units = Mat.identity(field, width)
     sinks = {}
     for t, entry in obj["sinks"].items():
         _check_keys(path, entry, entry_keys, [], f"sinks.{t}")
@@ -558,7 +555,8 @@ def _load_plan(path: str, net: Network, widths: Dict[str, int]) -> Tuple[int, Ma
         if len(R_rows) != width or any(len(row) != cols for row in R_rows):
             raise ValueError(f"{path}: sinks.{t}.{ret} must be {width} by {cols}")
         R_hat = Mat(field, R_rows, cols=cols)
-        if [c for c in R_hat.columns() if any(c)] != [units.col(j) for j in idxs]:
+        units = [tuple(int(i == j) for i in range(width)) for j in idxs]
+        if [c for c in R_hat.columns() if any(c)] != units:
             raise ValueError(f"{path}: the nonzero columns of sinks.{t}.{ret} must be the "
                              f"unit vectors of sinks.{t}.decoded_indices, in order")
         sinks[t] = (Mat(field, D_rows, cols=cols), R_hat, idxs)

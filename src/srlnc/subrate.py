@@ -26,8 +26,6 @@ Vec = Tuple[int, ...]
 class NotFullyDecodable(ValueError):
     """The feasibility conditions fail; no full sub-rate precoder exists here."""
 
-    spanner: Optional[Tuple[Vec, ...]] = None   # a minimal exact spanner, when one was found
-
 
 class ConstructionFailed(RuntimeError):
     """The guideline spanner construction did not complete for this input."""
@@ -75,22 +73,23 @@ def _lex_sums(head: Vec, tail: Sequence[Vec], p: int) -> Iterator[Vec]:
 class GemSet:
     """Sub-rate encoding matrices with pairwise distinct column spans.
 
-    Duplicate spans are dropped on construction; `source_map[i]` gives the
-    stored index that the i-th input matrix collapsed onto.  The facts
-    about the members (their nonzero intersections, commonality levels,
-    total span and which spans hold a vector) are each computed once, on
-    first use, and kept for the GemSet's lifetime.
+    Duplicate spans are dropped on construction, found by hashing each
+    span; `source_map[i]` gives the stored index that the i-th input
+    matrix collapsed onto.  The facts about the members (their nonzero
+    intersections, commonality levels, total span, which spans hold a
+    vector and a minimal exact spanner) are each computed once, on first
+    use, and kept for the GemSet's lifetime.
     """
 
     __slots__ = ("field", "rate", "mats", "spans", "source_map", "_inter_cache", "_levels",
-                 "_total", "_holds")
+                 "_total", "_holds", "_spanner")
 
     def __init__(self, mats: Sequence[Mat], rate: int):
         if not mats:
             raise ValueError("need at least one matrix")
         field = mats[0].field
         kept: List[Mat] = []
-        spans: List[Subspace] = []
+        first: Dict[Subspace, int] = {}   # each distinct span, by its index in `kept`
         source_map: List[int] = []
         for m in mats:
             if m.field != field:
@@ -102,22 +101,20 @@ class GemSet:
             span = Subspace.span_of(m)
             if span.dim != m.cols:
                 raise ValueError("matrix columns are dependent")
-            try:
-                source_map.append(spans.index(span))
-            except ValueError:
-                source_map.append(len(kept))
+            source_map.append(first.setdefault(span, len(kept)))
+            if source_map[-1] == len(kept):
                 kept.append(m)
-                spans.append(span)
         self.field = field
         self.rate = rate
         self.mats = tuple(kept)
-        self.spans = tuple(spans)
+        self.spans = tuple(first)
         self.source_map = tuple(source_map)
         # the nonzero intersections by member bit mask, listed by `levels`
         self._inter_cache: Dict[int, Subspace] = {}
         self._levels: Optional[Tuple[int, ...]] = None
         self._total: Optional[Subspace] = None
         self._holds: Dict[Vec, Vec] = {}
+        self._spanner: Optional[Tuple[Vec, ...]] = None
 
     @property
     def k(self) -> int:
@@ -183,6 +180,14 @@ class GemSet:
         if got is None:
             got = self._holds[key] = tuple(int(s.contains(key)) for s in self.spans)
         return got
+
+    def minimal_spanner(self) -> Tuple[Vec, ...]:
+        """`minimal_exact_spanner` of the members, searched once and kept.  A
+        search that runs past its budget keeps nothing, so the next call
+        searches again under the budget then in force."""
+        if self._spanner is None:
+            self._spanner = tuple(minimal_exact_spanner(self))
+        return self._spanner
 
 
 def comd(v: Sequence[int], gems: GemSet) -> int:

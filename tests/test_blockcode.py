@@ -150,7 +150,7 @@ def test_build_partial_general_falls_back_to_the_member_bases(monkeypatch):
     def give_up(gems):
         raise SearchSpaceTooLarge("no spanner search here")
 
-    monkeypatch.setattr(blockcode, "minimal_exact_spanner", give_up)
+    monkeypatch.setattr(subrate, "minimal_exact_spanner", give_up)
     plan = build_partial_general(g)
     bases = [v for s in g.spans for v in s.basis]
     assert plan.design.spanner == tuple(dict.fromkeys(bases))
@@ -355,8 +355,8 @@ def _precode_block_2(g):
     """What `precode --block 2` does with one GemSet."""
     try:
         return build_precoder(g)
-    except NotFullyDecodable as exc:
-        return optimize_block_plan(g, 2, spanner=exc.spanner)
+    except NotFullyDecodable:
+        return optimize_block_plan(g, 2)
 
 
 def test_a_dependent_minimal_spanner_rules_the_precoder_out():
@@ -367,13 +367,33 @@ def test_a_dependent_minimal_spanner_rules_the_precoder_out():
     # no exact spanner of 3 or fewer vectors, so none is independent
     assert brute_min_spanner_size(g) == 4
     with pytest.raises(NotFullyDecodable, match="the minimal exact spanner has 4 vectors, "
-                       "more than the dimension 3 of the members' total span") as info:
+                       "more than the dimension 3 of the members' total span"):
         build_precoder(g)
-    assert len(info.value.spanner) == 4 and rank_of_vectors(GF2, info.value.spanner) == 3
+    V = g.minimal_spanner()
+    assert len(V) == 4 and rank_of_vectors(GF2, V) == 3
     plan = _precode_block_2(g)
     assert plan.i_bar is None
     for B, sp in zip(g.mats, plan.sinks):
         assert plan.P_hat @ lift_block(B, plan.l) @ sp.D_hat == sp.R_hat
+
+
+@pytest.mark.parametrize("p, rows", [(3, FIVE_VECTOR_ROWS), (2, DEPENDENT_SPANNER_MATS)],
+                         ids=["five-vector", "dependent"])
+def test_a_block_plan_reuses_the_spanner_the_precoder_searched(monkeypatch, p, rows):
+    """Both sets pass the feasibility check and fail the guideline
+    construction, so `build_precoder` searches for the minimal exact
+    spanner; the GemSet keeps it, and `optimize_block_plan` searches no
+    more."""
+    g = GemSet([Mat(FieldSpec(p), m) for m in rows], rate=4)
+    calls = []
+    search = subrate.minimal_exact_spanner
+    monkeypatch.setattr(subrate, "minimal_exact_spanner",
+                        lambda gems: calls.append(gems) or search(gems))
+    with pytest.raises(NotFullyDecodable, match="the minimal exact spanner has"):
+        build_precoder(g)
+    plan = optimize_block_plan(g, 2)
+    assert calls == [g]
+    assert plan.design.spanner == g.minimal_spanner() == tuple(search(g))
 
 
 @settings(max_examples=150, deadline=None)
@@ -391,7 +411,7 @@ def test_precode_block_2_plans_every_set_its_searches_finish(seed, p, r, k_max):
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(subrate, "SEARCH_BUDGET", 20_000)
-            V = subrate.minimal_exact_spanner(g)
+            V = g.minimal_spanner()
             plan = _precode_block_2(g)
     except SearchSpaceTooLarge:
         assume(False)
@@ -442,8 +462,7 @@ def test_optimizer_stops_listing_subsets_at_the_budget():
             mats.append(m)
             spans.append(span)
     g = GemSet(mats, rate=10)
-    V = subrate.minimal_exact_spanner(g)
-    assert len(V) == 23
+    assert len(g.minimal_spanner()) == 23
     with pytest.raises(SearchSpaceTooLarge,
                        match=f"more than {subrate.SEARCH_BUDGET} independent spanner subsets"):
-        optimize_block_plan(g, 2, spanner=V)
+        optimize_block_plan(g, 2)

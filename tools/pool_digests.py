@@ -30,7 +30,10 @@ for k in 14 and 16: k members of GF(5)^10, each spanned by a distinct
 random proper subset of one random basis, drawn from `random.Random(3)`.
 Only 975 and 2183 of their 2^k - 1 member intersections are nonzero, so
 these sets compare the commonality levels and the guideline spanner where
-most member sets meet in zero.
+most member sets meet in zero.  It also runs both on `one_column_gems(2000)`,
+2000 distinct one-column members of GF(5)^12, whose 1 999 000 pairwise
+intersections are refused before the first, so that a large set's
+refusal line is compared too.
 
 No pool plans past l = 2, so each tree also runs `precode --gems --block 3`
 on the sets `gen.random_gemset(random.Random(s), 3, 4, 5)` for the first
@@ -103,6 +106,7 @@ POOLS = [("net-pipeline", 701), ("sim-stream", 701), ("gem-precode", 701),
          ("gem-block", 701), ("gem-block", 711)]
 MANY_SINKS = [(k, s) for k in (8, 10, 12) for s in (1, 2)]
 PROBE_SINKS = (14, 16)
+ONE_COLUMN_MEMBERS = 2000
 # gen.random_gemset(random.Random(s), 3, 4, 5) under --block 3: best design has l = 3
 BLOCK3_SEEDS = (15, 16, 18, 23, 45, 65, 78, 79, 85, 94)
 BUTTERFLY = (31, 4, 4)   # p, r, weak sinks
@@ -203,6 +207,19 @@ def probe_gems(k: int, p: int = 5, r: int = 10) -> dict:
                                         for sub in subsets]}
 
 
+def one_column_gems(k: int) -> dict:
+    """k distinct nonzero one-column members of GF(5)^12, drawn from
+    random.Random(1), as a gems file.  `tests/test_cli.py` draws its
+    20 000-member set the same way."""
+    rng = random.Random(1)
+    cols: Dict[tuple, None] = {}
+    while len(cols) < k:
+        v = tuple(rng.randrange(5) for _ in range(12))
+        if any(v):
+            cols[v] = None
+    return {"p": 5, "rate": 12, "mats": [[[x] for x in v] for v in cols]}
+
+
 def _sha(path: Path):
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
 
@@ -270,6 +287,8 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
              gen.feasible_gemset(random.Random(1000 * k + s), 5, 8, k)) for k, s in MANY_SINKS]
     sets += [(f"probe p=5 r=10 k={k}", f"probe-{k}.json", probe_gems(k)) for k in PROBE_SINKS]
     sets.append(("dependent spanner p=2 r=4 k=5", "dependent.json", DEPENDENT_GEMS))
+    sets.append((f"one-column p=5 r=12 k={ONE_COLUMN_MEMBERS}", "one-column.json",
+                 one_column_gems(ONE_COLUMN_MEMBERS)))
     for label, name, obj in sets:
         gems = run._write(many / name, obj)
         for block in ([], ["--block", "2"]):
