@@ -3,8 +3,12 @@
 The construction walks edges in topological order along precomputed
 edge-disjoint path families and picks, for every coded edge, local
 coefficients that keep every designated sink's frontier matrix at full
-rank.  Sub-rate sinks participate with target rank h_t.  A built code is
-consistent by construction; `simulate` alone applies local kernels.
+rank.  Sub-rate sinks participate with target rank h_t.  Each sink keeps
+the inverse of its frontier completed to a basis, so a candidate is
+tested with one product per sink rather than a rank computation (Jaggi
+et al., "Polynomial time algorithms for multicast network code
+construction", IEEE Trans. IT 51(6), 2005).  A built code is consistent
+by construction; `simulate` alone applies local kernels.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from .linalg import Mat, _reduce, rank_of_vectors, invert, row_times
+from .linalg import Mat, _reduce, invert, row_times
 from .netgraph import Network, max_flow, max_flow_value
 
 Node = Hashable
@@ -81,7 +85,18 @@ def build_multicast(net: Network, sinks: Sequence[Node], seed: int = 0) -> Linea
     subspace, so the first, uniform candidate fails with probability at
     most |users|/p and the walk almost always stops there.  The walk is
     complete, so FieldTooSmall means no candidate exists.  Results are
-    reproducible for a fixed (net, sinks, seed).  Each f_e is the
+    reproducible for a fixed (net, sinks, seed).
+
+    Each distinct sink t keeps Q_t, the inverse of an r x r basis whose
+    first n_t = min(h_t, r) columns are t's frontier kernels in path order
+    and whose other columns complete it; Q_t starts as the identity.  The
+    coordinates a = Q_t f_e of a candidate show whether f_e lies in the
+    span of the frontier without column i: it does exactly when a_i and
+    every completion coordinate a_j, j >= n_t, are 0.  So the test "a_i or
+    some a_j is nonzero" gives the rank test's verdict, at O(r) per
+    full-rate user, and the walk takes the same candidate.  Taking f_e,
+    Q_t pivots on i, or on the first such j and then swaps rows i and j,
+    so that the old column i joins the completion.  Each f_e is the
     combination of in-edge kernels that column e of its tail's `lek`
     names, and 0 on an edge no sink path uses, so the code is consistent
     by construction and is not re-checked.
@@ -105,12 +120,13 @@ def build_multicast(net: Network, sinks: Sequence[Node], seed: int = 0) -> Linea
     gek: Dict[int, Vec] = {-(j + 1): _unit(r, j) for j in range(r)}
     coeffs: Dict[int, Dict[int, int]] = {}  # edge -> {pred edge -> coefficient}
     on_edge: Dict[int, List[Tuple[Node, int, int]]] = {}
-    for t in sinks:
-        for i, pth in enumerate(paths[t]):
+    for t, t_paths in paths.items():  # each distinct sink once
+        for i, pth in enumerate(t_paths):
             for pos, e in enumerate(pth):
                 if e >= 0:
                     on_edge.setdefault(e, []).append((t, i, pos))
-    frontier: Dict[Node, List[int]] = {t: [pth[0] for pth in paths[t]] for t in sinks}
+    # per sink: the inverse of [frontier kernels | completion], rows as lists
+    inv: Dict[Node, List[List[int]]] = {t: [list(_unit(r, j)) for j in range(r)] for t in paths}
 
     rng = random.Random(seed)
     for e in [e for n in net.order for e in net.out_edges[n]]:
@@ -120,27 +136,28 @@ def build_multicast(net: Network, sinks: Sequence[Node], seed: int = 0) -> Linea
             coeffs[e] = {}
             continue
         preds = sorted({paths[t][i][pos - 1] for (t, i, pos) in users})
-        chosen = None
+        rows = list(zip(*[gek[d] for d in preds]))
         for cand in _shuffled_vectors(rng, p, len(preds)):
-            f_e = tuple(sum(c * gek[d][j] for c, d in zip(cand, preds)) % p for j in range(r))
-            ok = True
-            for (t, i, pos) in users:
-                repl = list(frontier[t])
-                repl[i] = e
-                vecs = [f_e if d == e else gek[d] for d in repl]
-                if rank_of_vectors(field, vecs) != len(repl):
-                    ok = False
-                    break
-            if ok:
-                chosen = (cand, f_e)
+            f_e = tuple(sum(map(mul, cand, row)) % p for row in rows)
+            if all(sum(map(mul, inv[t][i], f_e)) % p
+                   or any(sum(map(mul, q, f_e)) % p for q in inv[t][len(paths[t]):])
+                   for (t, i, _) in users):
                 break
-        if chosen is None:
+        else:
             raise FieldTooSmall(f"no valid coefficients for edge {e} over GF({p})")
-        cand, f_e = chosen
         gek[e] = f_e
         coeffs[e] = dict(zip(preds, cand))
-        for (t, i, pos) in users:
-            frontier[t][i] = e
+        for (t, i, _) in users:
+            q = inv[t]
+            a = [sum(map(mul, row, f_e)) % p for row in q]
+            # f_e replaces basis column j: i, or else a completion column
+            j = i if a[i] else next(j for j in range(len(paths[t]), r) if a[j])
+            c = pow(a[j], p - 2, p)
+            q[j] = [x * c % p for x in q[j]]
+            for k, ak in enumerate(a):
+                if ak and k != j:
+                    q[k] = [(x - ak * y) % p for x, y in zip(q[k], q[j])]
+            q[i], q[j] = q[j], q[i]
 
     lek: Dict[Node, Mat] = {}
     for x in net.nodes:
@@ -190,17 +207,15 @@ def simulate(net: Network, code: LinearCode, X: Sequence[Sequence[int]]) -> Dict
     if any(len(x) != r for x in X):
         raise ValueError("message length != rate")
     sym: Dict[int, Vec] = {-(j + 1): tuple(x[j] % p for x in X) for j in range(r)}
+    zero = (0,) * len(X)
     for node in net.order:
-        ins = [sym[d] for d in net.in_edges[node]]
+        outs = net.out_edges[node]
+        # one row of input symbols per message
+        ys = list(zip(*[sym[d] for d in net.in_edges[node]]))
         k = code.lek[node].data
-        for jc, e in enumerate(net.out_edges[node]):
-            # only the inputs this output reads: most coefficients are 0
-            terms = [(row[jc], s) for row, s in zip(k, ins) if row[jc]]
-            if not terms:
-                sym[e] = (0,) * len(X)
-                continue
-            cs = [c for c, _ in terms]
-            sym[e] = tuple(sum(map(mul, cs, y)) % p for y in zip(*(s for _, s in terms)))
+        # a node without inputs has no rows, so zip(*k) would give no columns
+        for col, e in zip(zip(*k) if k else [()] * len(outs), outs):
+            sym[e] = tuple(sum(map(mul, col, y)) % p for y in ys) if any(col) else zero
     return sym
 
 

@@ -19,6 +19,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from srlnc import FieldSpec, GemSet, Mat, Network, cli, lift_block, max_flow, row_times, simulate
 from srlnc.linalg import ContractViolation, Subspace, rank_of_vectors, subspace_intersect
+from srlnc.multicast import (FieldTooSmall, LinearCode, Node, RateExceedsSourceDegree,
+                             _shuffled_vectors, _unit)
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -545,6 +547,77 @@ def reference_complete_basis(V: Subspace) -> List[Vec]:
             added.append(e)
             r += 1
     return added
+
+
+def reference_build_multicast(net: Network, sinks, seed: int = 0):
+    """The former `build_multicast` walk, which `build_multicast` must
+    reproduce byte for byte: for each candidate, each user (t, i) replaces
+    frontier column i of sink t and ranks the whole frontier again, once
+    per listing of t in `sinks`."""
+    field = net.field
+    p = field.p
+    r = net.rate
+    if r > len(net.out_edges[net.source]):
+        raise RateExceedsSourceDegree(f"rate {r} > source out-degree {len(net.out_edges[net.source])}")
+    flows = {t: max_flow(net, t) for t in sinks}
+    eligible = [t for t in sinks if flows[t].value >= r]
+    if p <= len(eligible):
+        raise FieldTooSmall(f"|F|={p} but {len(eligible)} sinks need rate {r}")
+
+    # per sink: min(h_t, r) paths, each prefixed with a distinct imaginary link
+    paths: Dict[Node, List[List[int]]] = {}
+    for t in sinks:
+        n_t = min(flows[t].value, r)
+        paths[t] = [[-(i + 1)] + list(pth) for i, pth in enumerate(flows[t].paths[:n_t])]
+
+    gek: Dict[int, Vec] = {-(j + 1): _unit(r, j) for j in range(r)}
+    coeffs: Dict[int, Dict[int, int]] = {}  # edge -> {pred edge -> coefficient}
+    on_edge: Dict[int, List[Tuple[Node, int, int]]] = {}
+    for t in sinks:
+        for i, pth in enumerate(paths[t]):
+            for pos, e in enumerate(pth):
+                if e >= 0:
+                    on_edge.setdefault(e, []).append((t, i, pos))
+    frontier: Dict[Node, List[int]] = {t: [pth[0] for pth in paths[t]] for t in sinks}
+
+    rng = random.Random(seed)
+    for e in [e for n in net.order for e in net.out_edges[n]]:
+        users = on_edge.get(e)
+        if not users:
+            gek[e] = (0,) * r
+            coeffs[e] = {}
+            continue
+        preds = sorted({paths[t][i][pos - 1] for (t, i, pos) in users})
+        chosen = None
+        for cand in _shuffled_vectors(rng, p, len(preds)):
+            f_e = tuple(sum(c * gek[d][j] for c, d in zip(cand, preds)) % p for j in range(r))
+            ok = True
+            for (t, i, pos) in users:
+                repl = list(frontier[t])
+                repl[i] = e
+                vecs = [f_e if d == e else gek[d] for d in repl]
+                if rank_of_vectors(field, vecs) != len(repl):
+                    ok = False
+                    break
+            if ok:
+                chosen = (cand, f_e)
+                break
+        if chosen is None:
+            raise FieldTooSmall(f"no valid coefficients for edge {e} over GF({p})")
+        cand, f_e = chosen
+        gek[e] = f_e
+        coeffs[e] = dict(zip(preds, cand))
+        for (t, i, pos) in users:
+            frontier[t][i] = e
+
+    lek: Dict[Node, Mat] = {}
+    for x in net.nodes:
+        ins, outs = net.in_edges[x], net.out_edges[x]
+        # coefficients are digits from `_shuffled_vectors`, already in [0, p)
+        k = tuple(tuple(coeffs.get(e, {}).get(d, 0) for e in outs) for d in ins)
+        lek[x] = Mat._of(field, k, len(outs))
+
+    return LinearCode(rate=r, gek=gek, lek=lek)
 
 
 def reference_gem_edges(code, net: Network, t) -> Tuple[int, ...]:

@@ -1,11 +1,16 @@
 import functools
+import hashlib
+import importlib
 import itertools
+import json
 import random
 import time
 import tracemalloc
 
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from srlnc import (
@@ -19,6 +24,7 @@ from srlnc import (
     row_times,
     simulate,
 )
+from srlnc import cli, linalg
 from srlnc.linalg import ContractViolation
 from srlnc.multicast import (
     CodeInvalidForSink,
@@ -28,7 +34,7 @@ from srlnc.multicast import (
     _shuffled_vectors,
 )
 from srlnc.cli import _check_consistent
-from srlnc.netgraph import max_flow_value
+from srlnc.netgraph import max_flow, max_flow_value
 
 from helpers import (
     GF2,
@@ -37,6 +43,7 @@ from helpers import (
     butterfly,
     classic_butterfly_code,
     generalized_butterfly,
+    reference_build_multicast,
     reference_check_consistent,
     reference_simulate,
 )
@@ -157,12 +164,13 @@ def test_any_seed_yields_a_valid_code(seed):
 
 
 @st.composite
-def coded_dags(draw):
+def coded_dags(draw, primes=(2, 3, 5, 7)):
     """`test_netgraph.small_dags` over GF(2), GF(3), GF(5) or GF(7) at rate
     1-4, each drawn pair repeated one to three times so that max-flows
     reach the rate, with a drawn set of sinks: those whose max-flow is
-    below the rate are weak, the others full-rate."""
-    p = draw(st.sampled_from([2, 3, 5, 7]))
+    below the rate are weak, the others full-rate.  The field is drawn
+    from `primes`, which may list a prime more than once to weight it."""
+    p = draw(st.sampled_from(primes))
     r = draw(st.integers(1, 4))
     n = draw(st.integers(2, 7))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -184,6 +192,67 @@ def test_a_built_code_passes_the_local_reference_check(net, seed):
     reference_check_consistent(net, code)
     for t in net.sinks:
         assert rank(extract_gem(code, net, t).matrix) == min(max_flow_value(net, t), net.rate)
+
+
+def _built_or_refused(build, net, sinks, seed):
+    try:
+        code = build(net, sinks, seed=seed)
+    except (FieldTooSmall, RateExceedsSourceDegree) as exc:
+        return type(exc).__name__, str(exc)
+    return code.gek, code.lek
+
+
+# candidates fail most often over the small fields
+@given(coded_dags(primes=(2, 2, 2, 3, 3, 3, 5, 7)), st.integers(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_the_kept_inverses_pick_the_rank_per_user_codes(net, seed, twice):
+    # a library caller may list a sink twice: one inverse per distinct sink
+    sinks = list(net.sinks) * (2 if twice else 1)
+    assert (_built_or_refused(build_multicast, net, sinks, seed)
+            == _built_or_refused(reference_build_multicast, net, sinks, seed))
+
+
+def test_a_weak_sink_takes_a_candidate_through_its_completion():
+    """Sink 2 has max-flow 2 at rate 3.  Its first coded edge, 5 on path 0,
+    gets f_5 = (0, 0, 1): coordinate 0 is 0, so only the completion
+    coordinate 2 lets the candidate in, and the inverse must swap rows 0
+    and 2 to keep path 1's later test right."""
+    net = Network(nodes=range(5), edges=[(3, 4), (0, 4), (0, 4), (2, 3), (2, 3), (0, 2),
+                                         (1, 2), (2, 3), (0, 1)],
+                  source=0, sinks=[1, 4, 2], rate=3, field=GF2)
+    code = build_multicast(net, list(net.sinks))
+    assert max_flow_value(net, 2) == 2
+    assert code.gek[5] == (0, 0, 1)
+    assert max_flow(net, 2).paths[0][0] == 5
+    assert (code.gek, code.lek) == _built_or_refused(reference_build_multicast, net,
+                                                     list(net.sinks), 0)
+    for t in net.sinks:
+        assert rank(extract_gem(code, net, t).matrix) == min(max_flow_value(net, t), 3)
+
+
+# sha256 of `code --seed S` on the r=16 probe below, pinned from the
+# rank-per-user walk
+PROBE_16_DIGESTS = {
+    0: "6ea0a1f427114f2933d4587d4d842b32128adf8db4b355da3e48a2b85de787b9",
+    1: "dc307ba8fcb3cf6eb284b9f303d8bd518ec1c3553b06157101d62ba59804e8f0",
+    2: "954dda184e8c4e63a28b14599716053336008f793db6159b444791ac59293d24",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PROBE_16_DIGESTS))
+def test_a_large_rate_code_needs_no_elimination(seed, tmp_path, monkeypatch):
+    """perfbench/gen.py's layered_dag(random.Random(5), 31, 16, 18, 3, 3, 1,
+    [15, 15]): one full-rate sink and two weak sinks of max-flow 15."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    gen = importlib.import_module("gen")
+    obj = gen.layered_dag(random.Random(5), 31, 16, 18, 3, 3, 1, [15, 15])[0]
+    net, code = tmp_path / "probe.net.json", tmp_path / "probe.code.json"
+    net.write_text(json.dumps(obj), encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(linalg, "_rref", lambda *a, real=linalg._rref: calls.append(1) or real(*a))
+    assert cli.main(["code", str(net), "--seed", str(seed), "--out", str(code)]) == 0
+    assert calls == []
+    assert hashlib.sha256(code.read_bytes()).hexdigest() == PROBE_16_DIGESTS[seed]
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.integers())
@@ -332,10 +401,23 @@ def _built(kind, seed):
     return net, build_multicast(net, list(net.sinks), seed=seed)
 
 
-@given(st.sampled_from(["butterfly", "generalized"]), st.integers(0, 3), st.data())
-@settings(max_examples=60, deadline=None)
-def test_a_batch_matches_the_single_message_reference(kind, seed, data):
-    net, code = _built(kind, seed)
+@st.composite
+def built_codes(draw):
+    """`_built` at code seeds 0-3, or a built code on `coded_dags`, which
+    brings nodes without inputs, parallel edges and unused edges."""
+    if draw(st.booleans()):
+        return _built(draw(st.sampled_from(["butterfly", "generalized"])), draw(st.integers(0, 3)))
+    net = draw(coded_dags())
+    try:
+        return net, build_multicast(net, list(net.sinks), seed=draw(st.integers()))
+    except (FieldTooSmall, RateExceedsSourceDegree):
+        assume(False)
+
+
+@given(built_codes(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_a_batch_matches_the_single_message_reference(built, data):
+    net, code = built
     r, p = code.rate, net.field.p
     X = data.draw(st.lists(st.lists(st.integers(-2 * p, 2 * p), min_size=r, max_size=r),
                            max_size=5))
@@ -349,12 +431,12 @@ def test_a_batch_matches_the_single_message_reference(kind, seed, data):
         simulate(net, code, X + [[0] * wrong])
 
 
-@given(st.sampled_from(["butterfly", "generalized"]), st.integers(0, 3),
-       st.sampled_from(["gek", "lek", "swap"]), st.data())
-@settings(max_examples=150, deadline=None)
-def test_the_kernel_check_agrees_with_the_local_reference(kind, seed, how, data):
-    net, code = _built(kind, seed)
+@given(built_codes(), st.sampled_from(["gek", "lek", "swap"]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_kernel_check_agrees_with_the_local_reference(built, how, data):
+    net, code = built
     r, p, field = code.rate, net.field.p, net.field
+    assume(how != "swap" or r > 1)
     gek, lek = dict(code.gek), dict(code.lek)
     if how == "gek":
         e = data.draw(st.sampled_from(sorted(gek)))
@@ -391,6 +473,6 @@ def test_the_kernel_check_agrees_with_the_local_reference(kind, seed, how, data)
     if how != "lek":
         assert verdicts[0] is not None
     if how == "gek":
-        # butterfly and generalized_butterfly list their nodes in
-        # topological order, so both checks name the changed edge first
+        # every network here lists its nodes in topological order, so
+        # both checks name the changed edge first
         assert verdicts[0] == verdicts[1] == f"encoding kernels inconsistent at edge {e}"

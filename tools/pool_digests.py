@@ -83,6 +83,12 @@ refusals would go uncompared.  Each tree therefore also runs `code --seed
 full-rate and six weak sinks that `code` refuses at every one of those
 seeds, though it would code the full-rate sink alone.
 
+The pools code at rate 5 or less, so each tree also runs `code` at seeds 0
+to 2 on `large_rate_probe(p, r)` for each (p, r) of `LARGE_RATE`, rate 8 to
+16: one full-rate sink and two weak sinks of max-flow r - 1, whose frontiers
+leave a one-column completion, so that candidates accepted through it are
+compared too.
+
 Compared per op: each stage's exit code and stderr, and the sha256 of each
 output file; per pool, the set-up's CLI calls and the files it left.  Every
 op that differs is printed, and the exit status is 1 if any op differs.
@@ -171,6 +177,8 @@ DEPENDENT_GEMS = {"p": 2, "rate": 4, "mats": [
 DEPENDENT_LAYERED_SEEDS = (94, 440, 526)
 FEASIBILITY_PROBE = 150   # networks feasibility_probe(0..149)
 WEAK_REFUSAL_CODE_SEEDS = range(20)
+LARGE_RATE = ((3, 8), (3, 12), (7, 10), (5, 14), (31, 16))   # (p, r) of large_rate_probe
+LARGE_RATE_CODE_SEEDS = range(3)
 
 
 def feasibility_probe(s: int) -> dict:
@@ -189,6 +197,13 @@ def weak_refusal() -> dict:
     p, r = rng.choice([2, 3]), rng.choice([2, 3])
     return gen.layered_dag(rng, p, r, rng.choice([4, 5]), rng.choice([3, 4]), 2, p - 1,
                            [rng.randrange(1, r) for _ in range(6)])[0]
+
+
+def large_rate_probe(p: int, r: int) -> dict:
+    """One full-rate sink and two weak sinks of max-flow r - 1, over three
+    layers of r + 2 relays of in-degree 3, as a network file."""
+    import gen
+    return gen.layered_dag(random.Random(5), p, r, r + 2, 3, 3, 1, [r - 1, r - 1])[0]
 
 
 def probe_gems(k: int, p: int = 5, r: int = 10) -> dict:
@@ -329,6 +344,11 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
     for seed in WEAK_REFUSAL_CODE_SEEDS:
         out[f"weak refusal seed={seed}"] = _stages(
             runner, [["code", net, "--seed", seed, "--out", code]], [code])
+    for p, r in LARGE_RATE:
+        net = run._write(many / f"large-rate-{p}-{r}.net.json", large_rate_probe(p, r))
+        for seed in LARGE_RATE_CODE_SEEDS:
+            out[f"large rate p={p} r={r} seed={seed}"] = _stages(
+                runner, [["code", net, "--seed", seed, "--out", code]], [code])
     out.update(_mutants(runner, work / "mutants"))
     return out
 
