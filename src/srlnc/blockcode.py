@@ -138,11 +138,10 @@ def build_precoder(gems: GemSet,
 
     A spanner may be supplied to fix the column order of the inverted
     basis (and hence P_hat) exactly; by default the guideline construction
-    is used, with `gems.minimal_spanner()` as fallback.  P_hat is the
-    inverse of a completed basis, so a full-rate sink's B_t, r by r of
-    rank r, keeps rank r under it: the precoder needs no full-rate matrix.
+    is used; if it fails, the refusal names a member that `common_basis`
+    leaves short (none short is a ContractViolation).  P_hat inverts a
+    completed basis, so a full-rate sink's r by r B_t keeps rank r.
     """
-    r = gems.rate
     field = gems.field
     if spanner is not None:
         V = [tuple(x % field.p for x in v) for v in spanner]
@@ -157,16 +156,12 @@ def build_precoder(gems: GemSet,
         try:
             V = list(build_spanner(gems, i_bar))
         except ConstructionFailed:
-            V = gems.minimal_spanner()
-            # V, of member lines, spans just the total span: independent at
-            # its dimension, dependent above it.  A precoder's inverse holds
-            # an independent exact spanner, so a longer V rules one out.
-            dim = gems.total_span().dim
-            if len(V) > dim:
-                bound = (f"the rate {r}" if len(V) > r
-                         else f"the dimension {dim} of the members' total span")
-                raise NotFullyDecodable(f"the minimal exact spanner has {len(V)} vectors, "
-                                        f"more than {bound}")
+            held = [sum(col) for col in zip(*map(gems.holds, subrate.common_basis(gems)))]
+            for i, got in enumerate(held):
+                if got < gems.h(i):
+                    raise NotFullyDecodable(f"the member spans have no common basis: member {i} "
+                                            f"has rank {got} of {gems.h(i)} in the greedy basis")
+            raise ContractViolation("the guideline spanner failed where a common basis exists")
     plan = build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=(tuple(range(len(V))),)))
     return replace(plan, i_bar=i_bar)
 
@@ -182,7 +177,7 @@ def build_partial_general(gems: GemSet) -> BlockPlan:
     whose P_hat would have more than MAX_SIDE rows raises
     SearchSpaceTooLarge before any matrix is built."""
     try:
-        V = gems.minimal_spanner()
+        V = tuple(subrate.minimal_exact_spanner(gems))
     except SearchSpaceTooLarge:   # the union of the member bases
         V = tuple(dict.fromkeys(v for s in gems.spans for v in s.basis))
     d = rank_of_vectors(gems.field, V)
@@ -220,8 +215,8 @@ def _independent_subsets(gems: GemSet, V: Sequence[Vec]) -> List[Tuple[Tuple[int
 
 
 def optimize_block_plan(gems: GemSet, l_max: int) -> BlockPlan:
-    """Best min-rate design over multisets of independent subsets of the
-    GemSet's minimal exact spanner, found by exact branch-and-bound.
+    """Best min-rate design over multisets of independent subsets of a
+    minimal exact spanner, searched for per call, by exact branch-and-bound.
 
     Designs are visited as non-decreasing subset-index tuples in lex order,
     l ascending.  Scores min_i(total_i) / l, total_i counting the design's
@@ -236,7 +231,7 @@ def optimize_block_plan(gems: GemSet, l_max: int) -> BlockPlan:
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    V = gems.minimal_spanner()
+    V = tuple(subrate.minimal_exact_spanner(gems))
     listed = _independent_subsets(gems, V)
     sufmax = [(0,) * gems.k] * (len(listed) + 1)
     for s in reversed(range(len(listed))):

@@ -106,16 +106,14 @@ def build_multicast(net: Network, sinks: Sequence[Node], seed: int = 0) -> Linea
     r = net.rate
     if r > len(net.out_edges[net.source]):
         raise RateExceedsSourceDegree(f"rate {r} > source out-degree {len(net.out_edges[net.source])}")
-    flows = {t: max_flow(net, t) for t in sinks}
+    flows = {t: max_flow(net, t) for t in dict.fromkeys(sinks)}
     eligible = [t for t in sinks if flows[t].value >= r]
     if p <= len(eligible):
         raise FieldTooSmall(f"|F|={p} but {len(eligible)} sinks need rate {r}")
 
-    # per sink: min(h_t, r) paths, each prefixed with a distinct imaginary link
-    paths: Dict[Node, List[List[int]]] = {}
-    for t in sinks:
-        n_t = min(flows[t].value, r)
-        paths[t] = [[-(i + 1)] + list(pth) for i, pth in enumerate(flows[t].paths[:n_t])]
+    # per distinct sink: min(h_t, r) paths, each prefixed with a distinct imaginary link
+    paths = {t: [[-(i + 1)] + list(pth) for i, pth in enumerate(flow.paths[:min(flow.value, r)])]
+             for t, flow in flows.items()}
 
     gek: Dict[int, Vec] = {-(j + 1): _unit(r, j) for j in range(r)}
     coeffs: Dict[int, Dict[int, int]] = {}  # edge -> {pred edge -> coefficient}

@@ -75,14 +75,13 @@ class GemSet:
 
     Duplicate spans are dropped on construction, found by hashing each
     span; `source_map[i]` gives the stored index that the i-th input
-    matrix collapsed onto.  The facts about the members (their nonzero
-    intersections, commonality levels, total span, which spans hold a
-    vector and a minimal exact spanner) are each computed once, on first
-    use, and kept for the GemSet's lifetime.
+    matrix collapsed onto.  Its nonzero member intersections, commonality
+    levels, total span and which spans hold a vector are each computed
+    once, on first use, and kept for its lifetime.
     """
 
     __slots__ = ("field", "rate", "mats", "spans", "source_map", "_inter_cache", "_levels",
-                 "_total", "_holds", "_spanner")
+                 "_total", "_holds")
 
     def __init__(self, mats: Sequence[Mat], rate: int):
         if not mats:
@@ -114,7 +113,6 @@ class GemSet:
         self._levels: Optional[Tuple[int, ...]] = None
         self._total: Optional[Subspace] = None
         self._holds: Dict[Vec, Vec] = {}
-        self._spanner: Optional[Tuple[Vec, ...]] = None
 
     @property
     def k(self) -> int:
@@ -180,14 +178,6 @@ class GemSet:
         if got is None:
             got = self._holds[key] = tuple(int(s.contains(key)) for s in self.spans)
         return got
-
-    def minimal_spanner(self) -> Tuple[Vec, ...]:
-        """`minimal_exact_spanner` of the members, searched once and kept.  A
-        search that runs past its budget keeps nothing, so the next call
-        searches again under the budget then in force."""
-        if self._spanner is None:
-            self._spanner = tuple(minimal_exact_spanner(self))
-        return self._spanner
 
 
 def comd(v: Sequence[int], gems: GemSet) -> int:
@@ -420,4 +410,20 @@ def build_spanner(gems: GemSet, i_bar: Sequence[int]) -> Tuple[Vec, ...]:
             raise ConstructionFailed(f"could not collect {need} degree-{c} vectors")
     if not is_exact_spanner(V, gems):
         raise ConstructionFailed("collected vectors do not form an exact spanner")
+    return tuple(V)
+
+
+def common_basis(gems: GemSet) -> Tuple[Vec, ...]:
+    """Independent vectors V: the basis vectors of the nonzero intersections
+    that `fsrd_check` listed, by member count descending, each kept if outside
+    span(V).  A kept vector of I_m lies in no member j outside m, as I_(m, j)
+    is in span(V); so the spans have a common basis exactly when each S_i
+    holds h_i vectors of V (Polishchuk, Positselski, "Quadratic Algebras", ch. 1)."""
+    V, rows = [], []   # V and its echelon rows
+    for _, S in sorted(gems._inter_cache.items(), key=lambda e: -e[0].bit_count()):
+        for b in S.basis:
+            row = _reduce(b, rows, gems.field.p)
+            if row is not None:
+                V.append(b)
+                rows.append(row)
     return tuple(V)

@@ -472,6 +472,19 @@ def reference_intersection(gems: GemSet, idxs) -> Subspace:
     return S
 
 
+def reference_degree_spans(gems: GemSet) -> List[Subspace]:
+    """For c = 1..k, the sum of the intersections of every c or more
+    members, each folded by `reference_intersection`.  The vectors of
+    degree c or more of a greedy common basis (`subrate.common_basis`)
+    span the c-th of these."""
+    k = gems.k
+    return [Subspace.from_columns(gems.field, gems.rate,
+                                  [v for n in range(c, k + 1)
+                                   for idxs in itertools.combinations(range(k), n)
+                                   for v in reference_intersection(gems, idxs).basis])
+            for c in range(1, k + 1)]
+
+
 def reference_comss_c(gems: GemSet, c: int) -> int:
     """Inclusion-exclusion count of level-c commonality, one clamped bracket
     per (k-c)-subset of dropped members: 3^k - 2^k signed intersection

@@ -366,34 +366,48 @@ def test_a_dependent_minimal_spanner_rules_the_precoder_out():
         subrate.build_spanner(g, (0, 2, 1, 0, 0))
     # no exact spanner of 3 or fewer vectors, so none is independent
     assert brute_min_spanner_size(g) == 4
-    with pytest.raises(NotFullyDecodable, match="the minimal exact spanner has 4 vectors, "
-                       "more than the dimension 3 of the members' total span"):
-        build_precoder(g)
-    V = g.minimal_spanner()
+    V = subrate.minimal_exact_spanner(g)
     assert len(V) == 4 and rank_of_vectors(GF2, V) == 3
+    # the greedy common basis holds none of member 2's line, e_1
+    assert subrate.common_basis(g) == ((0, 1, 0, 1), (0, 0, 0, 1), (1, 0, 1, 1))
+    with pytest.raises(NotFullyDecodable, match="^the member spans have no common basis: "
+                       "member 2 has rank 0 of 1 in the greedy basis$"):
+        build_precoder(g)
     plan = _precode_block_2(g)
     assert plan.i_bar is None
     for B, sp in zip(g.mats, plan.sinks):
         assert plan.P_hat @ lift_block(B, plan.l) @ sp.D_hat == sp.R_hat
 
 
+def test_a_guideline_failure_beside_a_common_basis_breaks_the_contract(monkeypatch):
+    # the three planes have a common basis, so a guideline construction
+    # that fails on them is a bug, not a refusal
+    def fail(gems, i_bar):
+        raise subrate.ConstructionFailed("could not collect 3 degree-2 vectors")
+
+    monkeypatch.setattr(blockcode, "build_spanner", fail)
+    with pytest.raises(ContractViolation, match="failed where a common basis exists"):
+        build_precoder(gems_three_planes())
+
+
 @pytest.mark.parametrize("p, rows", [(3, FIVE_VECTOR_ROWS), (2, DEPENDENT_SPANNER_MATS)],
                          ids=["five-vector", "dependent"])
-def test_a_block_plan_reuses_the_spanner_the_precoder_searched(monkeypatch, p, rows):
+def test_only_the_block_plan_searches_for_the_minimal_spanner(monkeypatch, p, rows):
     """Both sets pass the feasibility check and fail the guideline
-    construction, so `build_precoder` searches for the minimal exact
-    spanner; the GemSet keeps it, and `optimize_block_plan` searches no
-    more."""
+    construction, so `build_precoder` refuses by the common-basis test,
+    without the minimal exact spanner; `optimize_block_plan` then
+    searches for it once."""
     g = GemSet([Mat(FieldSpec(p), m) for m in rows], rate=4)
     calls = []
     search = subrate.minimal_exact_spanner
     monkeypatch.setattr(subrate, "minimal_exact_spanner",
                         lambda gems: calls.append(gems) or search(gems))
-    with pytest.raises(NotFullyDecodable, match="the minimal exact spanner has"):
+    with pytest.raises(NotFullyDecodable, match="no common basis"):
         build_precoder(g)
+    assert calls == []
     plan = optimize_block_plan(g, 2)
     assert calls == [g]
-    assert plan.design.spanner == g.minimal_spanner() == tuple(search(g))
+    assert plan.design.spanner == tuple(search(g))
 
 
 @settings(max_examples=150, deadline=None)
@@ -411,7 +425,7 @@ def test_precode_block_2_plans_every_set_its_searches_finish(seed, p, r, k_max):
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(subrate, "SEARCH_BUDGET", 20_000)
-            V = g.minimal_spanner()
+            V = subrate.minimal_exact_spanner(g)
             plan = _precode_block_2(g)
     except SearchSpaceTooLarge:
         assume(False)
@@ -462,7 +476,7 @@ def test_optimizer_stops_listing_subsets_at_the_budget():
             mats.append(m)
             spans.append(span)
     g = GemSet(mats, rate=10)
-    assert len(g.minimal_spanner()) == 23
+    assert len(subrate.minimal_exact_spanner(g)) == 23
     with pytest.raises(SearchSpaceTooLarge,
                        match=f"more than {subrate.SEARCH_BUDGET} independent spanner subsets"):
         optimize_block_plan(g, 2)

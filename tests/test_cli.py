@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import hashlib
 import importlib
+import importlib.util
 import io
 import itertools
 import json
@@ -74,8 +75,8 @@ FIVE_VECTOR_GEMS = {
 }
 
 DEPENDENT_SPANNER_GEMS = {"p": 2, "rate": 4, "mats": list(DEPENDENT_SPANNER_MATS)}
-DEPENDENT_SPANNER_ERR = ("infeasible: the minimal exact spanner has 4 vectors, more than the "
-                         "dimension 3 of the members' total span")
+DEPENDENT_SPANNER_ERR = ("infeasible: the member spans have no common basis: member 2 has "
+                         "rank 0 of 1 in the greedy basis")
 
 # perfbench/gen.py's layered_dag(rng, 3, 4, 4, 3, 2, 2, [rng.randrange(1, 4)
 # for _ in range(5)]) with rng = random.Random(94); under the code of seed
@@ -89,6 +90,8 @@ LAYERED_94 = {
               [12, 13], [9, 13], [9, 14], [10, 14], [11, 14], [12, 14], [9, 14], [9, 15],
               [12, 15], [5, 15], [11, 16], [5, 17], [11, 18], [7, 18], [12, 19], [7, 19]],
 }
+LAYERED_94_ERR = ("infeasible: the member spans have no common basis: member 1 has "
+                  "rank 0 of 1 in the greedy basis")
 
 # a random set over GF(3) (tests/helpers.random_gemset, random.Random(5),
 # r=4, k_max=6: the first drawn with k=5 and a minimal spanner of 5 or 6
@@ -303,8 +306,8 @@ def test_precode_gems_with_a_spanner_longer_than_the_rate(tmp_path, capsys):
 
 
 def test_precode_gems_with_a_dependent_minimal_spanner(tmp_path, capsys):
-    # the minimal spanner is no longer than the rate, so only the total
-    # span's dimension rules the precoder out, and `--block` still plans
+    # the minimal spanner is no longer than the rate, but the member spans
+    # have no common basis, so no precoder exists, and `--block` still plans
     gems = write(tmp_path, "gems.json", DEPENDENT_SPANNER_GEMS)
     assert main(["precode", "--gems", gems]) == 3
     assert capsys.readouterr().err.splitlines() == [DEPENDENT_SPANNER_ERR]
@@ -319,12 +322,53 @@ def test_a_network_with_a_dependent_minimal_spanner_gets_a_block_plan(tmp_path, 
     assert main(["code", net, "--seed", "0", "--out", code]) == 0
     capsys.readouterr()
     assert main(["precode", net, code]) == 3
-    assert capsys.readouterr().err.splitlines() == [DEPENDENT_SPANNER_ERR]
+    assert capsys.readouterr().err.splitlines() == [LAYERED_94_ERR]
     assert main(["precode", net, code, "--block", "2", "--out", plan]) == 0
     assert main(["simulate", net, code, plan, "--trials", "100", "--out", report]) == 0
     rows = read(report)["sinks"]
     assert [row["sink"] for row in rows] == [str(t) for t in (13, 14, 15, 16, 17, 18, 19)]
     assert all(row["failures"] == 0 for row in rows)
+
+
+# draw 14 of the probe rng = random.Random(2027), then per draw r =
+# rng.choice([5, 6, 7]), p = rng.choice([2, 3]), k = rng.randint(3, 8) and
+# perfbench/gen.py's random_gemset(rng, p, r, k): it passes the feasibility
+# check, has no precoder, and the minimal exact spanner search stops at its
+# 200 000-node budget after seconds
+BUDGET_PROBE_GEMS = {
+    "p": 2,
+    "rate": 7,
+    "mats": [
+        [[0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 1], [1, 1, 0, 0, 0, 1],
+         [1, 1, 0, 0, 0, 0], [1, 1, 1, 0, 1, 0], [0, 1, 0, 1, 1, 0]],
+        [[1, 0, 1, 0, 1], [0, 1, 0, 1, 0], [0, 0, 1, 1, 1], [1, 1, 1, 0, 1], [1, 0, 1, 0, 0],
+         [1, 1, 1, 1, 1], [1, 0, 1, 1, 0]],
+        [[1], [1], [0], [0], [1], [1], [1]],
+        [[1, 0], [1, 0], [1, 0], [1, 1], [0, 0], [1, 1], [1, 1]],
+    ],
+}
+
+
+def test_a_set_past_the_spanner_budget_is_refused_without_the_search(tmp_path, capsys,
+                                                                     monkeypatch):
+    def never(gems):
+        raise AssertionError("build_precoder searched for the minimal exact spanner")
+
+    monkeypatch.setattr(subrate, "minimal_exact_spanner", never)
+    gems = write(tmp_path, "gems.json", BUDGET_PROBE_GEMS)
+    t0 = time.perf_counter()
+    assert main(["precode", "--gems", gems]) == 3
+    assert time.perf_counter() - t0 < 0.5
+    assert capsys.readouterr().err.splitlines() == [
+        "infeasible: the member spans have no common basis: member 1 has rank 4 of 5 "
+        "in the greedy basis"]
+    # tools/pool_digests.py compares the same draw
+    monkeypatch.syspath_prepend(str(Path(SRC).parent / "perfbench"))
+    spec = importlib.util.spec_from_file_location(
+        "pool_digests", Path(SRC).parent / "tools" / "pool_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.budget_probe(14) == BUDGET_PROBE_GEMS
 
 
 def test_precode_block_searches_for_the_spanner_once(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ from srlnc import (
     row_times,
     simulate,
 )
-from srlnc import cli, linalg
+from srlnc import cli, linalg, multicast
 from srlnc.linalg import ContractViolation
 from srlnc.multicast import (
     CodeInvalidForSink,
@@ -125,6 +125,23 @@ def test_field_bound_counts_only_full_rate_sinks():
     with pytest.raises(FieldTooSmall):
         build_multicast(butterfly(GF2, weak_sink=True), [6, 7, 8])
     build_multicast(butterfly(GF3, weak_sink=True), [6, 7, 8])
+
+
+def test_a_sink_listed_twice_gets_one_max_flow_search(monkeypatch):
+    net = butterfly(GF5, weak_sink=True)
+    want = build_multicast(net, [6, 7, 8])
+    searched = []
+    monkeypatch.setattr(multicast, "max_flow",
+                        lambda net, t: searched.append(t) or max_flow(net, t))
+    code = build_multicast(net, [6, 7, 8, 6, 8])
+    assert searched == [6, 7, 8]
+    assert (code.gek, code.lek) == (want.gek, want.lek)
+    monkeypatch.undo()
+    assert (code.gek, code.lek) == _built_or_refused(reference_build_multicast, net,
+                                                     [6, 7, 8, 6, 8], 0)
+    # the field bound still counts the list as given: 6, 7 and 6 need rate 2
+    with pytest.raises(FieldTooSmall, match=r"^\|F\|=3 but 3 sinks need rate 2$"):
+        build_multicast(butterfly(GF3, weak_sink=True), [6, 7, 8, 6])
 
 
 def test_single_sink_over_gf2():

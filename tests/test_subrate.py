@@ -7,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from srlnc import (
@@ -53,6 +53,7 @@ from helpers import (
     random_gemset,
     reference_build_spanner,
     reference_comss_c,
+    reference_degree_spans,
     reference_fsrd_check,
     reference_minimal_exact_spanner,
     reference_sink_block_plan,
@@ -228,7 +229,9 @@ def test_precoder_refused_when_the_minimal_spanner_exceeds_the_rate():
     g = GemSet([Mat(GF3, m) for m in mats], rate=4)
     assert fsrd_check(g) is not None
     assert len(minimal_exact_spanner(g)) == 5
-    with pytest.raises(NotFullyDecodable, match="5 vectors, more than the rate 4"):
+    # no common basis: the greedy one holds only two vectors of member 0
+    with pytest.raises(NotFullyDecodable, match="^the member spans have no common basis: "
+                       "member 0 has rank 2 of 3 in the greedy basis$"):
         build_precoder(g)
 
 
@@ -616,6 +619,78 @@ def test_build_precoder_refuses_infeasible_sets():
         build_precoder(gems_shared_axis())
     with pytest.raises(NotFullyDecodable):
         build_precoder(gems_four_planes())
+
+
+def pool_gemset(rng, field: FieldSpec, r: int, k_max: int) -> GemSet:
+    """Members spanned by random subsets of one pool of r to r + 2 random
+    nonzero vectors, so that they overlap in many ways; a subset that spans
+    all of F^r is drawn again."""
+    pool = []
+    while len(pool) < rng.randint(r, r + 2):
+        v = tuple(rng.randrange(field.p) for _ in range(r))
+        if any(v):
+            pool.append(v)
+    k, mats = rng.randint(1, k_max), []
+    while len(mats) < k:
+        cols = []
+        for v in rng.sample(pool, rng.randint(1, len(pool))):
+            if rank_of_vectors(field, cols + [v]) > len(cols):
+                cols.append(v)
+        if len(cols) < r:
+            mats.append(mat_cols(field, *cols))
+    return GemSet(mats, rate=r)
+
+
+@settings(max_examples=300, deadline=None)
+@example(make="pool", p=2, r=4, k_max=5, seed=229)
+@example(make="pool", p=3, r=4, k_max=5, seed=195)
+@example(make="pool", p=5, r=4, k_max=5, seed=44)
+@example(make="random", p=2, r=4, k_max=5, seed=175)
+@example(make="random", p=3, r=4, k_max=5, seed=44)
+@given(make=st.sampled_from(["random", "feasible", "pool"]), p=st.sampled_from([2, 3, 5]),
+       r=st.integers(3, 5), k_max=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_the_precoder_exists_exactly_when_the_minimal_spanner_is_a_basis(make, p, r, k_max,
+                                                                         seed):
+    """A single-use precoder inverts a basis that is an exact spanner, so
+    one exists exactly when the minimal exact spanner is as long as the
+    total span is wide.  `build_precoder` decides it without that search.
+    The greedy common basis lists its vectors by degree, descending, those
+    of degree c or more spanning every intersection of c or more members;
+    it leaves a member short exactly when no precoder exists, and a refusal
+    past the feasibility check names the first such member.  The examples
+    are such refusals, the first of their kind and field among the seeds."""
+    make_gemset = {"random": random_gemset, "feasible": feasible_gemset, "pool": pool_gemset}
+    g = make_gemset[make](random.Random(seed), FieldSpec(p), r, k_max)
+    fresh = GemSet(g.mats, g.rate)   # the checks share no cached fact with g
+    want = reference_minimal_exact_spanner(fresh, max_nodes=3000)
+    assume(want is not None)
+    searched = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subrate, "SEARCH_BUDGET", 20_000)
+        mp.setattr(subrate, "minimal_exact_spanner", searched.append)
+        try:
+            plan = build_precoder(g)
+        except SearchSpaceTooLarge:
+            assume(False)
+        except NotFullyDecodable as exc:
+            plan, refusal = None, str(exc)
+    assert searched == []
+    V = subrate.common_basis(g)
+    degrees = [sum(S.contains(v) for S in fresh.spans) for v in V]
+    assert degrees == sorted(degrees, reverse=True)
+    assert rank_of_vectors(fresh.field, V) == len(V)
+    for c, W in enumerate(reference_degree_spans(fresh), 1):
+        assert Subspace.from_columns(fresh.field, fresh.rate,
+                                     [v for v, d in zip(V, degrees) if d >= c]) == W
+    held = [sum(S.contains(v) for v in V) for S in fresh.spans]
+    short = [i for i in range(fresh.k) if held[i] < fresh.h(i)]
+    assert (plan is None) == bool(short) == (len(want) > fresh.total_span().dim)
+    if plan is not None:
+        check_plan_contract(g, plan)
+    elif fsrd_check(fresh) is not None:
+        i = short[0]
+        assert refusal == (f"the member spans have no common basis: member {i} has rank "
+                           f"{held[i]} of {fresh.h(i)} in the greedy basis")
 
 
 def test_decoder_for_other_basis_of_same_span():

@@ -89,6 +89,12 @@ to 2 on `large_rate_probe(p, r)` for each (p, r) of `LARGE_RATE`, rate 8 to
 leave a one-column completion, so that candidates accepted through it are
 compared too.
 
+Each tree also runs `precode --gems`, without `--block`, on draws 14, 291
+and 1938 of `budget_probe`: sets that pass the feasibility check and have
+no single-use precoder, and whose minimal exact spanner search stops at
+its 200 000-node budget, so that refusals that must not wait for that
+search are compared too.
+
 Compared per op: each stage's exit code and stderr, and the sha256 of each
 output file; per pool, the set-up's CLI calls and the files it left.  Every
 op that differs is printed, and the exit status is 1 if any op differs.
@@ -176,6 +182,7 @@ DEPENDENT_GEMS = {"p": 2, "rate": 4, "mats": [
 # random.Random(s) seeds of the layered DAGs whose weak sinks have such a spanner
 DEPENDENT_LAYERED_SEEDS = (94, 440, 526)
 FEASIBILITY_PROBE = 150   # networks feasibility_probe(0..149)
+BUDGET_PROBE_DRAWS = (14, 291, 1938)   # draws of budget_probe, counted from 1
 WEAK_REFUSAL_CODE_SEEDS = range(20)
 LARGE_RATE = ((3, 8), (3, 12), (7, 10), (5, 14), (31, 16))   # (p, r) of large_rate_probe
 LARGE_RATE_CODE_SEEDS = range(3)
@@ -188,6 +195,18 @@ def feasibility_probe(s: int) -> dict:
     p, r = rng.choice([2, 3, 5]), rng.choice([3, 4])
     return gen.layered_dag(rng, p, r, rng.choice([4, 5]), rng.choice([3, 4]), 2, 1,
                            [rng.randrange(1, r) for _ in range(rng.choice([3, 4, 5]))])[0]
+
+
+def budget_probe(n: int) -> dict:
+    """Draw n of the probe rng = random.Random(2027), then per draw r, p
+    and k from [5, 6, 7], [2, 3] and 3..8 and `gen.random_gemset(rng, p, r,
+    k)`, as a gems file.  `tests/test_cli.py` writes out draw 14."""
+    import gen
+    rng = random.Random(2027)
+    for _ in range(n):
+        r, p, k = rng.choice([5, 6, 7]), rng.choice([2, 3]), rng.randint(3, 8)
+        gems = gen.random_gemset(rng, p, r, k)
+    return gems
 
 
 def weak_refusal() -> dict:
@@ -312,6 +331,10 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
             rc, msg = runner.call(["precode", "--gems", str(gems), *block, "--out", str(plan)])
             out[f"{label} {' '.join(block)}".rstrip()] = {
                 "stages": [[rc, msg]], "outputs": {plan.name: _sha(plan)}}
+    for n in BUDGET_PROBE_DRAWS:
+        gems = run._write(many / f"budget-{n}.json", budget_probe(n))
+        out[f"budget probe draw={n}"] = _stages(
+            runner, [["precode", "--gems", gems, "--out", many / "plan.json"]], [many / "plan.json"])
     for s in BLOCK3_SEEDS:
         gems = run._write(many / f"random-{s}.json",
                           gen.random_gemset(random.Random(s), 3, 4, 5))
