@@ -8,10 +8,9 @@ longer block still recovers a share.  Rates are exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import subrate
 from .linalg import (
@@ -60,22 +59,19 @@ def _block_diag(field, mats: Sequence[Mat]) -> Mat:
     return Mat._of(field, tuple(out), cols)
 
 
-@dataclass(frozen=True)
-class BlockDesign:
+class BlockDesign(NamedTuple):
     spanner: Tuple[Vec, ...]
     blocks: Tuple[Tuple[int, ...], ...]   # per block: indices into spanner
 
 
-@dataclass(frozen=True)
-class BlockSinkPlan:
+class BlockSinkPlan(NamedTuple):
     D_hat: Mat
     R_hat: Mat
     decoded_indices: Tuple[int, ...]      # coordinates of the l*r block message
     rate: Fraction
 
 
-@dataclass(frozen=True)
-class BlockPlan:
+class BlockPlan(NamedTuple):
     l: int
     P_hat: Mat
     sinks: Tuple[BlockSinkPlan, ...]      # parallel to GemSet.mats
@@ -163,7 +159,7 @@ def build_precoder(gems: GemSet,
                                             f"has rank {got} of {gems.h(i)} in the greedy basis")
             raise ContractViolation("the guideline spanner failed where a common basis exists")
     plan = build_block_plan(gems, BlockDesign(spanner=tuple(V), blocks=(tuple(range(len(V))),)))
-    return replace(plan, i_bar=i_bar)
+    return plan._replace(i_bar=i_bar)
 
 
 # most rows, l * r, of a partial plan's P_hat, which is built dense: about

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import os
 import random
@@ -60,14 +61,21 @@ _OBJECT = frozenset([dict])
 _JSON = frozenset([int, float, str, bool, type(None), list, dict])
 
 
-def _load_json(path: str):
-    """Syntax errors, trailing data, invalid UTF-8 and nesting too deep to
-    decode all raise ValueError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _load_json(path: str, raw: Optional[bytes] = None):
+    """The file at `path`, or its bytes `raw` if the caller read them,
+    decoded as text-mode `open` decodes, newlines too, so that error
+    positions match.  Syntax errors, trailing data, invalid UTF-8 and
+    nesting too deep to decode all raise ValueError naming the file."""
+    fh = io.TextIOWrapper(io.BytesIO(_read(path) if raw is None else raw), encoding="utf-8")
+    try:
+        return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _check(path: str, field, value, kind):
@@ -134,12 +142,12 @@ def _spanner(path: str, value, rate: int) -> list:
     return value
 
 
-def load_network(path: str) -> Tuple[Network, List, List]:
+def load_network(path: str, raw: Optional[bytes] = None) -> Tuple[Network, List, List]:
     """Parse a network file; returns (net, full-rate sinks, sub-rate sinks).
     `_check` types each table whole, in the order nodes, edges, sinks,
     subrate_sinks, source, and sets test the names and sinks, so checks
     take time linear in the file."""
-    obj = _load_json(path)
+    obj = _load_json(path, raw)
     _check_keys(path, obj, ["field", "rate", "nodes", "edges", "source", "sinks"],
                 ["subrate_sinks"], "network file")
     field = _field(path, "field", obj["field"])
@@ -203,11 +211,11 @@ def code_to_obj(net: Network, code: LinearCode) -> dict:
     }
 
 
-def load_code(path: str, net: Network) -> LinearCode:
+def load_code(path: str, net: Network, raw: Optional[bytes] = None) -> LinearCode:
     """Parse a code file for `net` and check its kernels.  `_check` types
     all of `gek`, then all the `lek` matrices, and hands back their
     entries, which are reduced mod p only if one lies outside [0, p)."""
-    obj = _load_json(path)
+    obj = _load_json(path, raw)
     _check_keys(path, obj, ["p", "rate", "gek", "lek"], [], "code file")
     _rate_matches(path, obj, net, "code")
     p, r = net.field.p, net.rate
@@ -342,13 +350,6 @@ def _emit(text: str, out: Optional[str]) -> None:
             os.ftruncate(fh.fileno(), fh.tell())
 
 
-def _digest(path: Optional[str]) -> Optional[str]:
-    if path is None:
-        return None
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _frac_str(f) -> str:
     return f"{f.numerator}/{f.denominator}"
 
@@ -478,7 +479,8 @@ def cmd_precode(args) -> int:
     return 0
 
 
-def _load_plan(path: str, net: Network, widths: Dict[str, int]) -> Tuple[int, Mat, dict]:
+def _load_plan(path: str, net: Network, widths: Dict[str, int],
+               raw: bytes) -> Tuple[int, Mat, dict]:
     """A plan file read as the block plan over l uses that it is:
     (l, P_hat, {sink: (D_hat, R_hat, decoded_indices)}) for the sinks named
     in `widths`, which maps each to its h.  A subrate plan is the l = 1
@@ -493,7 +495,7 @@ def _load_plan(path: str, net: Network, widths: Dict[str, int]) -> Tuple[int, Ma
     l * rate block message; D_hat (l * h) by (l * h) and R_hat (l * rate)
     by (l * h), with the unit vectors of the decoded indices, in order,
     as its nonzero columns."""
-    obj = _load_json(path)
+    obj = _load_json(path, raw)
     if not isinstance(obj, dict) or obj.get("kind") not in ("subrate", "block"):
         raise ValueError(f'{path}: kind: plan file must have "kind": "subrate" or "block"')
     if obj["kind"] == "subrate":
@@ -600,16 +602,20 @@ def cmd_simulate(args) -> int:
     and R_hat = I give M_t = R_hat, and it never fails."""
     if args.trials < 0:
         raise ValueError(f"--trials must be at least 0, got {args.trials}")
-    net, sinks, subrate_sinks = load_network(args.file)
-    code = load_code(args.code, net)
+    # each input is read once: the digests are of the bytes parsed, pipes too
+    net_raw = _read(args.file)
+    net, sinks, subrate_sinks = load_network(args.file, net_raw)
+    code_raw = _read(args.code)
+    code = load_code(args.code, net, code_raw)
     r = net.rate
     gems = _sink_gems(args.file, args.code, net, code, sinks, subrate_sinks)
     if args.plan is None:
         # one use of the network, messages sent uncoded, no sub-rate decoders
-        l, P_hat, entries = 1, Mat.identity(net.field, r), {}
+        l, P_hat, entries, plan_raw = 1, Mat.identity(net.field, r), {}, None
     else:
         widths = {str(t): gems[t].matrix.cols for t in subrate_sinks}
-        l, P_hat, entries = _load_plan(args.plan, net, widths)
+        plan_raw = _read(args.plan)
+        l, P_hat, entries = _load_plan(args.plan, net, widths, plan_raw)
         # a subrate sink with max-flow 0 decodes nothing, so it needs no entry
         for t in subrate_sinks:
             if str(t) not in entries and gems[t].h:
@@ -626,11 +632,8 @@ def cmd_simulate(args) -> int:
 
     report = {
         "command": "simulate",
-        "inputs": {
-            "network": _digest(args.file),
-            "code": _digest(args.code),
-            "plan": _digest(args.plan),
-        },
+        "inputs": {key: None if raw is None else hashlib.sha256(raw).hexdigest()
+                   for key, raw in (("network", net_raw), ("code", code_raw), ("plan", plan_raw))},
         "seed": args.seed,
         "trials": args.trials,
         "outputs": [args.out] if args.out is not None else [],

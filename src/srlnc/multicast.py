@@ -14,9 +14,8 @@ by construction; `simulate` alone applies local kernels.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import mul
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import Mat, _reduce, invert, row_times
 from .netgraph import Network, max_flow, max_flow_value
@@ -37,15 +36,13 @@ class CodeInvalidForSink(ValueError):
     """A sink does not receive enough independent symbol combinations."""
 
 
-@dataclass(frozen=True)
-class LinearCode:
+class LinearCode(NamedTuple):
     rate: int
     gek: Dict[int, Vec]          # edge id -> length-r column
     lek: Dict[Node, Mat]         # node -> |In| x |Out| coefficients
 
 
-@dataclass(frozen=True)
-class Gem:
+class Gem(NamedTuple):
     matrix: Mat                  # r x min(h_t, r)
     used_edges: Tuple[int, ...]
     h: int                       # max-flow to the sink

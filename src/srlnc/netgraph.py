@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Sequence, Tuple
 
 from .fields import FieldSpec
 
@@ -87,8 +86,7 @@ def topo_order(net: Network) -> List[Node]:
     return out
 
 
-@dataclass(frozen=True)
-class FlowResult:
+class FlowResult(NamedTuple):
     value: int
     paths: Tuple[Tuple[int, ...], ...]
 

@@ -1,9 +1,14 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from srlnc import rate_ratio_curve, rate_ratio_verdict
 from srlnc.advisor import PREFER_SINK, PREFER_SUB_RATE, field_bits
+from srlnc.cli import main
+
+# sha256 of `rate-ratio --max-sinks 3000`
+RATE_RATIO_3000 = "9cde7ba091d3d64f2d545d3270456e9e6ae2158e017f2b560d41d5524e24c6d5"
 
 
 def test_field_bits():
@@ -43,3 +48,9 @@ def test_verdict_matches_the_curve_threshold():
             for r in range(0, h + 1):
                 want = PREFER_SUB_RATE if Fraction(r, h) >= curve[n] else PREFER_SINK
                 assert rate_ratio_verdict(h, r, num_sinks=n) == want
+
+
+def test_rate_ratio_csv_keeps_its_bytes(capsys):
+    assert main(["rate-ratio", "--max-sinks", "3000"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == RATE_RATIO_3000
+

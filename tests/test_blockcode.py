@@ -1,7 +1,6 @@
 import itertools
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -457,7 +456,7 @@ def test_each_spanner_membership_is_tested_once_per_plan(monkeypatch, build):
     assert {(span, v) for v in plan.design.spanner for span in g.spans} <= set(tested)
     # the single-use precoder carries its i_bar; a block plan does not
     assert (plan.i_bar is None) == (build in ("optimize", "partial", "fallback"))
-    assert replace(plan, i_bar=None) == build_block_plan(g, plan.design)
+    assert plan._replace(i_bar=None) == build_block_plan(g, plan.design)
 
 
 def test_optimizer_stops_listing_subsets_at_the_budget():

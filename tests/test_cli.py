@@ -605,6 +605,27 @@ def test_simulate_without_a_plan_skips_subrate_decoding(tmp_path):
     assert rows["6"]["failures"] == 0 and rows["7"]["failures"] == 0
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+def test_simulate_hashes_the_bytes_it_parsed_even_from_a_pipe(tmp_path):
+    # a pipe is read once: a second read for the digest would hash no bytes
+    net, code, plan = _pipeline_files(tmp_path, block=False)
+    data = Path(net).read_bytes()
+    report = str(tmp_path / "report.json")
+    r, w = os.pipe()
+    try:
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+        assert main(["simulate", f"/dev/fd/{r}", code, plan, "--trials", "3",
+                     "--out", report]) == 0
+    finally:
+        os.close(r)
+    assert read(report)["inputs"] == {
+        "network": hashlib.sha256(data).hexdigest(),
+        "code": hashlib.sha256(Path(code).read_bytes()).hexdigest(),
+        "plan": hashlib.sha256(Path(plan).read_bytes()).hexdigest(),
+    }
+
+
 def test_simulate_rejects_a_plan_without_sink_decoders(tmp_path, capsys):
     net = write(tmp_path, "net.json", BUTTERFLY)
     code = str(tmp_path / "code.json")

@@ -1,13 +1,17 @@
 """The runtime is standard-library only: every import in `src/srlnc` is
-relative or names a standard-library module.  No module there uses
-`assert`, so its checks also run under `python -O`.  Every file the
-package writes goes through `cli._emit`, the one write path, and every
-JSON layout comes from `cli.canonical_json`, the one writer.  The trusted
-`Mat._of` is built only where the rows are known to be reduced.  And the
-package exports only the names the README or the release gates use."""
+relative or names a standard-library module, and importing the CLI,
+which every command's start-up waits for, loads no `dataclasses`.  No
+module there uses `assert`, so its checks also run under `python -O`.
+Every file the package writes goes through `cli._emit`, the one write
+path, and every JSON layout comes from `cli.canonical_json`, the one
+writer.  The trusted `Mat._of` is built only where the rows are known to
+be reduced.  And the package exports only the names the README or the
+release gates use."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,6 +22,23 @@ from helpers import README, readme_python_blocks
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "srlnc"
 GATES = Path(__file__).resolve().parent / "test_acceptance.py"
+
+
+# `dataclasses` and the modules it imports took about 9 ms of the 20 ms
+# that `import srlnc.cli`, most of a command's start-up, took on a 2-vCPU
+# x86_64 VM
+START_UP_UNWANTED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # compared with the modules loaded before, which a site hook may grow
+    probe = ("import sys; before = set(sys.modules); import srlnc.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    added = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                           text=True, check=True).stdout.split()
+    assert "srlnc.cli" in added
+    assert sorted(START_UP_UNWANTED.intersection(added)) == []
 
 
 def _imported_modules(path: Path):

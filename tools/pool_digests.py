@@ -95,6 +95,10 @@ no single-use precoder, and whose minimal exact spanner search stops at
 its 200 000-node budget, so that refusals that must not wait for that
 search are compared too.
 
+No pool op runs `rate-ratio`, so each tree also runs `rate-ratio
+--max-sinks N` for each N of `RATE_RATIO_MAX_SINKS`, so that the bytes of
+its CSV are compared too.
+
 Compared per op: each stage's exit code and stderr, and the sha256 of each
 output file; per pool, the set-up's CLI calls and the files it left.  Every
 op that differs is printed, and the exit status is 1 if any op differs.
@@ -186,6 +190,7 @@ BUDGET_PROBE_DRAWS = (14, 291, 1938)   # draws of budget_probe, counted from 1
 WEAK_REFUSAL_CODE_SEEDS = range(20)
 LARGE_RATE = ((3, 8), (3, 12), (7, 10), (5, 14), (31, 16))   # (p, r) of large_rate_probe
 LARGE_RATE_CODE_SEEDS = range(3)
+RATE_RATIO_MAX_SINKS = (1, 2, 50, 3000)
 
 
 def feasibility_probe(s: int) -> dict:
@@ -372,6 +377,10 @@ def digest_tree(tree: Path, work: Path) -> Dict[str, dict]:
         for seed in LARGE_RATE_CODE_SEEDS:
             out[f"large rate p={p} r={r} seed={seed}"] = _stages(
                 runner, [["code", net, "--seed", seed, "--out", code]], [code])
+    csv = many / "rate-ratio.csv"
+    for n in RATE_RATIO_MAX_SINKS:
+        out[f"rate-ratio --max-sinks {n}"] = _stages(
+            runner, [["rate-ratio", "--max-sinks", n, "--out", csv]], [csv])
     out.update(_mutants(runner, work / "mutants"))
     return out
 
